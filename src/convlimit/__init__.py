@@ -24,7 +24,6 @@ from .errors import (
     NotAssociative,
     NotClosedAtTolerance,
     NotRepresentable,
-    OrderTooLarge,
     OutOfSupport,
 )
 from .groups import (
@@ -39,7 +38,6 @@ from .groups import (
     default_section,
     dihedral_group_4,
     direct_product,
-    enumerate_subgroups,
     generated_subgroup,
     group_from_spec,
     h_part,
@@ -78,19 +76,12 @@ from .measures import (
     tv_distance,
 )
 from .solutions import (
-    Decomposition,
     Ensemble,
-    SolutionPath,
     decompose_ensemble,
-    decompose_path,
     extremal_ensemble,
-    extremal_solution,
     general_ensemble,
-    general_solution,
     sample_noise,
-    torus_decompose,
     uniform_ensemble,
-    uniform_solution,
 )
 from .stats import (
     ChiSquareResult,

@@ -40,6 +40,7 @@ from .solutions import (
     decompose_ensemble,
     extremal_ensemble,
     general_ensemble,
+    recursion_break,
     uniform_ensemble,
 )
 from .stats import verify_theorems
@@ -181,7 +182,11 @@ def _build_ensemble_for(args, noise, result, kind):
         return ens
     v_law = haar(noise.group)
     if args.v_law is not None:
-        v_law = measure_from_spec(noise.group, json.loads(args.v_law))
+        try:
+            v_spec = json.loads(args.v_law)
+        except json.JSONDecodeError as exc:
+            raise InvalidSpec(f"--v-law is not valid JSON: {exc}") from None
+        v_law = measure_from_spec(noise.group, v_spec)
     return general_ensemble(ens, v_law, args.seed + 1)
 
 
@@ -213,17 +218,32 @@ def _ensemble_from_file(path: str, group) -> Ensemble:
         raise InvalidSpec(f"ensemble file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise InvalidSpec(f"ensemble file is not valid JSON: {exc}") from None
-    records = payload.get("paths")
+    records = payload.get("paths") if isinstance(payload, dict) else None
     if not records:
         raise InvalidSpec("ensemble file holds no paths")
-    k_min = int(payload["k_min"])
-    depth = int(payload["depth"])
-    xi = np.array([r["xi"] for r in records], dtype=np.int64)
-    eta = np.array([r["eta"] for r in records], dtype=np.int64)
-    if xi.shape[1] != depth + 1 or eta.shape[1] != -k_min + 1:
+    try:
+        k_min = int(payload["k_min"])
+        depth = int(payload["depth"])
+        seed = int(payload.get("seed", 0))
+        xi = np.array([r["xi"] for r in records], dtype=np.int64)
+        eta = np.array([r["eta"] for r in records], dtype=np.int64)
+    except KeyError as exc:
+        raise InvalidSpec(f"ensemble file lacks the field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise InvalidSpec(f"ensemble file arrays are malformed: {exc}") from None
+    if not 0 <= -k_min <= depth:
+        raise InvalidSpec(f"ensemble window k_min={k_min} does not fit in depth {depth}")
+    if xi.shape != (len(records), depth + 1) or eta.shape != (len(records), -k_min + 1):
         raise InvalidSpec("ensemble file arrays do not match its window fields")
+    if min(xi.min(), eta.min()) < 0 or max(xi.max(), eta.max()) >= group.order:
+        raise InvalidSpec(f"ensemble file holds element ids outside [0, {group.order})")
+    broken = recursion_break(group, xi, eta, depth, k_min)
+    if broken is not None:
+        raise InvalidSpec(
+            f"path {broken[0]} of the ensemble file breaks eta_k = xi_k eta_(k-1) at k={broken[1]}"
+        )
     return Ensemble(group=group, kind=payload.get("kind", "mixture"),
-                    seed=int(payload.get("seed", 0)), depth=depth, k_min=k_min,
+                    seed=seed, depth=depth, k_min=k_min,
                     xi=xi, eta=eta)
 
 
@@ -282,6 +302,16 @@ def cmd_verify(args) -> int:
     return EXIT_VERIFY_FAILED
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="conv-limit",
@@ -300,9 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
         if seeded:
             p.add_argument("--seed", type=int, required=True,
                            help="RNG seed (required for reproducibility)")
-            p.add_argument("--depth", type=int, default=None,
+            p.add_argument("--depth", type=_positive_int, default=None,
                            help="path window depth (default 2x certified depth)")
-            p.add_argument("--paths", type=int, default=10_000,
+            p.add_argument("--paths", type=_positive_int, default=10_000,
                            help="number of sample paths")
 
     p = sub.add_parser("classify", help="trichotomy case and subgroup / lattice generator")

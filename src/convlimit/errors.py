@@ -32,10 +32,6 @@ class NotAssociative(ConvLimitError):
         super().__init__(message or f"(a*b)*c != a*(b*c) for (a, b, c) = ({a}, {b}, {c})")
 
 
-class OrderTooLarge(ConvLimitError):
-    """Group order exceeds the configured bound for an exhaustive operation."""
-
-
 class NotASubgroup(ConvLimitError):
     """A member set fails one of the subgroup axioms."""
 

@@ -20,15 +20,11 @@ from .errors import (
     NoInverse,
     NotASubgroup,
     NotAssociative,
-    OrderTooLarge,
 )
 
 # Associativity is checked on all n^3 triples up to this order, sampled above.
 ASSOCIATIVITY_EXHAUSTIVE_LIMIT = 256
 ASSOCIATIVITY_SAMPLE_FACTOR = 10
-
-# Default bound for exhaustive subgroup enumeration.
-SUBGROUP_ENUMERATION_LIMIT = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,9 +154,15 @@ def validate_group(
     Raises :class:`NoIdentity`, :class:`NoInverse` or :class:`NotAssociative`
     with a witness when the table is not a group.
     """
-    mul = np.array(table, dtype=np.int64)
+    try:
+        mul = np.array(table)
+    except ValueError as exc:
+        raise InvalidSpec(f"multiplication table is not a rectangular array: {exc}") from None
     if mul.ndim != 2 or mul.shape[0] != mul.shape[1] or mul.shape[0] == 0:
         raise InvalidSpec(f"multiplication table must be square and non-empty, got shape {mul.shape}")
+    if mul.dtype.kind not in "iu":
+        raise InvalidSpec(f"multiplication table entries must be integers, got dtype {mul.dtype}")
+    mul = mul.astype(np.int64, copy=False)
     n = int(mul.shape[0])
     if mul.min() < 0 or mul.max() >= n:
         raise InvalidSpec(f"table entries must lie in [0, {n})")
@@ -240,53 +242,6 @@ def generated_subgroup(group: FiniteGroup, generators: Iterable[int]) -> Subgrou
                     members.add(p)
                     queue.append(p)
     return Subgroup(group=group, members=tuple(sorted(members)))
-
-
-def enumerate_subgroups(
-    group: FiniteGroup,
-    order_bound: int = SUBGROUP_ENUMERATION_LIMIT,
-) -> list[Subgroup]:
-    """All subgroups of the group, sorted by (order, members).
-
-    Closes every subset of at most two generators, then joins pairs of the
-    subgroups found until a fixed point, which reaches subgroups that need
-    more than two generators.
-    """
-    if group.order > order_bound:
-        raise OrderTooLarge(
-            f"group order {group.order} exceeds enumeration bound {order_bound}"
-        )
-    found: dict[tuple[int, ...], Subgroup] = {}
-
-    def add(h: Subgroup) -> bool:
-        if h.members in found:
-            return False
-        found[h.members] = h
-        return True
-
-    add(trivial_subgroup(group))
-    add(full_subgroup(group))
-    for g in range(group.order):
-        add(generated_subgroup(group, (g,)))
-    for g, h in itertools.combinations(range(group.order), 2):
-        add(generated_subgroup(group, (g, h)))
-
-    tried: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-    changed = True
-    while changed:
-        changed = False
-        current = list(found.values())
-        for a, b in itertools.combinations(current, 2):
-            key = (a.members, b.members)
-            if key in tried:
-                continue
-            tried.add(key)
-            if set(a.members) <= set(b.members) or set(b.members) <= set(a.members):
-                continue
-            joined = generated_subgroup(group, a.members + b.members)
-            if add(joined):
-                changed = True
-    return sorted(found.values(), key=lambda h: (h.order, h.members))
 
 
 def _require_subgroup_of(group: FiniteGroup, H: Subgroup) -> None:

@@ -38,7 +38,10 @@ class Measure:
             raise InvalidSpec(f"negative weight {w.min():g}")
         w = np.maximum(w, 0.0)
         total = w.sum()
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        # written so that a NaN total fails too: every comparison with NaN is false
+        if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
+            if not np.isfinite(w).all():
+                raise InvalidSpec(f"weights must be finite, got {w.tolist()}")
             raise InvalidSpec(f"weights sum to {total!r}, expected 1")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -169,7 +172,10 @@ def measure_from_spec(group: FiniteGroup, obj: dict) -> Measure:
     if kind == "delta":
         if "at" not in obj:
             raise InvalidSpec("delta measure spec requires an 'at' field")
-        g = int(obj["at"])
+        try:
+            g = int(obj["at"])
+        except (TypeError, ValueError):
+            raise InvalidSpec(f"delta location must be an integer, got {obj['at']!r}") from None
         if not 0 <= g < group.order:
             raise InvalidSpec(f"delta location {g} out of range [0, {group.order})")
         return delta(group, g)
@@ -182,5 +188,9 @@ def measure_from_spec(group: FiniteGroup, obj: dict) -> Measure:
     if kind == "weights":
         if "w" not in obj:
             raise InvalidSpec("weights measure spec requires a 'w' field")
-        return Measure(group, np.asarray(obj["w"], dtype=np.float64))
+        try:
+            w = np.asarray(obj["w"], dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise InvalidSpec(f"weights must be a list of numbers: {exc}") from None
+        return Measure(group, w)
     raise InvalidSpec(f"unknown measure spec kind {kind!r}")

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import CosetNotStabilized, GridMismatch, InvalidSpec
+from .errors import CosetNotStabilized, InvalidSpec
 from .groups import (
     CosetSpace,
     FiniteGroup,
@@ -33,7 +33,7 @@ from .groups import (
     same_group,
 )
 from .limits import LimitResult, NoiseLaw, extend_centerings
-from .measures import Measure, sample
+from .measures import Measure, haar, sample
 
 CHUNK_SIZE = 4096
 
@@ -81,61 +81,13 @@ def _run_chunks(n_paths: int, worker: Callable[[int, int, int], None]) -> None:
             f.result()
 
 
-def _draw(mu: Measure, rng: np.random.Generator, size: int) -> np.ndarray:
-    return sample(mu, rng, size=size)
-
-
-@dataclass(frozen=True)
-class SolutionPath:
-    """One sampled path: eta on [k_min, 0], its driving noise, and bookkeeping."""
-
-    group: FiniteGroup
-    eta: dict[int, int]
-    xi: dict[int, int]
-    kind: str
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def k_min(self) -> int:
-        return min(self.eta)
-
-    @property
-    def xi_k_min(self) -> int:
-        return min(self.xi)
-
-    def satisfies_recursion(self) -> bool:
-        mul = self.group.mul
-        return all(
-            self.eta[k] == int(mul[self.xi[k], self.eta[k - 1]])
-            for k in range(self.k_min + 1, 1)
-        )
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    """Factors eta_k = phi_k * U_k * V over the window of phi."""
-
-    phi: dict[int, int]
-    U: dict[int, int]
-    V: int
-    subgroup: Subgroup
-    section: Section
-
-    @property
-    def k_min(self) -> int:
-        return min(self.phi)
-
-    def reconstructs(self, path: SolutionPath) -> bool:
-        mul = path.group.mul
-        return all(
-            path.eta[k] == int(mul[self.phi[k], mul[self.U[k], self.V]])
-            for k in self.phi
-        )
-
-
 @dataclass(frozen=True)
 class Ensemble:
-    """Vectorized bundle of paths sharing one noise law and construction."""
+    """Vectorized bundle of paths sharing one noise law and construction.
+
+    This is the library's one path type; a single path is an ensemble with
+    ``n_paths=1``.
+    """
 
     group: FiniteGroup
     kind: str
@@ -160,29 +112,9 @@ class Ensemble:
     def eta_col(self, k: int) -> np.ndarray:
         return self.eta[:, k - self.k_min]
 
-    def phi_col(self, k: int) -> np.ndarray:
-        assert self.phi is not None
-        return self.phi[:, k - self.k_min]
-
     def u_col(self, k: int) -> np.ndarray:
         assert self.U is not None
         return self.U[:, k - self.k_min]
-
-    def path(self, i: int) -> SolutionPath:
-        eta = {self.k_min + j: int(x) for j, x in enumerate(self.eta[i])}
-        xi = {-self.depth + j: int(x) for j, x in enumerate(self.xi[i])}
-        return SolutionPath(
-            group=self.group, eta=eta, xi=xi, kind=self.kind,
-            meta={"seed": self.seed, "depth": self.depth, "path_index": i},
-        )
-
-    def decomposition(self, i: int) -> Decomposition:
-        assert self.phi is not None and self.U is not None
-        assert self.subgroup is not None and self.section is not None
-        phi = {self.k_min + j: int(x) for j, x in enumerate(self.phi[i])}
-        u = {self.k_min + j: int(x) for j, x in enumerate(self.U[i])}
-        v = int(self.V[i]) if self.V is not None else self.group.identity
-        return Decomposition(phi=phi, U=u, V=v, subgroup=self.subgroup, section=self.section)
 
     def to_records(self) -> list[dict]:
         out = []
@@ -203,44 +135,52 @@ class Ensemble:
         return out
 
 
-def _check_recursion(group: FiniteGroup, xi: np.ndarray, eta: np.ndarray,
-                     depth: int, k_min: int) -> None:
+def recursion_break(group: FiniteGroup, xi: np.ndarray, eta: np.ndarray,
+                    depth: int, k_min: int) -> Optional[tuple[int, int]]:
+    """First (path, k) with eta_k != xi_k eta_{k-1}, or None when every path holds.
+
+    ``xi`` holds k = -depth..0 and ``eta`` holds k = k_min..0, one row per
+    path, as in :class:`Ensemble`; the caller picks the error to raise.
+    """
     mul = group.mul
     for k in range(k_min + 1, 1):
-        lhs = eta[:, k - k_min]
-        rhs = mul[xi[:, k + depth], eta[:, k - 1 - k_min]]
-        if not np.array_equal(lhs, rhs):
-            raise AssertionError("defining recursion violated; internal error")
+        bad = eta[:, k - k_min] != mul[xi[:, k + depth], eta[:, k - 1 - k_min]]
+        if bad.any():
+            return int(np.flatnonzero(bad)[0]), k
+    return None
 
 
-def sample_noise(noise: NoiseLaw, depth: int, rng: np.random.Generator) -> dict[int, int]:
-    """Independent draws xi_k ~ mu_k for k = -depth..0, drawn shallow-first."""
-    return {k: int(_draw(noise.measure_at(k), rng, 1)[0]) for k in range(0, -depth - 1, -1)}
+def _check_recursion(group: FiniteGroup, xi: np.ndarray, eta: np.ndarray,
+                     depth: int, k_min: int) -> None:
+    if recursion_break(group, xi, eta, depth, k_min) is not None:
+        raise AssertionError("defining recursion violated; internal error")
 
 
-def _sample_noise_block(noise: NoiseLaw, depth: int, rng: np.random.Generator,
-                        size: int) -> np.ndarray:
+def sample_noise(noise: NoiseLaw, depth: int, size: int, seed: int, chunk: int) -> np.ndarray:
+    """Independent draws xi_k ~ mu_k; column i of the (size, depth + 1) array holds k = -depth + i.
+
+    The draws come shallow-first (k = 0 down to -depth) from the RNG stream
+    keyed by (seed, noise purpose, chunk), so a chunk's noise does not depend
+    on which construction consumes it.
+    """
+    rng = _stream(seed, _PURPOSE_XI, chunk)
     xi = np.empty((size, depth + 1), dtype=np.int64)
     for k in range(0, -depth - 1, -1):
-        xi[:, k + depth] = _draw(noise.measure_at(k), rng, size)
+        xi[:, k + depth] = sample(noise.measure_at(k), rng, size=size)
     return xi
 
 
 def uniform_ensemble(noise: NoiseLaw, depth: int, n_paths: int, seed: int) -> Ensemble:
     """Paths started from an independent Haar state one step below the window."""
     group = noise.group
-    from .measures import haar
-
     omega = haar(group)
     xi = np.empty((n_paths, depth + 1), dtype=np.int64)
     eta = np.empty((n_paths, depth + 1), dtype=np.int64)
     mul = group.mul
 
     def worker(idx: int, start: int, size: int) -> None:
-        rng_xi = _stream(seed, _PURPOSE_XI, idx)
-        rng_init = _stream(seed, _PURPOSE_INIT, idx)
-        block_xi = _sample_noise_block(noise, depth, rng_xi, size)
-        state = _draw(omega, rng_init, size)
+        block_xi = sample_noise(noise, depth, size, seed, idx)
+        state = sample(omega, _stream(seed, _PURPOSE_INIT, idx), size=size)
         block_eta = np.empty_like(block_xi)
         for i in range(depth + 1):
             state = mul[block_xi[:, i], state]
@@ -252,21 +192,6 @@ def uniform_ensemble(noise: NoiseLaw, depth: int, n_paths: int, seed: int) -> En
     _check_recursion(group, xi, eta, depth, -depth)
     return Ensemble(group=group, kind="uniform", seed=seed, depth=depth,
                     k_min=-depth, xi=xi, eta=eta)
-
-
-def uniform_solution(noise: NoiseLaw, depth: int, rng: np.random.Generator) -> SolutionPath:
-    """A single uniform-solution path on the window [-depth, 0]."""
-    from .measures import haar
-
-    group = noise.group
-    xi = sample_noise(noise, depth, rng)
-    state = int(_draw(haar(group), rng, 1)[0])
-    eta: dict[int, int] = {}
-    for k in range(-depth, 1):
-        state = int(group.mul[xi[k], state])
-        eta[k] = state
-    return SolutionPath(group=group, eta=eta, xi=xi, kind="uniform",
-                        meta={"depth": depth})
 
 
 def _phi_cosets(
@@ -392,6 +317,8 @@ def extremal_ensemble(
     group = noise.group
     k_min = limitres.k_min if k_min is None else k_min
     H = limitres.subgroup
+    if u0 is not None and u0 not in H:
+        raise InvalidSpec(f"u0={u0} is not a member of H")
     space = left_cosets(group, H)
     section = default_section(space)
     alphas = extend_centerings(noise, limitres, depth)
@@ -404,10 +331,9 @@ def extremal_ensemble(
     U = np.empty((n_paths, w), dtype=np.int64)
 
     def worker(idx: int, start: int, size: int) -> None:
-        rng_xi = _stream(seed, _PURPOSE_XI, idx)
-        rng_u0 = _stream(seed, _PURPOSE_U0, idx)
-        block_xi = _sample_noise_block(noise, depth, rng_xi, size)
+        block_xi = sample_noise(noise, depth, size, seed, idx)
         if u0 is None:
+            rng_u0 = _stream(seed, _PURPOSE_U0, idx)
             block_u0 = members[rng_u0.integers(0, members.size, size=size)]
         else:
             block_u0 = np.full(size, int(u0), dtype=np.int64)
@@ -424,53 +350,6 @@ def extremal_ensemble(
                     xi=xi, eta=eta, phi=phi, U=U, V=None, subgroup=H, section=section)
 
 
-def extremal_solution(
-    noise: NoiseLaw,
-    limitres: LimitResult,
-    depth: int,
-    rng: np.random.Generator,
-    u0: Optional[int] = None,
-    *,
-    k_min: Optional[int] = None,
-) -> tuple[SolutionPath, Decomposition]:
-    """One extremal path plus its (phi, U, V=e) factorization."""
-    _require_extremal_inputs(noise, limitres, depth)
-    group = noise.group
-    k_min = limitres.k_min if k_min is None else k_min
-    H = limitres.subgroup
-    space = left_cosets(group, H)
-    section = default_section(space)
-    alphas = extend_centerings(noise, limitres, depth)
-
-    xi_map = sample_noise(noise, depth, rng)
-    if u0 is None:
-        u0_val = int(H.members[int(rng.integers(0, H.order))])
-    else:
-        if u0 not in H:
-            raise InvalidSpec(f"u0={u0} is not a member of H")
-        u0_val = int(u0)
-    xi = np.array([[xi_map[k] for k in range(-depth, 1)]], dtype=np.int64)
-    eta, phi, U = _extremal_from_xi(
-        group, space, section, alphas, xi, depth, k_min,
-        np.array([u0_val], dtype=np.int64),
-    )
-    path = SolutionPath(
-        group=group,
-        eta={k_min + j: int(x) for j, x in enumerate(eta[0])},
-        xi=xi_map,
-        kind="extremal",
-        meta={"depth": depth, "u0": u0_val},
-    )
-    dec = Decomposition(
-        phi={k_min + j: int(x) for j, x in enumerate(phi[0])},
-        U={k_min + j: int(x) for j, x in enumerate(U[0])},
-        V=group.identity,
-        subgroup=H,
-        section=section,
-    )
-    return path, dec
-
-
 def general_ensemble(extremal: Ensemble, v_law: Measure, seed: int) -> Ensemble:
     """Mixture paths eta_k = eta0_k V with V ~ v_law independent per path."""
     if extremal.kind != "extremal":
@@ -482,8 +361,7 @@ def general_ensemble(extremal: Ensemble, v_law: Measure, seed: int) -> Ensemble:
     V = np.empty(n_paths, dtype=np.int64)
 
     def worker(idx: int, start: int, size: int) -> None:
-        rng_v = _stream(seed, _PURPOSE_V, idx)
-        V[start:start + size] = _draw(v_law, rng_v, size)
+        V[start:start + size] = sample(v_law, _stream(seed, _PURPOSE_V, idx), size=size)
 
     _run_chunks(n_paths, worker)
     eta = group.mul[extremal.eta, V[:, None]]
@@ -494,26 +372,8 @@ def general_ensemble(extremal: Ensemble, v_law: Measure, seed: int) -> Ensemble:
                     subgroup=extremal.subgroup, section=extremal.section)
 
 
-def general_solution(
-    path: SolutionPath,
-    dec: Decomposition,
-    v_law: Measure,
-    rng: np.random.Generator,
-) -> tuple[SolutionPath, Decomposition]:
-    """One mixture path eta_k = eta0_k V from an extremal path and a V law."""
-    group = path.group
-    v = int(_draw(v_law, rng, 1)[0])
-    eta = {k: int(group.mul[x, v]) for k, x in path.eta.items()}
-    new_path = SolutionPath(group=group, eta=eta, xi=dict(path.xi), kind="mixture",
-                            meta={**path.meta, "v": v})
-    new_dec = Decomposition(phi=dict(dec.phi), U=dict(dec.U), V=v,
-                            subgroup=dec.subgroup, section=dec.section)
-    return new_path, new_dec
-
-
 def _decompose_core(
     group: FiniteGroup,
-    H: Subgroup,
     space: CosetSpace,
     section: Section,
     alphas: dict[int, int],
@@ -592,7 +452,7 @@ def decompose_ensemble(
             )
     eta = ens.eta[:, k_min - ens.k_min:]
     phi, U, V = _decompose_core(
-        group, H, space, section, alphas, ens.xi, ens.depth, eta, k_min
+        group, space, section, alphas, ens.xi, ens.depth, eta, k_min
     )
     out = Ensemble(group=group, kind=ens.kind, seed=ens.seed, depth=ens.depth,
                    k_min=k_min, xi=ens.xi, eta=eta,
@@ -605,132 +465,3 @@ def decompose_ensemble(
         "depth": ens.depth,
     }
     return out, audit
-
-
-def decompose_path(
-    path: SolutionPath,
-    limitres: LimitResult,
-    section: Optional[Section] = None,
-    noise: Optional[NoiseLaw] = None,
-    k_min: Optional[int] = None,
-) -> Decomposition:
-    """Factor one path as eta_k = phi_k U_k V under the given section."""
-    group = path.group
-    H = limitres.subgroup
-    space = left_cosets(group, H)
-    if section is None:
-        section = default_section(space)
-    depth = -path.xi_k_min
-    if noise is not None:
-        alphas = extend_centerings(noise, limitres, depth)
-    else:
-        alphas = limitres.alphas
-        if -depth not in alphas or -(depth // 2) not in alphas:
-            raise InvalidSpec(
-                "limit result does not carry centerings deep enough; pass the noise law"
-            )
-    if k_min is None:
-        k_min = path.k_min
-    if k_min < path.k_min:
-        raise InvalidSpec(f"report window {k_min} exceeds the path window {path.k_min}")
-    xi = np.array([[path.xi[k] for k in range(-depth, 1)]], dtype=np.int64)
-    eta = np.array([[path.eta[k] for k in range(k_min, 1)]], dtype=np.int64)
-    phi, U, V = _decompose_core(
-        group, H, space, section, alphas, xi, depth, eta, k_min
-    )
-    return Decomposition(
-        phi={k_min + j: int(x) for j, x in enumerate(phi[0])},
-        U={k_min + j: int(x) for j, x in enumerate(U[0])},
-        V=int(V[0]),
-        subgroup=H,
-        section=section,
-    )
-
-
-def _require_cyclic(group: FiniteGroup) -> int:
-    n = group.order
-    idx = np.arange(n)
-    if not np.array_equal(group.mul, (idx[:, None] + idx[None, :]) % n):
-        raise GridMismatch("torus decomposition needs the additive cyclic group Z_n")
-    return n
-
-
-def torus_decompose(
-    path: SolutionPath,
-    p_mu: int,
-    limitres: LimitResult,
-    noise: Optional[NoiseLaw] = None,
-) -> Decomposition:
-    """Factor a path on the cyclic grid by integer/fractional-part arithmetic.
-
-    Uses the fractional-part section x -> (x mod n/p) on the grid, which is
-    exactly the minimal-index section of the cyclic subgroup of order p, and
-    the same remote-past gauge as :func:`decompose_path`, so both engines
-    return identical factors path by path.
-    """
-    group = path.group
-    n = _require_cyclic(group)
-    if p_mu < 0:
-        raise GridMismatch(f"p must be nonnegative, got {p_mu}")
-    h_order = n if p_mu == 0 else p_mu
-    if n % h_order != 0:
-        raise GridMismatch(f"grid size {n} is not divisible by p = {p_mu}")
-    q = n // h_order  # coset modulus: the section is x -> x mod q
-
-    depth = -path.xi_k_min
-    half = depth // 2
-    k_min = path.k_min
-    if half < -k_min + 1:
-        raise InvalidSpec(
-            f"depth {depth} too shallow for window k_min={k_min}; "
-            "the half-depth check needs depth/2 below the window"
-        )
-    if noise is not None:
-        alphas = extend_centerings(noise, limitres, depth)
-    else:
-        alphas = limitres.alphas
-        if -depth not in alphas or -half not in alphas:
-            raise InvalidSpec(
-                "limit result does not carry centerings deep enough; pass the noise law"
-            )
-
-    xi = np.array([path.xi[k] for k in range(-depth, 1)], dtype=np.int64)
-    suffix = np.cumsum(xi) % n  # suffix[i] = sum of xi_j for j in [-depth, -depth+i]
-    a_full = int(alphas[-depth])
-    a_half = int(alphas[-half])
-
-    phi: dict[int, int] = {}
-    for k in range(k_min, 1):
-        s_full = int(suffix[k + depth])
-        s_half = (s_full - int(suffix[-half - 1 + depth])) % n
-        p_full = (s_full + a_full) % q
-        p_half = (s_half + a_half) % q
-        if p_full != p_half:
-            raise CosetNotStabilized(
-                f"fractional part at k={k} differs between depth {depth} "
-                f"({p_full}) and depth {half} ({p_half}); increase the depth"
-            )
-        phi[k] = p_full
-
-    w = -k_min + 1
-    quarter = max(1, w // 4)
-    v_candidates = {
-        (-((phi[k] - path.eta[k]) % q)) % n for k in range(k_min, k_min + quarter)
-    }
-    if len(v_candidates) != 1:
-        raise CosetNotStabilized(
-            f"remote-past fractional part varies over the deepest quarter: "
-            f"{sorted(v_candidates)}; increase the window depth"
-        )
-    V = v_candidates.pop()
-
-    U = {k: ((path.eta[k] - V) % n) // q * q for k in range(k_min, 1)}
-    for k in range(k_min, 1):
-        if (phi[k] + U[k] + V) % n != path.eta[k]:
-            raise CosetNotStabilized(f"grid reconstruction failed at k={k}")
-
-    from .groups import subgroup as make_subgroup
-
-    H = make_subgroup(group, [j * q for j in range(h_order)])
-    space = left_cosets(group, H)
-    return Decomposition(phi=phi, U=U, V=V, subgroup=H, section=default_section(space))

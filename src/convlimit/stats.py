@@ -19,7 +19,7 @@ from .errors import CosetNotStabilized, EmptySample, InsufficientSamples, OutOfS
 from .groups import FiniteGroup, Subgroup
 from .limits import LimitResult, NoiseLaw, extend_centerings
 from .measures import Measure, all_right_translates, haar, tv_distance
-from .solutions import Ensemble, extremal_ensemble, uniform_ensemble, _sample_noise_block, _stream, _PURPOSE_XI
+from .solutions import Ensemble, extremal_ensemble, sample_noise, uniform_ensemble
 
 MIN_EXPECTED_CELL = 5.0
 MIN_PATHS_FOR_BATTERY = 1000
@@ -177,8 +177,7 @@ def case_b_convergence_diagnostic(
     max_needed = 2 * max(depths)
     alphas = extend_centerings(noise, limitres, max_needed)
     for L in depths:
-        rng = _stream(seed, _PURPOSE_XI, L)
-        xi = _sample_noise_block(noise, 2 * L, rng, n_paths)  # cols: k = -2L..0
+        xi = sample_noise(noise, 2 * L, n_paths, seed, chunk=L)  # cols: k = -2L..0
         prod = xi[:, 0].copy()  # xi_{0,-2L} once fully accumulated
         for k in range(-2 * L + 1, 1):
             prod = mul[xi[:, k + 2 * L], prod]

@@ -55,7 +55,7 @@ class AtomsSpec:
         for x, w in pts:
             if not 0.0 <= x < 1.0:
                 raise InvalidSpec(f"atom position must lie in [0, 1), got {x}")
-            if w < 0:
+            if not w >= 0:
                 raise InvalidSpec(f"atom weight must be nonnegative, got {w}")
         if abs(sum(w for _, w in pts) - 1.0) > 1e-12:
             raise InvalidSpec("atom weights must sum to 1")
@@ -80,7 +80,7 @@ class WrappedGaussianSpec:
     def __post_init__(self):
         if not 0.0 <= self.mean < 1.0:
             raise InvalidSpec(f"mean must lie in [0, 1), got {self.mean}")
-        if self.sd <= 0:
+        if not self.sd > 0:
             raise InvalidSpec(f"sd must be positive, got {self.sd}")
 
 
@@ -132,12 +132,12 @@ class GaussianSchedule:
     ratio: float = 1.0
 
     def __post_init__(self):
-        if self.coeff <= 0:
+        if not self.coeff > 0:
             raise InvalidSpec(f"coeff must be positive, got {self.coeff}")
         if not 0.0 < self.ratio <= 1.0:
             raise InvalidSpec(f"ratio must lie in (0, 1], got {self.ratio}")
         for s in self.head:
-            if s <= 0:
+            if not s > 0:
                 raise InvalidSpec(f"head sd must be positive, got {s}")
 
 
@@ -444,17 +444,22 @@ def torus_measure_from_spec(obj: dict) -> TorusMeasureSpec:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise InvalidSpec("torus measure spec must be an object with a 'kind' field")
     kind = obj["kind"]
-    if kind == "dirac":
-        return DiracSpec(float(obj["x"]))
-    if kind == "atoms":
-        pts = obj.get("points")
-        if not pts:
-            raise InvalidSpec("atoms spec requires a non-empty 'points' list")
-        return AtomsSpec(tuple((float(x), float(w)) for x, w in pts))
-    if kind == "uniform":
-        return UniformIntervalSpec(float(obj["a"]), float(obj["b"]))
-    if kind == "gauss":
-        return WrappedGaussianSpec(float(obj["m"]), float(obj["sd"]))
+    try:
+        if kind == "dirac":
+            return DiracSpec(float(obj["x"]))
+        if kind == "atoms":
+            pts = obj.get("points")
+            if not pts:
+                raise InvalidSpec("atoms spec requires a non-empty 'points' list")
+            return AtomsSpec(tuple((float(x), float(w)) for x, w in pts))
+        if kind == "uniform":
+            return UniformIntervalSpec(float(obj["a"]), float(obj["b"]))
+        if kind == "gauss":
+            return WrappedGaussianSpec(float(obj["m"]), float(obj["sd"]))
+    except KeyError as exc:
+        raise InvalidSpec(f"torus {kind} spec requires the field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise InvalidSpec(f"malformed torus {kind} spec: {exc}") from None
     raise InvalidSpec(f"unknown torus measure kind {kind!r}")
 
 
@@ -470,19 +475,24 @@ def torus_noise_from_spec(obj: dict) -> TorusNoiseLaw:
     t = obj["tail"]
     if not isinstance(t, dict) or "kind" not in t:
         raise InvalidSpec("torus tail spec must be an object with a 'kind' field")
-    if t["kind"] == "constant":
-        tail: TorusTail = ConstantTail(torus_measure_from_spec(t["mu"]))
-    elif t["kind"] == "periodic":
-        mus = t.get("mus")
-        if not mus:
-            raise InvalidSpec("periodic tail spec requires a non-empty 'mus' list")
-        tail = PeriodicTail(tuple(torus_measure_from_spec(m) for m in mus))
-    elif t["kind"] == "gauss_schedule":
-        tail = GaussianSchedule(
-            head=tuple(float(s) for s in t.get("head", [])),
-            coeff=float(t.get("c", 0.1)),
-            ratio=float(t.get("r", 1.0)),
-        )
-    else:
-        raise InvalidSpec(f"unknown torus tail kind {t['kind']!r}")
+    try:
+        if t["kind"] == "constant":
+            tail: TorusTail = ConstantTail(torus_measure_from_spec(t["mu"]))
+        elif t["kind"] == "periodic":
+            mus = t.get("mus")
+            if not mus:
+                raise InvalidSpec("periodic tail spec requires a non-empty 'mus' list")
+            tail = PeriodicTail(tuple(torus_measure_from_spec(m) for m in mus))
+        elif t["kind"] == "gauss_schedule":
+            tail = GaussianSchedule(
+                head=tuple(float(s) for s in t.get("head", [])),
+                coeff=float(t.get("c", 0.1)),
+                ratio=float(t.get("r", 1.0)),
+            )
+        else:
+            raise InvalidSpec(f"unknown torus tail kind {t['kind']!r}")
+    except KeyError as exc:
+        raise InvalidSpec(f"torus {t['kind']} tail spec requires the field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise InvalidSpec(f"malformed torus {t['kind']} tail spec: {exc}") from None
     return TorusNoiseLaw(prefix=prefix, tail=tail)

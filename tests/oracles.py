@@ -1,0 +1,157 @@
+"""Independent reference implementations that the tests compare the library against.
+
+None of these is on the library's production path. They are written for
+clarity over speed: exhaustive subset checks, generator closures and scalar
+loops over one path at a time.
+"""
+
+import itertools
+
+import numpy as np
+
+from convlimit.errors import CosetNotStabilized, GridMismatch, InvalidSpec
+from convlimit.groups import full_subgroup, generated_subgroup, trivial_subgroup
+from convlimit.limits import extend_centerings
+
+
+def brute_force_subgroups(group):
+    """Check every subset of the element set for the subgroup axioms."""
+    n = group.order
+    out = []
+    for r in range(1, n + 1):
+        for cand in itertools.combinations(range(n), r):
+            s = set(cand)
+            if group.identity not in s:
+                continue
+            if any(int(group.inv[a]) not in s for a in s):
+                continue
+            if any(int(group.mul[a, b]) not in s for a in s for b in s):
+                continue
+            out.append(tuple(sorted(s)))
+    return sorted(out, key=lambda m: (len(m), m))
+
+
+def enumerate_subgroups(group):
+    """All subgroups of the group, sorted by (order, members).
+
+    Closes every subset of at most two generators, then joins pairs of the
+    subgroups found until a fixed point, which reaches subgroups that need
+    more than two generators. Quadratic in the order; meant for groups of
+    order up to a few dozen.
+    """
+    found = {}
+
+    def add(h):
+        if h.members in found:
+            return False
+        found[h.members] = h
+        return True
+
+    add(trivial_subgroup(group))
+    add(full_subgroup(group))
+    for g in range(group.order):
+        add(generated_subgroup(group, (g,)))
+    for g, h in itertools.combinations(range(group.order), 2):
+        add(generated_subgroup(group, (g, h)))
+
+    tried = set()
+    changed = True
+    while changed:
+        changed = False
+        current = list(found.values())
+        for a, b in itertools.combinations(current, 2):
+            key = (a.members, b.members)
+            if key in tried:
+                continue
+            tried.add(key)
+            if set(a.members) <= set(b.members) or set(b.members) <= set(a.members):
+                continue
+            joined = generated_subgroup(group, a.members + b.members)
+            if add(joined):
+                changed = True
+    return sorted(found.values(), key=lambda h: (h.order, h.members))
+
+
+def recursion_holds(group, xi, eta, depth, k_min):
+    """eta_k == xi_k eta_{k-1} on the window, for one path row of an ensemble.
+
+    ``xi`` holds k = -depth..0 and ``eta`` holds k = k_min..0.
+    """
+    return all(
+        int(eta[k - k_min]) == int(group.mul[xi[k + depth], eta[k - 1 - k_min]])
+        for k in range(k_min + 1, 1)
+    )
+
+
+def require_cyclic(group):
+    n = group.order
+    idx = np.arange(n)
+    if not np.array_equal(group.mul, (idx[:, None] + idx[None, :]) % n):
+        raise GridMismatch("torus decomposition needs the additive cyclic group Z_n")
+    return n
+
+
+def torus_decompose(group, xi, eta, p_mu, limitres, noise):
+    """Factor one path on the cyclic grid by integer/fractional-part arithmetic.
+
+    ``xi`` and ``eta`` are one row pair of an ensemble (k = -depth..0 and
+    k = k_min..0). Uses the fractional-part section x -> (x mod n/p), which
+    is exactly the minimal-index section of the cyclic subgroup of order p,
+    and the same remote-past gauge as ``decompose_ensemble``, so both return
+    identical factors path by path. Returns (phi, U, V) with phi and U over
+    the window k = k_min..0.
+    """
+    n = require_cyclic(group)
+    if p_mu < 0:
+        raise GridMismatch(f"p must be nonnegative, got {p_mu}")
+    h_order = n if p_mu == 0 else p_mu
+    if n % h_order != 0:
+        raise GridMismatch(f"grid size {n} is not divisible by p = {p_mu}")
+    q = n // h_order  # coset modulus: the section is x -> x mod q
+
+    depth = len(xi) - 1
+    k_min = -(len(eta) - 1)
+    half = depth // 2
+    if half < -k_min + 1:
+        raise InvalidSpec(
+            f"depth {depth} too shallow for window k_min={k_min}; "
+            "the half-depth check needs depth/2 below the window"
+        )
+    alphas = extend_centerings(noise, limitres, depth)
+    eta_at = {k: int(eta[k - k_min]) for k in range(k_min, 1)}
+
+    suffix = np.cumsum(np.asarray(xi, dtype=np.int64)) % n  # sum of xi_j, j in [-depth, -depth+i]
+    a_full = int(alphas[-depth])
+    a_half = int(alphas[-half])
+
+    phi = {}
+    for k in range(k_min, 1):
+        s_full = int(suffix[k + depth])
+        s_half = (s_full - int(suffix[-half - 1 + depth])) % n
+        p_full = (s_full + a_full) % q
+        p_half = (s_half + a_half) % q
+        if p_full != p_half:
+            raise CosetNotStabilized(
+                f"fractional part at k={k} differs between depth {depth} "
+                f"({p_full}) and depth {half} ({p_half}); increase the depth"
+            )
+        phi[k] = p_full
+
+    w = -k_min + 1
+    quarter = max(1, w // 4)
+    v_candidates = {
+        (-((phi[k] - eta_at[k]) % q)) % n for k in range(k_min, k_min + quarter)
+    }
+    if len(v_candidates) != 1:
+        raise CosetNotStabilized(
+            f"remote-past fractional part varies over the deepest quarter: "
+            f"{sorted(v_candidates)}; increase the window depth"
+        )
+    V = v_candidates.pop()
+
+    U = {k: ((eta_at[k] - V) % n) // q * q for k in range(k_min, 1)}
+    for k in range(k_min, 1):
+        if (phi[k] + U[k] + V) % n != eta_at[k]:
+            raise CosetNotStabilized(f"grid reconstruction failed at k={k}")
+    window = range(k_min, 1)
+    return np.array([phi[k] for k in window]), np.array([U[k] for k in window]), V

@@ -236,3 +236,117 @@ class TestDeterminism:
         t1 = strip_timestamp((out1 / "ensemble.json").read_text())
         t2 = strip_timestamp((out2 / "ensemble.json").read_text())
         assert t1 != t2
+
+
+def _table_group_spec(mul):
+    return {"group": {"kind": "table", "mul": mul},
+            "tail": {"kind": "constant", "mu": {"kind": "haar"}}}
+
+
+def _torus_spec(mu):
+    return {"prefix": [], "tail": {"kind": "constant", "mu": mu}}
+
+
+def _command(tmp_path, command, spec, *extra):
+    return [command, "--input", str(write_spec(tmp_path, spec)),
+            "--out", str(tmp_path / "out"), *extra]
+
+
+def _decompose_file(tmp_path, payload):
+    ens = tmp_path / "ensemble.json"
+    ens.write_text(json.dumps(payload))
+    return _command(tmp_path, "decompose", Z4_CASE_C_SPEC, "--seed", "5",
+                    "--ensemble", str(ens))
+
+
+def _drop(payload, key, *, per_record=False):
+    for obj in payload["paths"] if per_record else [payload]:
+        del obj[key]
+    return payload
+
+
+def _set(payload, field, path, col, value):
+    payload["paths"][path][field][col] = value
+    return payload
+
+
+def _truncate_xi(payload):
+    payload["paths"][1]["xi"].pop()
+    return payload
+
+
+# id -> (argv builder taking tmp_path and a valid ensemble payload, stderr fragment)
+MALFORMED_INPUTS = {
+    "paths-negative": (lambda t, p: _command(t, "simulate", Z4_CASE_C_SPEC, "--seed", "1",
+                                             "--paths", "-5"), "--paths"),
+    "depth-negative": (lambda t, p: _command(t, "simulate", Z4_CASE_C_SPEC, "--seed", "1",
+                                             "--kind", "uniform", "--depth", "-3"), "--depth"),
+    "nan-weights": (lambda t, p: _command(
+        t, "limit", {"group": {"kind": "builtin", "name": "Z4"},
+                     "tail": {"kind": "constant",
+                              "mu": {"kind": "weights", "w": [float("nan"), 0.5, 0.5, 0.0]}}}),
+        "finite"),
+    "weights-not-numbers": (lambda t, p: _command(
+        t, "classify", {"group": {"kind": "builtin", "name": "Z4"},
+                        "tail": {"kind": "constant",
+                                 "mu": {"kind": "weights", "w": ["a", 0, 0, 1]}}}),
+        "list of numbers"),
+    "ragged-mul": (lambda t, p: _command(t, "classify", _table_group_spec([[0, 1], [1]])),
+                   "rectangular"),
+    "non-integer-mul": (lambda t, p: _command(t, "classify",
+                                              _table_group_spec([[0, 1], [1, 0.5]])),
+                        "integers"),
+    "delta-at-string": (lambda t, p: _command(
+        t, "classify", {"group": {"kind": "builtin", "name": "Z4"},
+                        "tail": {"kind": "constant", "mu": {"kind": "delta", "at": "x"}}}),
+        "delta location"),
+    "v-law-not-json": (lambda t, p: _command(t, "simulate", Z4_CASE_C_SPEC, "--seed", "1",
+                                             "--paths", "5", "--kind", "mixture",
+                                             "--v-law", "{oops"), "--v-law"),
+    "torus-dirac-without-x": (lambda t, p: _command(t, "classify", _torus_spec({"kind": "dirac"}),
+                                                    "--torus"), "'x'"),
+    "torus-atom-without-weight": (lambda t, p: _command(
+        t, "classify", _torus_spec({"kind": "atoms", "points": [[0.5]]}), "--torus"),
+        "atoms"),
+    "torus-atom-nan-weight": (lambda t, p: _command(
+        t, "classify", _torus_spec({"kind": "atoms", "points": [[0.0, float("nan")], [0.5, 1.0]]}),
+        "--torus"), "atom weight"),
+    "torus-constant-tail-without-mu": (lambda t, p: _command(
+        t, "classify", {"prefix": [], "tail": {"kind": "constant"}}, "--torus"), "'mu'"),
+    "ensemble-without-eta": (lambda t, p: _decompose_file(t, _drop(p, "eta", per_record=True)),
+                             "'eta'"),
+    "ensemble-without-xi": (lambda t, p: _decompose_file(t, _drop(p, "xi", per_record=True)),
+                            "'xi'"),
+    "ensemble-without-k_min": (lambda t, p: _decompose_file(t, _drop(p, "k_min")), "'k_min'"),
+    "ensemble-without-depth": (lambda t, p: _decompose_file(t, _drop(p, "depth")), "'depth'"),
+    "ensemble-ragged-rows": (lambda t, p: _decompose_file(t, _truncate_xi(p)), "malformed"),
+    "ensemble-id-out-of-range": (lambda t, p: _decompose_file(t, _set(p, "xi", 0, 0, 4)),
+                                 "outside [0, 4)"),
+    "ensemble-broken-recursion": (lambda t, p: _decompose_file(
+        t, _set(p, "eta", 0, -1, (p["paths"][0]["eta"][-1] + 1) % 4)), "breaks eta_k"),
+}
+
+
+@pytest.fixture(scope="module")
+def ensemble_payload(tmp_path_factory):
+    spec = write_spec(tmp_path_factory.mktemp("spec"), Z4_CASE_C_SPEC)
+    out = tmp_path_factory.mktemp("sim")
+    assert main(["simulate", "--input", str(spec), "--out", str(out),
+                 "--seed", "5", "--paths", "3", "--kind", "mixture"]) == 0
+    return (out / "ensemble.json").read_text()
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_exits_2_with_named_error(case, tmp_path, capsys, ensemble_payload):
+    build, fragment = MALFORMED_INPUTS[case]
+    argv = build(tmp_path, json.loads(ensemble_payload))
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse rejects bad flag values itself
+        rc = exc.code
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert "error:" in err and fragment in err, err
+    assert "Traceback" not in err
+    out = tmp_path / "out"
+    assert not out.exists() or not any(out.iterdir())

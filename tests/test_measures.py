@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import enumerate_subgroups
 
 from convlimit.errors import GroupMismatch, InvalidSpec, NotClosedAtTolerance
 from convlimit.groups import (
     cyclic_group,
     dihedral_group_4,
-    enumerate_subgroups,
     full_subgroup,
     subgroup,
     symmetric_group,
@@ -57,6 +57,11 @@ class TestConstruction:
     def test_rejects_bad_sum(self):
         with pytest.raises(InvalidSpec):
             Measure(Z4, [0.5, 0.25, 0.1, 0.1])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(InvalidSpec, match="finite"):
+            Measure(Z4, [bad, 0.5, 0.5, 0.0])
 
     def test_rejects_bad_length(self):
         with pytest.raises(InvalidSpec):

@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from oracles import recursion_holds, torus_decompose
 
 from convlimit.errors import CosetNotStabilized, GridMismatch, InvalidSpec
 from convlimit.groups import (
@@ -20,17 +23,11 @@ from convlimit.measures import (
     tv_distance,
 )
 from convlimit.solutions import (
-    Ensemble,
     decompose_ensemble,
-    decompose_path,
     extremal_ensemble,
-    extremal_solution,
     general_ensemble,
-    general_solution,
     sample_noise,
-    torus_decompose,
     uniform_ensemble,
-    uniform_solution,
 )
 
 Z4 = cyclic_group(4)
@@ -59,18 +56,28 @@ def empirical(group, samples):
     return Measure(group, np.bincount(samples, minlength=group.order) / len(samples))
 
 
+def row_recursion_holds(ens, i):
+    return recursion_holds(ens.group, ens.xi[i], ens.eta[i], ens.depth, ens.k_min)
+
+
+def single_path(noise, res, seed, **kw):
+    return extremal_ensemble(noise, res, 2 * res.depth_used, 1, seed=seed, **kw)
+
+
 class TestSampleNoise:
     def test_dirac_noise_deterministic(self, case_b):
         noise, _ = case_b
-        xi = sample_noise(noise, 10, np.random.default_rng(0))
-        assert all(v == 1 for v in xi.values())
-        assert set(xi) == set(range(-10, 1))
+        xi = sample_noise(noise, 10, size=3, seed=0, chunk=0)
+        assert xi.shape == (3, 11)  # columns k = -10..0
+        assert (xi == 1).all()
 
     def test_equal_seeds_identical(self, case_c):
         noise, _ = case_c
-        a = sample_noise(noise, 20, np.random.default_rng(42))
-        b = sample_noise(noise, 20, np.random.default_rng(42))
-        assert a == b
+        a = sample_noise(noise, 20, size=50, seed=42, chunk=3)
+        b = sample_noise(noise, 20, size=50, seed=42, chunk=3)
+        assert np.array_equal(a, b)
+        # the chunk index keys its own stream
+        assert not np.array_equal(a, sample_noise(noise, 20, size=50, seed=42, chunk=4))
 
     def test_marginal_law(self, case_a):
         noise, _ = case_a
@@ -82,8 +89,8 @@ class TestSampleNoise:
 class TestUniformSolution:
     def test_single_path_recursion(self, case_c):
         noise, _ = case_c
-        path = uniform_solution(noise, 12, np.random.default_rng(3))
-        assert path.satisfies_recursion()
+        path = uniform_ensemble(noise, 12, n_paths=1, seed=3)
+        assert row_recursion_holds(path, 0)
         assert path.kind == "uniform"
 
     def test_marginal_is_haar(self, case_c):
@@ -119,20 +126,20 @@ class TestExtremalSolution:
     def test_case_b_deterministic_and_trivial_u(self, case_b):
         noise, res = case_b
         depth = 2 * res.depth_used
-        path, dec = extremal_solution(noise, res, depth, np.random.default_rng(0))
-        assert path.satisfies_recursion()
-        assert all(u == 0 for u in dec.U.values())
-        assert dec.reconstructs(path)
+        path = extremal_ensemble(noise, res, depth, 1, seed=0)
+        assert row_recursion_holds(path, 0)
+        assert (path.U == 0).all()
+        assert np.array_equal(Z4.mul[path.phi, path.U], path.eta)
         # strong solution: eta is a function of the noise alone
-        path2, _ = extremal_solution(noise, res, depth, np.random.default_rng(99))
-        assert path.eta == path2.eta
+        path2 = extremal_ensemble(noise, res, depth, 1, seed=99)
+        assert np.array_equal(path.eta, path2.eta)
 
     def test_case_b_matches_limit_law_exactly(self, case_b):
         noise, res = case_b
-        path, _ = extremal_solution(noise, res, 2 * res.depth_used, np.random.default_rng(1))
+        path = single_path(noise, res, seed=1)
         for k in range(path.k_min, 1):
             lam = res.lambdas[k]
-            assert lam.weights[path.eta[k]] == 1.0
+            assert lam.weights[path.eta_col(k)[0]] == 1.0
 
     def test_case_c_u0_uniform_on_h(self, case_c):
         from convlimit.stats import chi_square_uniformity
@@ -172,18 +179,17 @@ class TestExtremalSolution:
 
     def test_bad_u0_rejected(self, case_c):
         noise, res = case_c
-        with pytest.raises(InvalidSpec):
-            extremal_solution(noise, res, 2 * res.depth_used,
-                              np.random.default_rng(0), u0=1)
+        with pytest.raises(InvalidSpec, match="not a member of H"):
+            single_path(noise, res, seed=0, u0=1)
 
 
 class TestGeneralSolution:
     def test_identity_v_law_reproduces_extremal(self, case_c):
         noise, res = case_c
-        path, dec = extremal_solution(noise, res, 2 * res.depth_used, np.random.default_rng(2))
-        mixed, mdec = general_solution(path, dec, delta(Z4, 0), np.random.default_rng(3))
-        assert mixed.eta == path.eta
-        assert mdec.V == 0
+        path = single_path(noise, res, seed=2)
+        mixed = general_ensemble(path, delta(Z4, 0), seed=3)
+        assert np.array_equal(mixed.eta, path.eta)
+        assert mixed.V.tolist() == [0]
 
     def test_haar_v_law_gives_haar_marginals(self, case_c):
         noise, res = case_c
@@ -201,9 +207,9 @@ class TestGeneralSolution:
 
     def test_recursion_preserved(self, case_c):
         noise, res = case_c
-        path, dec = extremal_solution(noise, res, 2 * res.depth_used, np.random.default_rng(4))
-        mixed, _ = general_solution(path, dec, haar(Z4), np.random.default_rng(5))
-        assert mixed.satisfies_recursion()
+        path = single_path(noise, res, seed=4)
+        mixed = general_ensemble(path, haar(Z4), seed=5)
+        assert row_recursion_holds(mixed, 0)
 
 
 class TestDecompose:
@@ -228,22 +234,20 @@ class TestDecompose:
 
     def test_single_path_round_trip(self, case_c):
         noise, res = case_c
-        path, dec0 = extremal_solution(noise, res, 2 * res.depth_used, np.random.default_rng(6))
-        mixed, _ = general_solution(path, dec0, delta(Z4, 3), np.random.default_rng(7))
-        dec = decompose_path(mixed, res, noise=noise)
-        assert dec.reconstructs(mixed)
-        assert all(u in res.subgroup for u in dec.U.values())
+        path = single_path(noise, res, seed=6)
+        mixed = general_ensemble(path, delta(Z4, 3), seed=7)
+        dec, _ = decompose_ensemble(mixed, res, noise=noise)
+        assert np.array_equal(Z4.mul[dec.phi, Z4.mul[dec.U, dec.V[:, None]]], mixed.eta)
+        assert all(u in res.subgroup for u in dec.U[0])
 
     def test_case_b_noise_measurable(self, case_b):
         noise, res = case_b
-        path, dec0 = extremal_solution(noise, res, 2 * res.depth_used, np.random.default_rng(8))
-        mixed, _ = general_solution(path, dec0, delta(Z4, 2), np.random.default_rng(9))
-        dec = decompose_path(mixed, res, noise=noise)
+        path = single_path(noise, res, seed=8)
+        mixed = general_ensemble(path, delta(Z4, 2), seed=9)
+        dec, _ = decompose_ensemble(mixed, res, noise=noise)
         # H trivial: U identically the identity and eta = phi * V
-        assert all(u == 0 for u in dec.U.values())
-        assert all(
-            mixed.eta[k] == int(Z4.mul[dec.phi[k], dec.V]) for k in dec.phi
-        )
+        assert (dec.U == 0).all()
+        assert np.array_equal(Z4.mul[dec.phi, dec.V[:, None]], mixed.eta)
 
     def test_case_a_degenerate_run(self, case_a):
         noise, res = case_a
@@ -269,9 +273,9 @@ class TestDecompose:
 
     def test_report_window_cannot_exceed_path_window(self, case_c):
         noise, res = case_c
-        path, _ = extremal_solution(noise, res, 2 * res.depth_used, np.random.default_rng(20))
+        path = single_path(noise, res, seed=20)
         with pytest.raises(InvalidSpec):
-            decompose_path(path, res, noise=noise, k_min=path.k_min - 5)
+            decompose_ensemble(path, res, noise=noise, k_min=path.k_min - 5)
 
     def test_gauge_invariance_across_sections(self, case_c):
         noise, res = case_c
@@ -289,14 +293,13 @@ class TestDecompose:
 
     def test_corrupted_path_raises(self, case_c):
         noise, res = case_c
-        path, dec0 = extremal_solution(noise, res, 2 * res.depth_used, np.random.default_rng(10))
-        mixed, _ = general_solution(path, dec0, haar(Z4), np.random.default_rng(11))
-        eta = dict(mixed.eta)
-        eta[mixed.k_min] = (eta[mixed.k_min] + 1) % 4  # break the remote past
-        broken = type(mixed)(group=mixed.group, eta=eta, xi=mixed.xi,
-                             kind=mixed.kind, meta=mixed.meta)
+        path = single_path(noise, res, seed=10)
+        mixed = general_ensemble(path, haar(Z4), seed=11)
+        eta = mixed.eta.copy()
+        eta[0, 0] = (eta[0, 0] + 1) % 4  # break the remote past at k_min
+        broken = dataclasses.replace(mixed, eta=eta)
         with pytest.raises(CosetNotStabilized):
-            decompose_path(broken, res, noise=noise)
+            decompose_ensemble(broken, res, noise=noise)
 
     def test_wrong_centering_detected(self, case_c):
         noise, res = case_c
@@ -316,23 +319,26 @@ class TestDecompose:
 class TestTorusDecompose:
     def test_p1_trivial_u(self, case_b):
         noise, res = case_b
-        path, dec0 = extremal_solution(noise, res, 2 * res.depth_used, np.random.default_rng(12))
-        mixed, _ = general_solution(path, dec0, delta(Z4, 1), np.random.default_rng(13))
-        dec = torus_decompose(mixed, 1, res, noise=noise)
-        assert all(u == 0 for u in dec.U.values())
-        assert all((dec.phi[k] + dec.V) % 4 == mixed.eta[k] for k in dec.phi)
+        path = single_path(noise, res, seed=12)
+        mixed = general_ensemble(path, delta(Z4, 1), seed=13)
+        phi, U, V = torus_decompose(Z4, mixed.xi[0], mixed.eta[0], 1, res, noise)
+        assert (U == 0).all()
+        assert np.array_equal((phi + V) % 4, mixed.eta[0])
+        dec, _ = decompose_ensemble(mixed, res, noise=noise)
+        assert np.array_equal(dec.phi[0], phi)
+        assert np.array_equal(dec.U[0], U)
+        assert int(dec.V[0]) == V
 
     def test_matches_group_engine_per_path(self, case_c):
         noise, res = case_c
         ens = extremal_ensemble(noise, res, 2 * res.depth_used, 200, seed=22)
         mixed = general_ensemble(ens, haar(Z4), seed=23)
+        dec, _ = decompose_ensemble(mixed, res, noise=noise)
         for i in range(0, 200, 17):
-            path = mixed.path(i)
-            d_group = decompose_path(path, res, noise=noise)
-            d_torus = torus_decompose(path, 2, res, noise=noise)
-            assert d_group.phi == d_torus.phi
-            assert d_group.U == d_torus.U
-            assert d_group.V == d_torus.V
+            phi, U, V = torus_decompose(Z4, mixed.xi[i], mixed.eta[i], 2, res, noise)
+            assert np.array_equal(dec.phi[i], phi)
+            assert np.array_equal(dec.U[i], U)
+            assert int(dec.V[i]) == V
 
     def test_u_uniform_on_h(self, case_c):
         from convlimit.stats import chi_square_uniformity
@@ -342,23 +348,23 @@ class TestTorusDecompose:
         mixed = general_ensemble(ens, haar(Z4), seed=25)
         u0 = []
         for i in range(500):
-            d = torus_decompose(mixed.path(i), 2, res, noise=noise)
-            u0.append(d.U[0])
+            _, U, _ = torus_decompose(Z4, mixed.xi[i], mixed.eta[i], 2, res, noise)
+            u0.append(U[-1])  # the window ends at k = 0
         r = chi_square_uniformity(np.array(u0), res.subgroup)
         assert r.p_value > 0.01
 
     def test_grid_mismatch(self, case_c):
         noise, res = case_c
-        path, _ = extremal_solution(noise, res, 2 * res.depth_used, np.random.default_rng(14))
+        path = single_path(noise, res, seed=14)
         with pytest.raises(GridMismatch):
-            torus_decompose(path, 3, res, noise=noise)
+            torus_decompose(Z4, path.xi[0], path.eta[0], 3, res, noise)
 
     def test_non_cyclic_group_rejected(self):
         noise = constant_noise(haar(S3))
         res = compute_limit(noise)
-        path, _ = extremal_solution(noise, res, 2 * res.depth_used, np.random.default_rng(15))
+        path = single_path(noise, res, seed=15)
         with pytest.raises(GridMismatch):
-            torus_decompose(path, 2, res, noise=noise)
+            torus_decompose(S3, path.xi[0], path.eta[0], 2, res, noise)
 
 
 @pytest.fixture(scope="module")
@@ -440,6 +446,9 @@ class TestEnsemblePlumbing:
     def test_path_extraction_consistent(self, case_c):
         noise, res = case_c
         ens = extremal_ensemble(noise, res, 2 * res.depth_used, 5, seed=27)
-        p = ens.path(2)
-        assert p.satisfies_recursion()
-        assert p.eta[0] == int(ens.eta_col(0)[2])
+        assert row_recursion_holds(ens, 2)
+        # column accessors address the window by k
+        assert ens.eta_col(0)[2] == ens.eta[2, -1]
+        assert ens.eta_col(ens.k_min)[2] == ens.eta[2, 0]
+        assert ens.xi_col(0)[2] == ens.xi[2, -1]
+        assert ens.xi_col(-ens.depth)[2] == ens.xi[2, 0]

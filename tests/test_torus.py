@@ -97,6 +97,8 @@ class TestSpecValidation:
             AtomsSpec(((0.0, 0.4), (0.5, 0.4)))
         with pytest.raises(InvalidSpec):
             AtomsSpec(((1.2, 1.0),))
+        with pytest.raises(InvalidSpec):
+            AtomsSpec(((0.0, float("nan")), (0.5, 1.0)))
 
     def test_bad_interval(self):
         with pytest.raises(InvalidSpec):
@@ -105,12 +107,18 @@ class TestSpecValidation:
     def test_bad_gaussian(self):
         with pytest.raises(InvalidSpec):
             WrappedGaussianSpec(0.0, 0.0)
+        with pytest.raises(InvalidSpec):
+            WrappedGaussianSpec(0.0, float("nan"))
 
     def test_bad_schedule(self):
         with pytest.raises(InvalidSpec):
             GaussianSchedule(coeff=-1.0)
         with pytest.raises(InvalidSpec):
             GaussianSchedule(ratio=0.0)
+        with pytest.raises(InvalidSpec):
+            GaussianSchedule(coeff=float("nan"))
+        with pytest.raises(InvalidSpec):
+            GaussianSchedule(head=(float("nan"),))
 
 
 class TestNoiseIndexing:
