@@ -225,12 +225,16 @@ def _ensemble_from_file(path: str, group) -> Ensemble:
         k_min = int(payload["k_min"])
         depth = int(payload["depth"])
         seed = int(payload.get("seed", 0))
-        xi = np.array([r["xi"] for r in records], dtype=np.int64)
-        eta = np.array([r["eta"] for r in records], dtype=np.int64)
+        xi = np.array([r["xi"] for r in records])
+        eta = np.array([r["eta"] for r in records])
     except KeyError as exc:
         raise InvalidSpec(f"ensemble file lacks the field {exc}") from None
     except (TypeError, ValueError) as exc:
         raise InvalidSpec(f"ensemble file arrays are malformed: {exc}") from None
+    if xi.dtype.kind not in "iu" or eta.dtype.kind not in "iu":
+        raise InvalidSpec(f"ensemble file element ids must be integers, "
+                          f"got {xi.dtype} and {eta.dtype}")
+    xi, eta = xi.astype(np.int64, copy=False), eta.astype(np.int64, copy=False)
     if not 0 <= -k_min <= depth:
         raise InvalidSpec(f"ensemble window k_min={k_min} does not fit in depth {depth}")
     if xi.shape != (len(records), depth + 1) or eta.shape != (len(records), -k_min + 1):

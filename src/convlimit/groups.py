@@ -8,6 +8,7 @@ index 0. Everything is immutable after construction.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -21,10 +22,6 @@ from .errors import (
     NotASubgroup,
     NotAssociative,
 )
-
-# Associativity is checked on all n^3 triples up to this order, sampled above.
-ASSOCIATIVITY_EXHAUSTIVE_LIMIT = 256
-ASSOCIATIVITY_SAMPLE_FACTOR = 10
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,22 +121,49 @@ class Section:
         return self.representative[self.space.coset_of[g]]
 
 
-def _check_associativity(mul: np.ndarray, n: int) -> None:
-    if n <= ASSOCIATIVITY_EXHAUSTIVE_LIMIT:
-        for a in range(n):
-            left = mul[mul[a], :]   # left[b, c] = (a*b)*c
-            right = mul[a][mul]     # right[b, c] = a*(b*c)
-            if not np.array_equal(left, right):
-                b, c = map(int, np.argwhere(left != right)[0])
-                raise NotAssociative((a, b, c))
-    else:
-        rng = np.random.default_rng(0)
-        triples = rng.integers(0, n, size=(ASSOCIATIVITY_SAMPLE_FACTOR * n * n, 3))
-        a, b, c = triples[:, 0], triples[:, 1], triples[:, 2]
-        bad = mul[mul[a, b], c] != mul[a, mul[b, c]]
+def is_integer(value: object) -> bool:
+    """True for a Python or NumPy integer, but not a bool: ``int`` would read 1.5 or true as 1."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _right_closure(mul: np.ndarray, reached: np.ndarray, generators: np.ndarray) -> np.ndarray:
+    """Copy of the boolean mask ``reached``, grown until right multiplication by the generators
+    keeps it: each round multiplies the elements found in the last round by every generator."""
+    reached = reached.copy()
+    frontier = np.flatnonzero(reached)
+    while frontier.size:
+        products = mul[np.ix_(frontier, generators)].ravel()
+        frontier = np.unique(products[~reached[products]])
+        reached[frontier] = True
+    return reached
+
+
+def _check_associativity(mul: np.ndarray, identity: int) -> None:
+    """Light's test over a greedy generating set: exact, O(n^2 log n) on any table.
+
+    The next generator g is the smallest element not yet reached from the
+    identity e by right multiplication by the earlier ones; it must satisfy
+    (x*g)*y = x*(g*y) for all x, y, else :class:`NotAssociative` gets (x, g, y).
+    Exact: the passing elements are closed under products, as (x*(a*b))*y =
+    ((x*a)*b)*y = (x*a)*(b*y) = x*(a*(b*y)) = x*((a*b)*y), and every element
+    is a left-nested product of generators. Cheap: the caller has checked e
+    and right inverses. While all pass, the reached set R is closed, and
+    x -> x*a is injective for a passing a, as (x*a)*a' = x*(a*a') = x when
+    a*a' = e; so R is a group. A new g outside R gives |R*g| = |R| and R*g
+    disjoint from R (r*g = r' would put g = r^-1*r' in R), so R at least
+    doubles: at most floor(log2 n) + 1 generators are tested.
+    """
+    reached = np.zeros(mul.shape[0], dtype=bool)
+    reached[identity] = True
+    generators: list[int] = []
+    while not reached.all():
+        g = int(np.argmin(reached))
+        bad = mul[mul[:, g], :] != mul[:, mul[g, :]]
         if bad.any():
-            i = int(np.flatnonzero(bad)[0])
-            raise NotAssociative((int(a[i]), int(b[i]), int(c[i])))
+            x, y = map(int, np.argwhere(bad)[0])
+            raise NotAssociative((x, g, y))
+        generators.append(g)
+        reached = _right_closure(mul, reached, np.array(generators))
 
 
 def validate_group(
@@ -166,26 +190,24 @@ def validate_group(
     n = int(mul.shape[0])
     if mul.min() < 0 or mul.max() >= n:
         raise InvalidSpec(f"table entries must lie in [0, {n})")
+    if identity_hint is not None and not is_integer(identity_hint):
+        raise InvalidSpec(f"identity hint must be an integer, got {identity_hint!r}")
 
     idx = np.arange(n)
-    candidates = [
-        e for e in range(n)
-        if np.array_equal(mul[e], idx) and np.array_equal(mul[:, e], idx)
-    ]
-    if not candidates:
+    two_sided = (mul == idx).all(axis=1) & (mul == idx[:, None]).all(axis=0)
+    if not two_sided.any():
         raise NoIdentity("no two-sided identity element in table")
-    identity = candidates[0]
-    if identity_hint is not None and int(identity_hint) != identity:
+    identity = int(np.argmax(two_sided))
+    if identity_hint is not None and identity_hint != identity:
         raise NoIdentity(f"identity hint {identity_hint} disagrees with derived identity {identity}")
 
-    inv = np.empty(n, dtype=np.int64)
-    for g in range(n):
-        hits = np.flatnonzero(mul[g] == identity)
-        if hits.size == 0:
-            raise NoInverse(g)
-        inv[g] = hits[0]
+    hits = mul == identity
+    has_inverse = hits.any(axis=1)
+    if not has_inverse.all():
+        raise NoInverse(int(np.argmin(has_inverse)))
+    inv = hits.argmax(axis=1).astype(np.int64)
 
-    _check_associativity(mul, n)
+    _check_associativity(mul, identity)
 
     labels = tuple(str(s) for s in element_labels) if element_labels is not None else None
     if labels is not None and len(labels) != n:
@@ -196,26 +218,46 @@ def validate_group(
                        element_labels=labels, name=name)
 
 
+def _member_mask(group: FiniteGroup, members) -> np.ndarray:
+    inside = np.zeros(group.order, dtype=bool)
+    inside[np.asarray(members, dtype=np.int64)] = True
+    return inside
+
+
+def closure_break(group: FiniteGroup, members) -> Optional[tuple[int, int]]:
+    """First pair (a, b) of members, row-major over the sorted members, with a*b outside the
+    set; None when it is closed. The caller picks the error to raise."""
+    ms = np.unique(np.asarray(members, dtype=np.int64))
+    bad = ~_member_mask(group, ms)[group.mul[np.ix_(ms, ms)]]
+    if not bad.any():
+        return None
+    i, j = np.argwhere(bad)[0]
+    return int(ms[i]), int(ms[j])
+
+
 def subgroup(group: FiniteGroup, members: Iterable[int]) -> Subgroup:
     """Validate a member set and return it as a :class:`Subgroup`.
 
     Raises :class:`NotASubgroup` naming the first axiom violation.
     """
-    ms = sorted({int(g) for g in members})
+    ids = list(members)
+    if not all(is_integer(g) for g in ids):
+        raise InvalidSpec(f"subgroup members must be integers, got {ids!r}")
+    ms = sorted({int(g) for g in ids})
     if not ms:
         raise NotASubgroup("empty member set")
     if ms[0] < 0 or ms[-1] >= group.order:
         raise NotASubgroup(f"member index out of range [0, {group.order})")
-    mset = set(ms)
-    if group.identity not in mset:
+    inside = _member_mask(group, ms)
+    if not inside[group.identity]:
         raise NotASubgroup("member set does not contain the identity")
-    for a in ms:
-        if int(group.inv[a]) not in mset:
-            raise NotASubgroup(f"member set not closed under inversion at {a}")
-        for b in ms:
-            p = int(group.mul[a, b])
-            if p not in mset:
-                raise NotASubgroup(f"member set not closed under product at ({a}, {b})")
+    # the first fault of a scan by rows, where a row checks a's inverse first
+    uninverted = [a for a in ms if not inside[group.inv[a]]]
+    broken = closure_break(group, ms)
+    if uninverted and (broken is None or uninverted[0] <= broken[0]):
+        raise NotASubgroup(f"member set not closed under inversion at {uninverted[0]}")
+    if broken is not None:
+        raise NotASubgroup(f"member set not closed under product at {broken}")
     # Lagrange holds automatically for a closed set; keep as a sanity assert.
     assert group.order % len(ms) == 0
     return Subgroup(group=group, members=tuple(ms))
@@ -230,30 +272,21 @@ def full_subgroup(group: FiniteGroup) -> Subgroup:
 
 
 def generated_subgroup(group: FiniteGroup, generators: Iterable[int]) -> Subgroup:
-    """Smallest subgroup containing the generators (orbit closure)."""
-    members = {group.identity}
-    queue = [int(g) for g in set(generators)]
-    members.update(queue)
-    while queue:
-        a = queue.pop()
-        for b in list(members):
-            for p in (int(group.mul[a, b]), int(group.mul[b, a])):
-                if p not in members:
-                    members.add(p)
-                    queue.append(p)
-    return Subgroup(group=group, members=tuple(sorted(members)))
+    """Smallest subgroup containing the generators: in a finite group, the closure of the
+    identity under right multiplication by them, since g^-1 is a power of g."""
+    gens = np.unique(np.fromiter(generators, dtype=np.int64))
+    members = np.flatnonzero(_right_closure(group.mul, _member_mask(group, [group.identity]), gens))
+    return Subgroup(group=group, members=tuple(members.tolist()))
 
 
 def _require_subgroup_of(group: FiniteGroup, H: Subgroup) -> None:
     if not same_group(group, H.group):
         raise NotASubgroup("subgroup belongs to a different group")
-    mset = set(H.members)
-    if group.identity not in mset:
+    if group.identity not in H:
         raise NotASubgroup("member set does not contain the identity")
-    for a in H.members:
-        for b in H.members:
-            if int(group.mul[a, b]) not in mset:
-                raise NotASubgroup(f"member set not closed under product at ({a}, {b})")
+    broken = closure_break(group, H.members)
+    if broken is not None:
+        raise NotASubgroup(f"member set not closed under product at {broken}")
 
 
 def left_cosets(group: FiniteGroup, H: Subgroup) -> CosetSpace:
@@ -295,12 +328,16 @@ def h_part(g: int, space: CosetSpace, section: Section) -> int:
     return int(group.mul[group.inv[s], g])
 
 
+def _conjugates(group: FiniteGroup, members: Sequence[int], by) -> np.ndarray:
+    """Array of shape (len(by), len(members)) whose row i holds g^-1 h g for g = by[i]."""
+    g = np.asarray(by, dtype=np.int64)[:, None]
+    return group.mul[group.mul[group.inv[g], np.asarray(members)], g]
+
+
 def conjugate_subgroup(H: Subgroup, g: int) -> Subgroup:
     """The conjugate g^{-1} H g."""
-    group = H.group
-    ginv = int(group.inv[g])
-    members = sorted(int(group.mul[group.mul[ginv, h], g]) for h in H.members)
-    return Subgroup(group=group, members=tuple(members))
+    members = np.sort(_conjugates(H.group, H.members, [g])[0])
+    return Subgroup(group=H.group, members=tuple(members.tolist()))
 
 
 def are_conjugate(H1: Subgroup, H2: Subgroup) -> Optional[int]:
@@ -309,10 +346,9 @@ def are_conjugate(H1: Subgroup, H2: Subgroup) -> Optional[int]:
         raise NotASubgroup("subgroups of different groups")
     if H1.order != H2.order:
         return None
-    for g in range(H1.group.order):
-        if conjugate_subgroup(H1, g).members == H2.members:
-            return g
-    return None
+    conj = np.sort(_conjugates(H1.group, H1.members, np.arange(H1.group.order)), axis=1)
+    hits = np.flatnonzero((conj == np.array(H2.members)).all(axis=1))
+    return int(hits[0]) if hits.size else None
 
 
 def normal_closure(group: FiniteGroup, H: Subgroup) -> Subgroup:
@@ -322,22 +358,13 @@ def normal_closure(group: FiniteGroup, H: Subgroup) -> Subgroup:
     that generating set, so a single closure suffices.
     """
     _require_subgroup_of(group, H)
-    gens: set[int] = set()
-    for g in range(group.order):
-        ginv = int(group.inv[g])
-        for h in H.members:
-            gens.add(int(group.mul[group.mul[ginv, h], g]))
-    return generated_subgroup(group, gens)
+    conj = _conjugates(group, H.members, np.arange(group.order))
+    return generated_subgroup(group, np.unique(conj))
 
 
 def is_normal(group: FiniteGroup, H: Subgroup) -> bool:
-    mset = set(H.members)
-    for g in range(group.order):
-        ginv = int(group.inv[g])
-        for h in H.members:
-            if int(group.mul[group.mul[ginv, h], g]) not in mset:
-                return False
-    return True
+    conj = _conjugates(group, H.members, np.arange(group.order))
+    return bool(_member_mask(group, H.members)[conj].all())
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +398,14 @@ def _cycle_label(perm: tuple[int, ...]) -> str:
     return "".join(parts) if parts else "e"
 
 
+def _matrix_group(mats: list[np.ndarray], labels: tuple[str, ...], name: str) -> FiniteGroup:
+    """The group of the given distinct integer matrices, element i being ``mats[i]``."""
+    index = {tuple(m.ravel().tolist()): i for i, m in enumerate(mats)}
+    mul = np.array([[index[tuple((a @ b).ravel().tolist())] for b in mats] for a in mats],
+                   dtype=np.int64)
+    return validate_group(mul, element_labels=labels, name=name)
+
+
 def symmetric_group(m: int) -> FiniteGroup:
     """S_m for small m; permutations in lexicographic order, identity first.
 
@@ -379,66 +414,30 @@ def symmetric_group(m: int) -> FiniteGroup:
     if m < 1 or m > 5:
         raise InvalidSpec(f"symmetric_group supports 1 <= m <= 5, got {m}")
     perms = list(itertools.permutations(range(m)))
-    index = {p: i for i, p in enumerate(perms)}
-    n = len(perms)
-    mul = np.empty((n, n), dtype=np.int64)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            mul[i, j] = index[tuple(p[q[x]] for x in range(m))]
-    labels = tuple(_cycle_label(p) for p in perms)
-    return validate_group(mul, element_labels=labels, name=f"S{m}")
+    # the permutation matrix of p sends e_x to e_p(x), so matrix products compose
+    mats = [np.eye(m, dtype=np.int64)[:, list(p)] for p in perms]
+    return _matrix_group(mats, tuple(_cycle_label(p) for p in perms), f"S{m}")
 
 
 def dihedral_group_4() -> FiniteGroup:
     """Symmetries of the square: r^i s^j with i in 0..3, j in 0..1, index i + 4j."""
-    n = 8
-
-    def enc(i: int, j: int) -> int:
-        return (i % 4) + 4 * (j % 2)
-
-    mul = np.empty((n, n), dtype=np.int64)
-    for i1 in range(4):
-        for j1 in range(2):
-            for i2 in range(4):
-                for j2 in range(2):
-                    i = i1 + (i2 if j1 == 0 else -i2)
-                    mul[enc(i1, j1), enc(i2, j2)] = enc(i, j1 ^ j2)
-    labels = ("e", "r", "r2", "r3", "s", "rs", "r2s", "r3s")
-    return validate_group(mul, element_labels=labels, name="D4")
-
-
-_QUAT_AXIS_PRODUCT = {
-    (1, 2): (3, 1), (2, 3): (1, 1), (3, 1): (2, 1),
-    (2, 1): (3, -1), (3, 2): (1, -1), (1, 3): (2, -1),
-}
+    r = np.array([[0, -1], [1, 0]])
+    s = np.array([[1, 0], [0, -1]])
+    mats = [np.linalg.matrix_power(r, i) @ np.linalg.matrix_power(s, j)
+            for j in range(2) for i in range(4)]
+    return _matrix_group(mats, ("e", "r", "r2", "r3", "s", "rs", "r2s", "r3s"), "D4")
 
 
 def quaternion_group() -> FiniteGroup:
-    """The quaternion units {1, i, j, k, -1, -i, -j, -k}, index axis + 4*(sign<0)."""
-    n = 8
+    """The quaternion units {1, i, j, k, -1, -i, -j, -k}, index axis + 4*(sign<0).
 
-    def unpack(x: int) -> tuple[int, int]:
-        return x % 4, (1 if x < 4 else -1)
-
-    def pack(axis: int, sign: int) -> int:
-        return axis + (0 if sign > 0 else 4)
-
-    mul = np.empty((n, n), dtype=np.int64)
-    for x in range(n):
-        ax, sx = unpack(x)
-        for y in range(n):
-            ay, sy = unpack(y)
-            if ax == 0:
-                az, sz = ay, 1
-            elif ay == 0:
-                az, sz = ax, 1
-            elif ax == ay:
-                az, sz = 0, -1
-            else:
-                az, sz = _QUAT_AXIS_PRODUCT[(ax, ay)]
-            mul[x, y] = pack(az, sx * sy * sz)
-    labels = ("1", "i", "j", "k", "-1", "-i", "-j", "-k")
-    return validate_group(mul, element_labels=labels, name="Q8")
+    Each unit acts by left multiplication on the coordinates (1, i, j, k).
+    """
+    i = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
+    j = np.array([[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]])
+    one, k = np.eye(4, dtype=np.int64), i @ j
+    mats = [one, i, j, k, -one, -i, -j, -k]
+    return _matrix_group(mats, ("1", "i", "j", "k", "-1", "-i", "-j", "-k"), "Q8")
 
 
 def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
@@ -495,7 +494,7 @@ def group_from_spec(obj: dict) -> FiniteGroup:
             raise InvalidSpec("table group spec requires a 'mul' field")
         return validate_group(obj["mul"], obj.get("identity"))
     if kind == "builtin":
-        if "name" not in obj:
-            raise InvalidSpec("builtin group spec requires a 'name' field")
+        if not isinstance(obj.get("name"), str):
+            raise InvalidSpec("builtin group spec requires a 'name' string")
         return builtin_group(obj["name"])
     raise InvalidSpec(f"unknown group spec kind {kind!r}")

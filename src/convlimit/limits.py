@@ -95,7 +95,10 @@ def noise_from_spec(obj: dict) -> NoiseLaw:
     if not isinstance(obj, dict) or "group" not in obj or "tail" not in obj:
         raise InvalidSpec("noise spec must be an object with 'group' and 'tail' fields")
     group = group_from_spec(obj["group"])
-    prefix = tuple(measure_from_spec(group, m) for m in obj.get("prefix", []))
+    prefix = obj.get("prefix", [])
+    if not isinstance(prefix, list):
+        raise InvalidSpec(f"noise prefix must be a list of measure specs, got {prefix!r}")
+    prefix = tuple(measure_from_spec(group, m) for m in prefix)
     tail_obj = obj["tail"]
     if not isinstance(tail_obj, dict) or "kind" not in tail_obj:
         raise InvalidSpec("noise tail spec must be an object with a 'kind' field")
@@ -106,7 +109,7 @@ def noise_from_spec(obj: dict) -> NoiseLaw:
         kind = "constant"
     elif tail_obj["kind"] == "periodic":
         mus = tail_obj.get("mus")
-        if not mus:
+        if not isinstance(mus, list) or not mus:
             raise InvalidSpec("periodic tail spec requires a non-empty 'mus' list")
         tail = tuple(measure_from_spec(group, m) for m in mus)
         kind = "periodic"

@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import GroupMismatch, InvalidSpec, NotClosedAtTolerance
-from .groups import FiniteGroup, Subgroup, same_group, subgroup
+from .groups import FiniteGroup, Subgroup, closure_break, is_integer, same_group, subgroup
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -125,13 +125,10 @@ def right_stabilizer(mu: Measure, tol: float = STABILIZER_TOL) -> Subgroup:
     grp = mu.group
     translates = all_right_translates(mu)
     dists = 0.5 * np.abs(translates - mu.weights[:, None]).sum(axis=0)
-    members = [h for h in range(grp.order) if dists[h] <= tol]
-    mset = set(members)
-    for a in members:
-        for b in members:
-            p = int(grp.mul[a, b])
-            if p not in mset:
-                raise NotClosedAtTolerance((a, b), p, tol)
+    members = np.flatnonzero(dists <= tol)
+    broken = closure_break(grp, members)
+    if broken is not None:
+        raise NotClosedAtTolerance(broken, int(grp.mul[broken]), tol)
     return subgroup(grp, members)
 
 
@@ -172,18 +169,17 @@ def measure_from_spec(group: FiniteGroup, obj: dict) -> Measure:
     if kind == "delta":
         if "at" not in obj:
             raise InvalidSpec("delta measure spec requires an 'at' field")
-        try:
-            g = int(obj["at"])
-        except (TypeError, ValueError):
-            raise InvalidSpec(f"delta location must be an integer, got {obj['at']!r}") from None
+        g = obj["at"]
+        if not is_integer(g):
+            raise InvalidSpec(f"delta location must be an integer, got {g!r}")
         if not 0 <= g < group.order:
             raise InvalidSpec(f"delta location {g} out of range [0, {group.order})")
         return delta(group, g)
     if kind == "haar":
         return haar(group)
     if kind == "haar_subgroup":
-        if "members" not in obj:
-            raise InvalidSpec("haar_subgroup measure spec requires a 'members' field")
+        if not isinstance(obj.get("members"), list):
+            raise InvalidSpec("haar_subgroup measure spec requires a 'members' list")
         return haar_subgroup(group, subgroup(group, obj["members"]))
     if kind == "weights":
         if "w" not in obj:

@@ -14,6 +14,21 @@ from convlimit.groups import full_subgroup, generated_subgroup, trivial_subgroup
 from convlimit.limits import extend_centerings
 
 
+def associativity_witness(mul):
+    """First triple (a, b, c) in lexicographic order with (a*b)*c != a*(b*c), or None.
+
+    Checks all n^3 triples of the table, one first factor a at a time.
+    """
+    mul = np.asarray(mul)
+    for a in range(len(mul)):
+        left = mul[mul[a], :]   # left[b, c] = (a*b)*c
+        right = mul[a][mul]     # right[b, c] = a*(b*c)
+        if not np.array_equal(left, right):
+            b, c = map(int, np.argwhere(left != right)[0])
+            return a, b, c
+    return None
+
+
 def brute_force_subgroups(group):
     """Check every subset of the element set for the subgroup axioms."""
     n = group.order

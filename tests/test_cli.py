@@ -2,6 +2,8 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convlimit.cli import main
 
@@ -238,9 +240,16 @@ class TestDeterminism:
         assert t1 != t2
 
 
-def _table_group_spec(mul):
-    return {"group": {"kind": "table", "mul": mul},
+Z4_TABLE = [[(a + b) % 4 for b in range(4)] for a in range(4)]
+
+
+def _table_group_spec(mul, **extra):
+    return {"group": {"kind": "table", "mul": mul, **extra},
             "tail": {"kind": "constant", "mu": {"kind": "haar"}}}
+
+
+def _z4_tail_spec(mu):
+    return {"group": {"kind": "builtin", "name": "Z4"}, "tail": {"kind": "constant", "mu": mu}}
 
 
 def _torus_spec(mu):
@@ -273,6 +282,11 @@ def _set(payload, field, path, col, value):
 def _truncate_xi(payload):
     payload["paths"][1]["xi"].pop()
     return payload
+
+
+def _halve_up(payload, field):
+    """Add 0.5 to one id, which truncation would silently undo."""
+    return _set(payload, field, 0, 0, payload["paths"][0][field][0] + 0.5)
 
 
 # id -> (argv builder taking tmp_path and a valid ensemble payload, stderr fragment)
@@ -324,6 +338,19 @@ MALFORMED_INPUTS = {
                                  "outside [0, 4)"),
     "ensemble-broken-recursion": (lambda t, p: _decompose_file(
         t, _set(p, "eta", 0, -1, (p["paths"][0]["eta"][-1] + 1) % 4)), "breaks eta_k"),
+    "identity-hint-string": (lambda t, p: _command(
+        t, "classify", _table_group_spec(Z4_TABLE, identity="x")), "identity hint"),
+    "identity-hint-bool": (lambda t, p: _command(
+        t, "classify", _table_group_spec(Z4_TABLE, identity=True)), "identity hint"),
+    "delta-at-float": (lambda t, p: _command(
+        t, "classify", _z4_tail_spec({"kind": "delta", "at": 1.5})), "delta location"),
+    "haar-subgroup-float-member": (lambda t, p: _command(
+        t, "classify", _z4_tail_spec({"kind": "haar_subgroup", "members": [0, 2.5]})),
+        "members must be integers"),
+    "ensemble-float-xi": (lambda t, p: _decompose_file(t, _halve_up(p, "xi")),
+                          "ids must be integers"),
+    "ensemble-float-eta": (lambda t, p: _decompose_file(t, _halve_up(p, "eta")),
+                           "ids must be integers"),
 }
 
 
@@ -350,3 +377,61 @@ def test_malformed_input_exits_2_with_named_error(case, tmp_path, capsys, ensemb
     assert "Traceback" not in err
     out = tmp_path / "out"
     assert not out.exists() or not any(out.iterdir())
+
+
+# Spec-grammar fuzzer: valid specs on small groups with one or two fields
+# deleted or replaced by a value of the wrong type.
+_FUZZ_SEEDS = (
+    Z4_CASE_C_SPEC,
+    {"group": {"kind": "builtin", "name": "S3"}, "prefix": [{"kind": "delta", "at": 1}],
+     "tail": {"kind": "periodic", "mus": [{"kind": "haar_subgroup", "members": [0, 1]},
+                                          {"kind": "delta", "at": 2}]}},
+    {"group": {"kind": "table", "mul": Z4_TABLE, "identity": 0},
+     "tail": {"kind": "constant", "mu": {"kind": "haar_subgroup", "members": [0, 2]}}},
+    {"group": {"kind": "builtin", "name": "D4"},
+     "tail": {"kind": "constant", "mu": {"kind": "weights", "w": [0.5, 0, 0, 0, 0.5, 0, 0, 0]}}},
+    {"group": {"kind": "builtin", "name": "Q8"}, "prefix": [{"kind": "haar"}],
+     "tail": {"kind": "constant", "mu": {"kind": "delta", "at": 4}}},
+)
+_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 9) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=2),
+    max_leaves=4,
+)
+
+
+def _slots(node):
+    """Every (container, key or index) pair inside a JSON value."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield node, key
+        if isinstance(child, (dict, list)):
+            yield from _slots(child)
+
+
+@st.composite
+def _mutated_specs(draw):
+    spec = json.loads(json.dumps(draw(st.sampled_from(_FUZZ_SEEDS))))
+    for _ in range(draw(st.integers(1, 2))):
+        parent, key = draw(st.sampled_from(list(_slots(spec))))
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = draw(_JUNK)
+    return spec
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@given(spec=_mutated_specs())
+@settings(max_examples=150)
+def test_fuzzed_spec_exits_with_documented_code(spec, fuzz_dir):
+    path = fuzz_dir / "noise.json"
+    path.write_text(json.dumps(spec))
+    rc = main(["classify", "--input", str(path), "--out", str(fuzz_dir / "out"),
+               "--max-depth", "32"])
+    assert rc in {0, 2, 3, 4, 5}

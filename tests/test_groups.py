@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import brute_force_subgroups, enumerate_subgroups
+from oracles import associativity_witness, brute_force_subgroups, enumerate_subgroups
 
 from convlimit.errors import (
     InvalidSpec,
@@ -91,6 +91,32 @@ class TestValidateGroup:
     def test_identity_hint_mismatch(self):
         with pytest.raises(NoIdentity):
             validate_group(Z4_TABLE, identity_hint=1)
+
+    def test_swapped_cells_above_order_256_are_refused(self):
+        mul = np.array(cyclic_group(300).mul)
+        mul[7, [11, 13]] = mul[7, [13, 11]]
+        with pytest.raises(NotAssociative) as exc:
+            validate_group(mul)
+        a, b, c = exc.value.triple
+        assert mul[mul[a, b], c] != mul[a, mul[b, c]]
+
+    def test_failure_past_the_first_generator_is_found(self):
+        # A non-associative loop of order 5 times Z3, index 3a + b. The first
+        # generator, 1 = (e, 1), associates with every pair, so only a later
+        # generator can expose the failure.
+        loop = np.array([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+                         [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]])
+        a, b = np.divmod(np.arange(15), 3)
+        mul = loop[a[:, None], a[None, :]] * 3 + (b[:, None] + b[None, :]) % 3
+        assert (mul[mul[:, 1], :] == mul[:, mul[1, :]]).all()
+        with pytest.raises(NotAssociative) as exc:
+            validate_group(mul)
+        x, g, y = exc.value.triple
+        assert g != 1 and mul[mul[x, g], y] != mul[x, mul[g, y]]
+
+    def test_wide_product_validates(self):
+        g = builtin_group("product:S4xZn:20")
+        assert g.order == 480 and g.identity == 0
 
 
 class TestBuiltins:
@@ -406,3 +432,35 @@ def test_conjugate_preserves_order(data):
     h = generated_subgroup(g, xs[:1])
     for x in xs:
         assert conjugate_subgroup(h, x).order == h.order
+
+
+# Builtin groups of order at most 60, direct products included.
+SMALL_GROUP_NAMES = ["Zn:1", "Zn:2", "Z4", "Zn:7", "S3", "D4", "Q8", "S4", "product:Z4xZn:2",
+                     "product:S3xZn:5", "product:S3xS3", "product:Q8xS3", "product:D4xZn:7"]
+
+
+@st.composite
+def tables_with_at_most_one_swap(draw):
+    """A builtin group's table, possibly with two non-identity cells of one
+    non-identity row swapped: rows stay permutations, so the identity and the
+    inverses survive and only associativity can break."""
+    g = builtin_group(draw(st.sampled_from(SMALL_GROUP_NAMES)))
+    mul = np.array(g.mul)
+    others = [x for x in g.elements() if x != g.identity]
+    if len(others) >= 2 and draw(st.booleans()):
+        row = draw(st.sampled_from(others))
+        c1, c2 = draw(st.lists(st.sampled_from(others), min_size=2, max_size=2, unique=True))
+        mul[row, [c1, c2]] = mul[row, [c2, c1]]
+    return mul
+
+
+@given(tables_with_at_most_one_swap())
+@settings(max_examples=100)
+def test_validate_group_refuses_exactly_the_non_associative_tables(mul):
+    if associativity_witness(mul) is None:
+        assert validate_group(mul).order == len(mul)
+    else:
+        with pytest.raises(NotAssociative) as exc:
+            validate_group(mul)
+        a, b, c = exc.value.triple
+        assert mul[mul[a, b], c] != mul[a, mul[b, c]]
