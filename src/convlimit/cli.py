@@ -13,6 +13,7 @@ import argparse
 import csv
 import datetime
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Optional
@@ -25,6 +26,7 @@ from .errors import (
     InvalidSpec,
     NoConvergenceAtDepth,
 )
+from .groups import is_integer
 from .limits import (
     DEFAULT_EPS_SHAPE,
     DEFAULT_MAX_DEPTH,
@@ -60,9 +62,26 @@ def _timestamp() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
+# Stands in for the "paths" text while the rest of the body is dumped.
+_PATHS_MARK = "\x00paths"
+
+
 def _write_json(path: Path, payload: dict) -> None:
+    """Write the payload as indented, key-sorted JSON.
+
+    A ``"paths"`` value is the JSON text rendered by :meth:`Ensemble.to_records`;
+    it is spliced in where ``json.dumps`` would have written the records.
+    """
     body = {"schema_version": SCHEMA_VERSION, "generated_at": _timestamp(), **payload}
-    path.write_text(json.dumps(body, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    paths = body.get("paths")
+    if paths is not None:
+        body["paths"] = _PATHS_MARK
+    text = json.dumps(body, indent=2, sort_keys=True)
+    head, _, tail = text.partition(json.dumps(_PATHS_MARK))
+    with path.open("w", encoding="utf-8") as f:
+        # three writes, so the paths text is not copied into one string
+        for part in (head, paths or "", tail, "\n"):
+            f.write(part)
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -222,15 +241,17 @@ def _ensemble_from_file(path: str, group) -> Ensemble:
     if not records:
         raise InvalidSpec("ensemble file holds no paths")
     try:
-        k_min = int(payload["k_min"])
-        depth = int(payload["depth"])
-        seed = int(payload.get("seed", 0))
+        k_min, depth = payload["k_min"], payload["depth"]
+        seed = payload.get("seed", 0)
         xi = np.array([r["xi"] for r in records])
         eta = np.array([r["eta"] for r in records])
     except KeyError as exc:
         raise InvalidSpec(f"ensemble file lacks the field {exc}") from None
     except (TypeError, ValueError) as exc:
         raise InvalidSpec(f"ensemble file arrays are malformed: {exc}") from None
+    for name, value in (("k_min", k_min), ("depth", depth), ("seed", seed)):
+        if not is_integer(value):
+            raise InvalidSpec(f"ensemble file field {name!r} must be an integer, got {value!r}")
     if xi.dtype.kind not in "iu" or eta.dtype.kind not in "iu":
         raise InvalidSpec(f"ensemble file element ids must be integers, "
                           f"got {xi.dtype} and {eta.dtype}")
@@ -316,6 +337,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    # written so that NaN fails too: every comparison with NaN is false
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="conv-limit",
@@ -327,9 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, *, seeded: bool):
         p.add_argument("--input", required=True, help="path to the noise spec JSON")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--eps", type=float, default=DEFAULT_EPS_SHAPE,
+        p.add_argument("--eps", type=_positive_float, default=DEFAULT_EPS_SHAPE,
                        help="shape stabilization tolerance")
-        p.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH,
+        p.add_argument("--max-depth", type=_positive_int, default=DEFAULT_MAX_DEPTH,
                        help="certification depth budget")
         if seeded:
             p.add_argument("--seed", type=int, required=True,

@@ -52,6 +52,20 @@ class FiniteGroup:
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.mul, self.mul.T))
 
+    @cached_property
+    def left_div(self) -> np.ndarray:
+        """``left_div[a, x]`` is the index of a^-1 x; built once per group, read-only."""
+        table = self.mul[self.inv, :]
+        table.setflags(write=False)
+        return table
+
+    @cached_property
+    def right_div(self) -> np.ndarray:
+        """``right_div[x, g]`` is the index of x g^-1; built once per group, read-only."""
+        table = self.mul[:, self.inv]
+        table.setflags(write=False)
+        return table
+
     def __repr__(self) -> str:
         tag = self.name or f"order-{self.order} group"
         return f"FiniteGroup({tag})"
@@ -186,6 +200,11 @@ def validate_group(
         raise InvalidSpec(f"multiplication table must be square and non-empty, got shape {mul.shape}")
     if mul.dtype.kind not in "iu":
         raise InvalidSpec(f"multiplication table entries must be integers, got dtype {mul.dtype}")
+    # np.array reads a list that mixes booleans with integers as integers
+    if not isinstance(table, np.ndarray) and any(
+        isinstance(x, (bool, np.bool_)) for row in table for x in row
+    ):
+        raise InvalidSpec("multiplication table entries must be integers, got a boolean")
     mul = mul.astype(np.int64, copy=False)
     n = int(mul.shape[0])
     if mul.min() < 0 or mul.max() >= n:

@@ -83,7 +83,7 @@ def convolve(mu: Measure, nu: Measure) -> Measure:
     _require_same_group(mu, nu)
     g = mu.group
     # rows[a, x] = nu(a^-1 x)
-    rows = nu.weights[g.mul[g.inv, :]]
+    rows = nu.weights[g.left_div]
     out = mu.weights @ rows
     total = out.sum()
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
@@ -112,7 +112,7 @@ def tv_distance(mu: Measure, nu: Measure) -> float:
 def all_right_translates(mu: Measure) -> np.ndarray:
     """Matrix whose column g is the weight vector of mu * delta_g."""
     grp = mu.group
-    return mu.weights[grp.mul[:, grp.inv]]
+    return mu.weights[grp.right_div]
 
 
 def right_stabilizer(mu: Measure, tol: float = STABILIZER_TOL) -> Subgroup:

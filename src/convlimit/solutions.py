@@ -116,23 +116,41 @@ class Ensemble:
         assert self.U is not None
         return self.U[:, k - self.k_min]
 
-    def to_records(self) -> list[dict]:
-        out = []
+    def to_records(self) -> str:
+        """The JSON text of the ``"paths"`` array, one record per path.
+
+        The text is what ``json.dumps(body, indent=2, sort_keys=True)``
+        writes for ``body["paths"]`` at the top level of a body, byte for
+        byte. Each record holds ``U``, ``V``, ``eta``, ``k_min``,
+        ``path_id``, ``phi``, ``xi`` and ``xi_k_min``, in that order; ``U``
+        and ``phi`` are left out when absent and ``V`` is null when absent.
+        The text is rendered from the columns: each id goes through one
+        table of digit strings, and each row through one ``str.join``.
+        """
+        if self.n_paths == 0:
+            return "[]"
+        digits = np.array([str(g) for g in range(self.group.order)], dtype=object)
+
+        def rows(a: np.ndarray) -> list[str]:
+            return ["[\n        " + ",\n        ".join(r) + "\n      ]"
+                    for r in digits[a].tolist()]
+
+        eta, xi = rows(self.eta), rows(self.xi)
+        phi = rows(self.phi) if self.phi is not None else None
+        U = rows(self.U) if self.U is not None else None
+        V = digits[self.V].tolist() if self.V is not None else ["null"] * self.n_paths
+        k_min, xi_k_min = f'"k_min": {self.k_min}', f'"xi_k_min": {-self.depth}'
+        out = ["[\n    "]
         for i in range(self.n_paths):
-            rec: dict = {
-                "path_id": i,
-                "k_min": self.k_min,
-                "xi_k_min": -self.depth,
-                "eta": [int(x) for x in self.eta[i]],
-                "xi": [int(x) for x in self.xi[i]],
-            }
-            if self.phi is not None:
-                rec["phi"] = [int(x) for x in self.phi[i]]
-            if self.U is not None:
-                rec["U"] = [int(x) for x in self.U[i]]
-            rec["V"] = int(self.V[i]) if self.V is not None else None
-            out.append(rec)
-        return out
+            head = f'"U": {U[i]},\n      ' if U is not None else ""
+            mid = f'"phi": {phi[i]},\n      ' if phi is not None else ""
+            out.append(
+                f'{{\n      {head}"V": {V[i]},\n      "eta": {eta[i]},\n      {k_min},\n'
+                f'      "path_id": {i},\n      {mid}"xi": {xi[i]},\n      {xi_k_min}\n    }}'
+            )
+            out.append(",\n    ")
+        out[-1] = "\n  ]"  # the last separator closes the array; one join builds the text
+        return "".join(out)
 
 
 def recursion_break(group: FiniteGroup, xi: np.ndarray, eta: np.ndarray,

@@ -170,3 +170,23 @@ def torus_decompose(group, xi, eta, p_mu, limitres, noise):
             raise CosetNotStabilized(f"grid reconstruction failed at k={k}")
     window = range(k_min, 1)
     return np.array([phi[k] for k in window]), np.array([U[k] for k in window]), V
+
+
+def ensemble_records(ens):
+    """The ensemble's paths as a list of JSON-ready dicts, built one path at a time."""
+    out = []
+    for i in range(ens.n_paths):
+        rec = {
+            "path_id": i,
+            "k_min": ens.k_min,
+            "xi_k_min": -ens.depth,
+            "eta": [int(x) for x in ens.eta[i]],
+            "xi": [int(x) for x in ens.xi[i]],
+        }
+        if ens.phi is not None:
+            rec["phi"] = [int(x) for x in ens.phi[i]]
+        if ens.U is not None:
+            rec["U"] = [int(x) for x in ens.U[i]]
+        rec["V"] = int(ens.V[i]) if ens.V is not None else None
+        out.append(rec)
+    return out

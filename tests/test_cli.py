@@ -239,6 +239,23 @@ class TestDeterminism:
         t2 = strip_timestamp((out2 / "ensemble.json").read_text())
         assert t1 != t2
 
+    def test_record_files_match_json_dumps(self, tmp_path):
+        """simulate and decompose (fresh and from a file) write what json.dumps writes."""
+        spec = write_spec(tmp_path, Z4_CASE_C_SPEC)
+        runs = {
+            "sim": ["simulate", "--kind", "mixture"],
+            "sim-uniform": ["simulate", "--kind", "uniform", "--depth", "12"],
+            "dec": ["decompose"],
+            "dec-file": ["decompose", "--ensemble", str(tmp_path / "sim" / "ensemble.json")],
+        }
+        for out, (command, *extra) in runs.items():
+            assert main([command, "--input", str(spec), "--out", str(tmp_path / out),
+                         "--seed", "4", "--paths", "30", *extra]) == 0
+        for out in runs:
+            name = "ensemble.json" if out.startswith("sim") else "decomposition.json"
+            text = (tmp_path / out / name).read_text(encoding="utf-8")
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", out
+
 
 Z4_TABLE = [[(a + b) % 4 for b in range(4)] for a in range(4)]
 
@@ -351,6 +368,20 @@ MALFORMED_INPUTS = {
                           "ids must be integers"),
     "ensemble-float-eta": (lambda t, p: _decompose_file(t, _halve_up(p, "eta")),
                            "ids must be integers"),
+    "bool-in-mul": (lambda t, p: _command(t, "classify",
+                                          _table_group_spec([[0, True], [True, 0]])), "boolean"),
+    "ensemble-float-depth": (lambda t, p: _decompose_file(t, {**p, "depth": p["depth"] + 0.7}),
+                             "'depth' must be an integer"),
+    "ensemble-float-k_min": (lambda t, p: _decompose_file(t, {**p, "k_min": p["k_min"] - 0.2}),
+                             "'k_min' must be an integer"),
+    "ensemble-float-seed": (lambda t, p: _decompose_file(t, {**p, "seed": p["seed"] + 0.9}),
+                            "'seed' must be an integer"),
+    "eps-nan": (lambda t, p: _command(t, "classify", Z4_CASE_C_SPEC, "--eps", "nan"), "--eps"),
+    "eps-inf": (lambda t, p: _command(t, "classify", Z4_CASE_C_SPEC, "--eps", "inf"), "--eps"),
+    "max-depth-zero": (lambda t, p: _command(t, "classify", Z4_CASE_C_SPEC, "--max-depth", "0"),
+                       "--max-depth"),
+    "max-depth-negative": (lambda t, p: _command(t, "limit", Z4_CASE_C_SPEC,
+                                                 "--max-depth", "-5"), "--max-depth"),
 }
 
 

@@ -1,11 +1,14 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
-from oracles import recursion_holds, torus_decompose
+from oracles import ensemble_records, recursion_holds, torus_decompose
 
+from convlimit import cli
 from convlimit.errors import CosetNotStabilized, GridMismatch, InvalidSpec
 from convlimit.groups import (
+    builtin_group,
     cyclic_group,
     default_section,
     left_cosets,
@@ -23,6 +26,7 @@ from convlimit.measures import (
     tv_distance,
 )
 from convlimit.solutions import (
+    CHUNK_SIZE,
     decompose_ensemble,
     extremal_ensemble,
     general_ensemble,
@@ -436,7 +440,7 @@ class TestEnsemblePlumbing:
     def test_records_schema(self, case_c):
         noise, res = case_c
         ens = extremal_ensemble(noise, res, 2 * res.depth_used, 3, seed=26)
-        recs = ens.to_records()
+        recs = json.loads(ens.to_records())
         assert len(recs) == 3
         assert recs[0]["path_id"] == 0
         assert len(recs[0]["eta"]) == -ens.k_min + 1
@@ -452,3 +456,37 @@ class TestEnsemblePlumbing:
         assert ens.eta_col(ens.k_min)[2] == ens.eta[2, 0]
         assert ens.xi_col(0)[2] == ens.xi[2, -1]
         assert ens.xi_col(-ens.depth)[2] == ens.xi[2, 0]
+
+
+def _ensembles_of_every_kind(name, n_paths):
+    """Uniform, extremal, mixture, decomposed and shallower-decomposed ensembles on a
+    builtin group, with a case C constant tail on {e, g} for the middle element g."""
+    group = builtin_group(name)
+    w = np.zeros(group.order)
+    w[[0, group.order // 2]] = 0.5
+    noise = constant_noise(Measure(group, w))
+    res = compute_limit(noise)
+    depth = 2 * res.depth_used
+    ext = extremal_ensemble(noise, res, depth, n_paths, seed=31)
+    mix = general_ensemble(ext, haar(group), seed=32)
+    dec, _ = decompose_ensemble(mix, res, noise=noise)
+    shallow, _ = decompose_ensemble(mix, res, noise=noise, k_min=res.k_min // 2)
+    return {"uniform": uniform_ensemble(noise, depth, n_paths, seed=33), "extremal": ext,
+            "mixture": mix, "decomposed": dec, "decomposed-shallow": shallow}
+
+
+@pytest.mark.parametrize("name, n_paths", [
+    ("Z4", 1), ("Z4", CHUNK_SIZE + 3), ("S4", 1), ("S4", 40), ("Zn:500", 1), ("Zn:500", 40),
+    ("Z4", 0),
+])
+def test_records_text_is_byte_identical_to_json_dumps(name, n_paths, tmp_path, monkeypatch):
+    """The spliced file equals json.dumps of the oracle's per-path dicts, byte for byte,
+    for 1-, 2- and 3-digit ids, one chunk and several."""
+    monkeypatch.setattr(cli, "_timestamp", lambda: "fixed")
+    for kind, ens in _ensembles_of_every_kind(name, n_paths).items():
+        payload = {"kind": ens.kind, "n_paths": ens.n_paths}
+        cli._write_json(tmp_path / "out.json", {**payload, "paths": ens.to_records()})
+        body = {"schema_version": cli.SCHEMA_VERSION, "generated_at": "fixed", **payload,
+                "paths": ensemble_records(ens)}
+        expected = json.dumps(body, indent=2, sort_keys=True) + "\n"
+        assert (tmp_path / "out.json").read_text(encoding="utf-8") == expected, kind
