@@ -165,7 +165,8 @@ def cmd_limit(args) -> int:
     out = _out_dir(args)
     noise = noise_from_spec(spec)
     result = _limit_from_args(args, noise)
-    check = verify_conjugacy_uniqueness(noise, eps_shape=args.eps, max_depth=args.max_depth)
+    check = verify_conjugacy_uniqueness(noise, result, eps_shape=args.eps,
+                                        max_depth=args.max_depth)
     payload = {
         "command": "limit",
         **result.to_json_dict(),
@@ -327,25 +328,23 @@ def cmd_verify(args) -> int:
     return EXIT_VERIFY_FAILED
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _checked(convert, ok, what: str):
+    """An argparse type: convert the text and require ok(value); NaN fails every bound."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+    return parse
 
 
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    # written so that NaN fails too: every comparison with NaN is false
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
-    return value
+_positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+_nonnegative_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
+_positive_float = _checked(float, lambda v: 0 < v < math.inf, "a finite positive number")
+_open_unit = _checked(float, lambda v: 0 < v < 1, "a number in (0, 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -364,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-depth", type=_positive_int, default=DEFAULT_MAX_DEPTH,
                        help="certification depth budget")
         if seeded:
-            p.add_argument("--seed", type=int, required=True,
+            p.add_argument("--seed", type=_nonnegative_int, required=True,
                            help="RNG seed (required for reproducibility)")
             p.add_argument("--depth", type=_positive_int, default=None,
                            help="path window depth (default 2x certified depth)")
@@ -402,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the statistical verification battery")
     common(p, seeded=True)
-    p.add_argument("--significance", type=float, default=0.01)
+    p.add_argument("--significance", type=_open_unit, default=0.01)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -13,6 +13,7 @@ the three classification cases.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from .measures import (
     translate_left,
     translate_right,
     tv_distance,
+    tv_to_right_translates,
 )
 
 DEFAULT_EPS_SHAPE = 1e-9
@@ -175,8 +177,7 @@ def partial_product(noise: NoiseLaw, k: int, l: int) -> Measure:
 
 def shape_distance(mu: Measure, nu: Measure) -> tuple[float, int]:
     """min_g tv(mu * delta_g, nu) and the smallest g achieving it."""
-    translates = all_right_translates(mu)
-    dists = 0.5 * np.abs(translates - nu.weights[:, None]).sum(axis=0)
+    dists = tv_to_right_translates(mu, nu)
     g = int(np.argmin(dists))
     return float(dists[g]), g
 
@@ -339,20 +340,24 @@ def strong_subgroup(group: FiniteGroup, H_mu: Subgroup) -> Subgroup:
     return normal_closure(group, H_mu)
 
 
-def extend_centerings(noise: NoiseLaw, result: LimitResult, depth: int) -> dict[int, int]:
-    """Centering elements alpha_l for every l in [-depth, 0].
+def extend_centerings(noise: NoiseLaw, result: LimitResult,
+                      levels: Iterable[int]) -> dict[int, int]:
+    """Centering elements alpha_l at the requested levels l <= 0, as {l: alpha_l}.
 
-    Recomputes the product chain and aligns each level to the result's
-    lambda_0, so values agree with ``result.alphas`` where both exist.
+    Levels in ``result.alphas``, the gauge-pinned anchor at -deepest_depth
+    included, are read from it; the others are aligned to lambda_0 after one
+    deepening of the product chain to the deepest of them.
     """
-    if depth <= result.deepest_depth:
-        return {l: a for l, a in result.alphas.items() if -l <= depth}
-    nus = [noise.measure_at(0)]
-    _extend_products(noise, nus, depth)
-    out = {}
-    for i in range(depth + 1):
-        _, w = shape_distance(nus[i], result.lambda0)
-        out[-i] = w
+    levels = sorted(set(levels), reverse=True)
+    if levels and levels[0] > 0:
+        raise BadRange(f"centering levels must be <= 0, got {levels[0]}")
+    out = {l: result.alphas[l] for l in levels if l in result.alphas}
+    deeper = [l for l in levels if l not in out]
+    if deeper:
+        nus = [noise.measure_at(0)]
+        _extend_products(noise, nus, -deeper[-1])
+        for l in deeper:
+            _, out[l] = shape_distance(nus[-l], result.lambda0)
     return out
 
 
@@ -366,26 +371,24 @@ class ConjugacyCheck:
 
 def verify_conjugacy_uniqueness(
     noise: NoiseLaw,
+    result: LimitResult,
     *,
     eps_shape: float = DEFAULT_EPS_SHAPE,
     max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> ConjugacyCheck:
     """Check that two independent gauge conventions agree up to conjugation.
 
-    Runs the engine twice (max-weight anchor with the default confirmation
-    span, min-support anchor with a longer one) and finds g with
-    tv(lambda~_0, lambda_0 * delta_g) <= 10 eps_shape and
-    g^{-1} H g = H~.
+    ``result`` is the max-weight anchor run of :func:`compute_limit` at the
+    default confirmation span; the min-support anchor is run here with a
+    longer span. Finds g with tv(lambda~_0, lambda_0 * delta_g) <= 10 eps_shape
+    and g^{-1} H g = H~.
     """
-    res1 = compute_limit(
-        noise, eps_shape=eps_shape, max_depth=max_depth, gauge=GAUGE_MAX_WEIGHT
-    )
     res2 = compute_limit(
         noise, eps_shape=eps_shape, max_depth=max_depth,
         gauge=GAUGE_MIN_SUPPORT, confirm_span=40,
     )
-    gap, witness = shape_distance(res1.lambda0, res2.lambda0)
-    conj = conjugate_subgroup(res1.subgroup, witness)
+    gap, witness = shape_distance(result.lambda0, res2.lambda0)
+    conj = conjugate_subgroup(result.subgroup, witness)
     match = conj.members == res2.subgroup.members
     ok = gap <= 10 * eps_shape and match
     return ConjugacyCheck(ok=ok, witness=witness, shape_gap=gap, subgroups_match=match)

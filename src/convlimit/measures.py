@@ -115,6 +115,11 @@ def all_right_translates(mu: Measure) -> np.ndarray:
     return mu.weights[grp.right_div]
 
 
+def tv_to_right_translates(mu: Measure, nu: Measure) -> np.ndarray:
+    """Vector whose entry g is tv(mu * delta_g, nu)."""
+    return 0.5 * np.abs(all_right_translates(mu) - nu.weights[:, None]).sum(axis=0)
+
+
 def right_stabilizer(mu: Measure, tol: float = STABILIZER_TOL) -> Subgroup:
     """All h with tv(mu * delta_h, mu) <= tol, verified to form a subgroup.
 
@@ -123,9 +128,7 @@ def right_stabilizer(mu: Measure, tol: float = STABILIZER_TOL) -> Subgroup:
     near-symmetry of mu.
     """
     grp = mu.group
-    translates = all_right_translates(mu)
-    dists = 0.5 * np.abs(translates - mu.weights[:, None]).sum(axis=0)
-    members = np.flatnonzero(dists <= tol)
+    members = np.flatnonzero(tv_to_right_translates(mu, mu) <= tol)
     broken = closure_break(grp, members)
     if broken is not None:
         raise NotClosedAtTolerance(broken, int(grp.mul[broken]), tol)

@@ -212,20 +212,19 @@ def uniform_ensemble(noise: NoiseLaw, depth: int, n_paths: int, seed: int) -> En
                     k_min=-depth, xi=xi, eta=eta)
 
 
-def _phi_cosets(
+def centered_window(
     group: FiniteGroup,
-    space: CosetSpace,
-    alphas: dict[int, int],
     xi: np.ndarray,
     depth: int,
     k_min: int,
-) -> np.ndarray:
-    """Coset ids of the centered backward products, with a half-depth check.
+    alpha_full: int,
+    alpha_half: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Centered backward products over the window, at full and at half depth.
 
-    Computes xi_{k,-depth} alpha_{-depth} H for each window k and compares
-    against the same coset rebuilt from depth/2 only; disagreement means the
-    finite depth has not reached the almost-sure limit and raises
-    :class:`CosetNotStabilized`.
+    ``xi`` holds k = -depth..0 as in :class:`Ensemble`. Column k - k_min of the two
+    returned arrays holds xi_{k,-depth} alpha_full and xi_{k,-half} alpha_half for
+    k in [k_min, 0], where half = depth // 2 must lie below the window.
     """
     half = depth // 2
     if half < -k_min + 1:
@@ -235,27 +234,37 @@ def _phi_cosets(
         )
     mul = group.mul
     inv = group.inv
-    n_paths = xi.shape[0]
-    w = -k_min + 1
-
-    prod = xi[:, 0].copy()  # xi_{-depth,-depth}
-    prod_at_half_mark = None
-    window_prod = np.empty((n_paths, w), dtype=np.int64)
-    for k in range(-depth, 1):
-        if k > -depth:
-            prod = mul[xi[:, k + depth], prod]
-        if k == -half - 1:
-            prod_at_half_mark = prod.copy()  # xi_{-half-1,-depth}
+    window = np.empty((xi.shape[0], -k_min + 1), dtype=np.int64)
+    prod = xi[:, 0]  # xi_{-depth,-depth}; half >= 1 puts -half inside the loop
+    for k in range(-depth + 1, 1):
+        if k == -half:
+            mark = inv[prod]  # (xi_{-half-1,-depth})^{-1}
+        prod = mul[xi[:, k + depth], prod]  # xi_{k,-depth}
         if k >= k_min:
-            window_prod[:, k - k_min] = prod
-
-    a_full = int(alphas[-depth])
-    a_half = int(alphas[-half])
-    cos_full = space.coset_of[mul[window_prod, a_full]]
-    assert prod_at_half_mark is not None
+            window[:, k - k_min] = prod
     # xi_{k,-half} = xi_{k,-depth} * (xi_{-half-1,-depth})^{-1}
-    half_prod = mul[window_prod, inv[prod_at_half_mark][:, None]]
-    cos_half = space.coset_of[mul[half_prod, a_half]]
+    return mul[window, alpha_full], mul[mul[window, mark[:, None]], alpha_half]
+
+
+def _phi_cosets(
+    group: FiniteGroup,
+    space: CosetSpace,
+    alphas: dict[int, int],
+    xi: np.ndarray,
+    depth: int,
+    k_min: int,
+) -> np.ndarray:
+    """Coset ids of the full-depth :func:`centered_window`, checked at half depth.
+
+    A coset that differs between the two depths means the finite depth has not
+    reached the almost-sure limit, and raises :class:`CosetNotStabilized`.
+    """
+    half = depth // 2
+    full, at_half = centered_window(
+        group, xi, depth, k_min, int(alphas[-depth]), int(alphas[-half])
+    )
+    cos_full = space.coset_of[full]
+    cos_half = space.coset_of[at_half]
 
     disagree = cos_full != cos_half
     if disagree.any():
@@ -266,7 +275,7 @@ def _phi_cosets(
             f"coset of the centered product at k={k_min + j} differs between "
             f"depth {depth} (coset {int(cos_full[i, j])}) and depth {half} "
             f"(coset {int(cos_half[i, j])}) on path {i} "
-            f"({int(bad_paths.size)} of {n_paths} paths affected); increase the depth"
+            f"({int(bad_paths.size)} of {xi.shape[0]} paths affected); increase the depth"
         )
     return cos_full
 
@@ -339,7 +348,7 @@ def extremal_ensemble(
         raise InvalidSpec(f"u0={u0} is not a member of H")
     space = left_cosets(group, H)
     section = default_section(space)
-    alphas = extend_centerings(noise, limitres, depth)
+    alphas = extend_centerings(noise, limitres, (-depth, -(depth // 2)))
     members = np.array(H.members, dtype=np.int64)
 
     w = -k_min + 1
@@ -439,8 +448,8 @@ def _decompose_core(
 def decompose_ensemble(
     ens: Ensemble,
     limitres: LimitResult,
+    noise: NoiseLaw,
     section: Optional[Section] = None,
-    noise: Optional[NoiseLaw] = None,
     k_min: Optional[int] = None,
 ) -> tuple[Ensemble, dict]:
     """Factor every path of an ensemble; returns the annotated ensemble and an audit.
@@ -460,14 +469,7 @@ def decompose_ensemble(
         k_min = ens.k_min
     if k_min < ens.k_min:
         raise InvalidSpec(f"report window {k_min} exceeds the ensemble window {ens.k_min}")
-    if noise is not None:
-        alphas = extend_centerings(noise, limitres, ens.depth)
-    else:
-        alphas = limitres.alphas
-        if -ens.depth not in alphas or -(ens.depth // 2) not in alphas:
-            raise InvalidSpec(
-                "limit result does not carry centerings deep enough; pass the noise law"
-            )
+    alphas = extend_centerings(noise, limitres, (-ens.depth, -(ens.depth // 2)))
     eta = ens.eta[:, k_min - ens.k_min:]
     phi, U, V = _decompose_core(
         group, space, section, alphas, ens.xi, ens.depth, eta, k_min

@@ -15,11 +15,11 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 from scipy.special import gammaincc
 
-from .errors import CosetNotStabilized, EmptySample, InsufficientSamples, OutOfSupport
-from .groups import FiniteGroup, Subgroup
+from .errors import CosetNotStabilized, EmptySample, InsufficientSamples, InvalidSpec, OutOfSupport
+from .groups import FiniteGroup, Subgroup, left_cosets
 from .limits import LimitResult, NoiseLaw, extend_centerings
-from .measures import Measure, all_right_translates, haar, tv_distance
-from .solutions import Ensemble, extremal_ensemble, sample_noise, uniform_ensemble
+from .measures import Measure, haar, tv_distance, tv_to_right_translates
+from .solutions import Ensemble, centered_window, extremal_ensemble, sample_noise, uniform_ensemble
 
 MIN_EXPECTED_CELL = 5.0
 MIN_PATHS_FOR_BATTERY = 1000
@@ -164,30 +164,18 @@ def case_b_convergence_diagnostic(
 ) -> list[DepthRecord]:
     """Disagreement between depth-L and depth-2L centered products.
 
-    For each L the same noise stream is extended from depth L to 2L; in the
-    strong-solution case the element-level disagreement vanishes, otherwise
-    it persists while the H-coset value still agrees.
+    For each L >= 1 the same noise stream is extended from depth L to 2L; in
+    the strong-solution case the element-level disagreement vanishes,
+    otherwise it persists while the H-coset value still agrees.
     """
-    group = noise.group
-    mul = group.mul
-    from .groups import left_cosets
-
-    space = left_cosets(group, limitres.subgroup)
+    if any(L < 1 for L in depths):
+        raise InvalidSpec(f"diagnostic depths must be positive integers, got {list(depths)}")
+    space = left_cosets(noise.group, limitres.subgroup)
+    alphas = extend_centerings(noise, limitres, [l for L in depths for l in (-L, -2 * L)])
     out = []
-    max_needed = 2 * max(depths)
-    alphas = extend_centerings(noise, limitres, max_needed)
     for L in depths:
         xi = sample_noise(noise, 2 * L, n_paths, seed, chunk=L)  # cols: k = -2L..0
-        prod = xi[:, 0].copy()  # xi_{0,-2L} once fully accumulated
-        for k in range(-2 * L + 1, 1):
-            prod = mul[xi[:, k + 2 * L], prod]
-        shallow = xi[:, L].copy()  # same stream truncated at depth L
-        for k in range(-L + 1, 1):
-            shallow = mul[xi[:, k + 2 * L], shallow]
-        a_l = int(alphas[-L])
-        a_2l = int(alphas[-2 * L])
-        at_l = mul[shallow, a_l]
-        at_2l = mul[prod, a_2l]
+        at_2l, at_l = centered_window(noise.group, xi, 2 * L, 0, alphas[-2 * L], alphas[-L])
         elem = float((at_l != at_2l).mean())
         coset = float((space.coset_of[at_l] != space.coset_of[at_2l]).mean())
         out.append(DepthRecord(depth=L, element_disagreement=elem, coset_disagreement=coset))
@@ -240,13 +228,6 @@ class EnsembleReport:
             "passed": self.passed,
             "failures": list(self.failures),
         }
-
-
-def _empirical_tv_to_translates(group: FiniteGroup, samples: np.ndarray) -> np.ndarray:
-    """tv(law(X h), law(X)) for every h, from one sample set."""
-    emp = empirical_law(group, samples)
-    translates = all_right_translates(emp)
-    return 0.5 * np.abs(translates - emp.weights[:, None]).sum(axis=0)
 
 
 def verify_theorems(
@@ -319,7 +300,8 @@ def verify_theorems(
                                 uniformity_out_of_support=out_of_support))
 
     # H-invariance discrimination on the time-0 extremal marginal
-    tvs = _empirical_tv_to_translates(group, eta0[:, -ensemble.k_min])
+    emp = empirical_law(group, eta0[:, -ensemble.k_min])
+    tvs = tv_to_right_translates(emp, emp)
     hiso = {h: float(tvs[h]) for h in range(group.order)}
     detected = tuple(h for h in range(group.order) if tvs[h] < HISO_TV_THRESHOLD)
     if detected != H.members:

@@ -440,22 +440,29 @@ def predicted_cyclic_subgroup(n: int, p_mu: int) -> tuple[int, ...]:
 # JSON specs
 # ---------------------------------------------------------------------------
 
+def _number(value) -> float:
+    """A JSON number as a float; true and false are refused rather than read as 1 and 0."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def torus_measure_from_spec(obj: dict) -> TorusMeasureSpec:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise InvalidSpec("torus measure spec must be an object with a 'kind' field")
     kind = obj["kind"]
     try:
         if kind == "dirac":
-            return DiracSpec(float(obj["x"]))
+            return DiracSpec(_number(obj["x"]))
         if kind == "atoms":
             pts = obj.get("points")
             if not pts:
                 raise InvalidSpec("atoms spec requires a non-empty 'points' list")
-            return AtomsSpec(tuple((float(x), float(w)) for x, w in pts))
+            return AtomsSpec(tuple((_number(x), _number(w)) for x, w in pts))
         if kind == "uniform":
-            return UniformIntervalSpec(float(obj["a"]), float(obj["b"]))
+            return UniformIntervalSpec(_number(obj["a"]), _number(obj["b"]))
         if kind == "gauss":
-            return WrappedGaussianSpec(float(obj["m"]), float(obj["sd"]))
+            return WrappedGaussianSpec(_number(obj["m"]), _number(obj["sd"]))
     except KeyError as exc:
         raise InvalidSpec(f"torus {kind} spec requires the field {exc}") from None
     except (TypeError, ValueError) as exc:
@@ -471,7 +478,10 @@ def torus_noise_from_spec(obj: dict) -> TorusNoiseLaw:
     """
     if not isinstance(obj, dict) or "tail" not in obj:
         raise InvalidSpec("torus noise spec must be an object with a 'tail' field")
-    prefix = tuple(torus_measure_from_spec(m) for m in obj.get("prefix", []))
+    prefix = obj.get("prefix", [])
+    if not isinstance(prefix, list):
+        raise InvalidSpec(f"torus noise prefix must be a list of measure specs, got {prefix!r}")
+    prefix = tuple(torus_measure_from_spec(m) for m in prefix)
     t = obj["tail"]
     if not isinstance(t, dict) or "kind" not in t:
         raise InvalidSpec("torus tail spec must be an object with a 'kind' field")
@@ -485,9 +495,9 @@ def torus_noise_from_spec(obj: dict) -> TorusNoiseLaw:
             tail = PeriodicTail(tuple(torus_measure_from_spec(m) for m in mus))
         elif t["kind"] == "gauss_schedule":
             tail = GaussianSchedule(
-                head=tuple(float(s) for s in t.get("head", [])),
-                coeff=float(t.get("c", 0.1)),
-                ratio=float(t.get("r", 1.0)),
+                head=tuple(_number(s) for s in t.get("head", [])),
+                coeff=_number(t.get("c", 0.1)),
+                ratio=_number(t.get("r", 1.0)),
             )
         else:
             raise InvalidSpec(f"unknown torus tail kind {t['kind']!r}")

@@ -10,8 +10,11 @@ import itertools
 import numpy as np
 
 from convlimit.errors import CosetNotStabilized, GridMismatch, InvalidSpec
-from convlimit.groups import full_subgroup, generated_subgroup, trivial_subgroup
-from convlimit.limits import extend_centerings
+from convlimit.groups import full_subgroup, generated_subgroup, left_cosets, trivial_subgroup
+from convlimit.limits import extend_centerings, shape_distance
+from convlimit.measures import convolve
+from convlimit.solutions import sample_noise
+from convlimit.stats import DepthRecord
 
 
 def associativity_witness(mul):
@@ -132,7 +135,7 @@ def torus_decompose(group, xi, eta, p_mu, limitres, noise):
             f"depth {depth} too shallow for window k_min={k_min}; "
             "the half-depth check needs depth/2 below the window"
         )
-    alphas = extend_centerings(noise, limitres, depth)
+    alphas = extend_centerings(noise, limitres, (-depth, -half))
     eta_at = {k: int(eta[k - k_min]) for k in range(k_min, 1)}
 
     suffix = np.cumsum(np.asarray(xi, dtype=np.int64)) % n  # sum of xi_j, j in [-depth, -depth+i]
@@ -189,4 +192,49 @@ def ensemble_records(ens):
             rec["U"] = [int(x) for x in ens.U[i]]
         rec["V"] = int(ens.V[i]) if ens.V is not None else None
         out.append(rec)
+    return out
+
+
+def all_centerings(noise, result, depth):
+    """Centering elements alpha_l for every l in [-depth, 0].
+
+    Up to the result's deepest depth they are its own alphas. Past it the
+    whole product chain is rebuilt from nu_0 and every level, the anchor at
+    -deepest_depth included, is aligned to lambda_0 by ``shape_distance``.
+    """
+    if depth <= result.deepest_depth:
+        return {l: a for l, a in result.alphas.items() if -l <= depth}
+    nus = [noise.measure_at(0)]
+    for l in range(-1, -depth - 1, -1):
+        nus.append(convolve(nus[-1], noise.measure_at(l)))
+    return {-i: shape_distance(nu, result.lambda0)[1] for i, nu in enumerate(nus)}
+
+
+def case_b_diagnostic(noise, limitres, depths, n_paths=1000, seed=0):
+    """The depth-L against depth-2L disagreement records, one product loop per depth.
+
+    Centerings come from :func:`all_centerings` at depth 2 max(L), and the
+    depth-L product is accumulated from the truncated stream on its own
+    instead of being divided out of the depth-2L one.
+    """
+    group = noise.group
+    mul = group.mul
+    space = left_cosets(group, limitres.subgroup)
+    alphas = all_centerings(noise, limitres, 2 * max(depths))
+    out = []
+    for L in depths:
+        xi = sample_noise(noise, 2 * L, n_paths, seed, chunk=L)  # cols: k = -2L..0
+        prod = xi[:, 0].copy()  # xi_{0,-2L} once fully accumulated
+        for k in range(-2 * L + 1, 1):
+            prod = mul[xi[:, k + 2 * L], prod]
+        shallow = xi[:, L].copy()  # same stream truncated at depth L
+        for k in range(-L + 1, 1):
+            shallow = mul[xi[:, k + 2 * L], shallow]
+        at_l = mul[shallow, int(alphas[-L])]
+        at_2l = mul[prod, int(alphas[-2 * L])]
+        out.append(DepthRecord(
+            depth=L,
+            element_disagreement=float((at_l != at_2l).mean()),
+            coset_disagreement=float((space.coset_of[at_l] != space.coset_of[at_2l]).mean()),
+        ))
     return out

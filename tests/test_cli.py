@@ -116,6 +116,22 @@ class TestLimit:
         assert resid[0] == "k,conv_eq_residual"
         assert all(float(line.split(",")[1]) <= 1e-8 for line in resid[1:])
 
+    def test_one_limit_run_per_gauge(self, tmp_path, monkeypatch):
+        from convlimit import cli, limits
+
+        gauges = []
+        original = limits.compute_limit
+
+        def counted(*args, **kwargs):
+            gauges.append(kwargs.get("gauge", limits.GAUGE_MAX_WEIGHT))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "compute_limit", counted)
+        monkeypatch.setattr(limits, "compute_limit", counted)
+        spec = write_spec(tmp_path, Z4_CASE_C_SPEC)
+        assert main(["limit", "--input", str(spec), "--out", str(tmp_path / "out")]) == 0
+        assert gauges == [limits.GAUGE_MAX_WEIGHT, limits.GAUGE_MIN_SUPPORT]
+
 
 class TestSimulate:
     def test_extremal(self, tmp_path):
@@ -382,6 +398,24 @@ MALFORMED_INPUTS = {
                        "--max-depth"),
     "max-depth-negative": (lambda t, p: _command(t, "limit", Z4_CASE_C_SPEC,
                                                  "--max-depth", "-5"), "--max-depth"),
+    "significance-nan": (lambda t, p: _command(t, "verify", Z4_CASE_C_SPEC, "--seed", "1",
+                                               "--significance", "nan"), "--significance"),
+    "significance-zero": (lambda t, p: _command(t, "verify", Z4_CASE_C_SPEC, "--seed", "1",
+                                                "--significance", "0"), "--significance"),
+    "significance-above-one": (lambda t, p: _command(t, "verify", Z4_CASE_C_SPEC, "--seed", "1",
+                                                     "--significance", "1.5"), "--significance"),
+    "seed-negative": (lambda t, p: _command(t, "simulate", Z4_CASE_C_SPEC, "--seed", "-1",
+                                            "--paths", "5"), "--seed"),
+    "torus-prefix-number": (lambda t, p: _command(t, "classify", {**TORUS_HALF_ATOMS_SPEC,
+                                                                  "prefix": 5}, "--torus"),
+                            "prefix must be a list"),
+    "torus-prefix-null": (lambda t, p: _command(t, "classify", {**TORUS_HALF_ATOMS_SPEC,
+                                                                "prefix": None}, "--torus"),
+                          "prefix must be a list"),
+    "torus-dirac-x-bool": (lambda t, p: _command(
+        t, "classify", _torus_spec({"kind": "dirac", "x": False}), "--torus"), "got False"),
+    "torus-schedule-c-bool": (lambda t, p: _command(
+        t, "classify", {"tail": {"kind": "gauss_schedule", "c": True}}, "--torus"), "got True"),
 }
 
 
@@ -442,8 +476,8 @@ def _slots(node):
 
 
 @st.composite
-def _mutated_specs(draw):
-    spec = json.loads(json.dumps(draw(st.sampled_from(_FUZZ_SEEDS))))
+def _mutated_specs(draw, seeds):
+    spec = json.loads(json.dumps(draw(st.sampled_from(seeds))))
     for _ in range(draw(st.integers(1, 2))):
         parent, key = draw(st.sampled_from(list(_slots(spec))))
         if isinstance(parent, dict) and draw(st.booleans()):
@@ -458,11 +492,28 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-@given(spec=_mutated_specs())
-@settings(max_examples=150)
-def test_fuzzed_spec_exits_with_documented_code(spec, fuzz_dir):
+def _classify_exit_code(spec, fuzz_dir, *extra):
     path = fuzz_dir / "noise.json"
     path.write_text(json.dumps(spec))
-    rc = main(["classify", "--input", str(path), "--out", str(fuzz_dir / "out"),
-               "--max-depth", "32"])
-    assert rc in {0, 2, 3, 4, 5}
+    return main(["classify", "--input", str(path), "--out", str(fuzz_dir / "out"), *extra])
+
+
+@given(spec=_mutated_specs(_FUZZ_SEEDS))
+@settings(max_examples=150)
+def test_fuzzed_spec_exits_with_documented_code(spec, fuzz_dir):
+    assert _classify_exit_code(spec, fuzz_dir, "--max-depth", "32") in {0, 2, 3, 4, 5}
+
+
+_TORUS_FUZZ_SEEDS = (
+    TORUS_HALF_ATOMS_SPEC,
+    {"prefix": [{"kind": "dirac", "x": 0.25}, {"kind": "uniform", "a": 0.0, "b": 0.5}],
+     "tail": {"kind": "periodic", "mus": [{"kind": "gauss", "m": 0.0, "sd": 0.1},
+                                          {"kind": "dirac", "x": 0.5}]}},
+    {"prefix": [], "tail": {"kind": "gauss_schedule", "head": [0.2, 0.1], "c": 0.1, "r": 0.5}},
+)
+
+
+@given(spec=_mutated_specs(_TORUS_FUZZ_SEEDS))
+@settings(max_examples=150)
+def test_fuzzed_torus_spec_exits_with_documented_code(spec, fuzz_dir):
+    assert _classify_exit_code(spec, fuzz_dir, "--torus", "--p-max", "8") in {0, 2, 3, 4, 5}

@@ -314,10 +314,10 @@ class TestConjugacyUniqueness:
     @pytest.mark.parametrize("make", CORPUS)
     def test_corpus(self, make):
         noise = make()
-        check = verify_conjugacy_uniqueness(noise)
+        res1 = compute_limit(noise)
+        check = verify_conjugacy_uniqueness(noise, res1)
         assert check.ok
         # witness validity by the exact identities
-        res1 = compute_limit(noise)
         res2 = compute_limit(noise, gauge="min-support", confirm_span=40)
         moved = translate_right(res1.lambda0, check.witness)
         assert tv_distance(moved, res2.lambda0) <= 10 * 1e-9
@@ -380,23 +380,54 @@ class TestFuzzCorpus:
         assert res.residuals["conv_eq"] <= 1e-8
         assert res.residuals["haar_check"] <= 1e-6
         # the two-gauge run agrees up to conjugacy
-        check = verify_conjugacy_uniqueness(noise)
+        check = verify_conjugacy_uniqueness(noise, res)
         assert check.ok, (idx, check)
+
+
+def lazy_walk_z12():
+    g = cyclic_group(12)
+    w = np.zeros(12)
+    w[[0, 1, 11]] = [0.5, 0.25, 0.25]
+    return constant_noise(Measure(g, w))
 
 
 class TestExtendCenterings:
     def test_agrees_with_result_alphas(self):
         noise = z4_noise_case_c()
         res = compute_limit(noise)
-        ext = extend_centerings(noise, res, res.deepest_depth + 40)
+        levels = range(0, -res.deepest_depth - 41, -1)
+        ext = extend_centerings(noise, res, levels)
         for l, a in res.alphas.items():
-            if l == -res.deepest_depth:
-                continue  # anchor alpha is pinned by the gauge, not realigned
-            assert ext[l] == a
-        assert set(ext) == {-i for i in range(res.deepest_depth + 41)}
+            assert ext[l] == a  # the gauge-pinned anchor included
+        assert set(ext) == set(levels)
 
     def test_shallow_request_subsets(self):
         noise = z4_noise_case_c()
         res = compute_limit(noise)
-        ext = extend_centerings(noise, res, 5)
+        ext = extend_centerings(noise, res, range(0, -6, -1))
         assert set(ext) == {0, -1, -2, -3, -4, -5}
+        assert extend_centerings(noise, res, [-5, -2, -5]) == {-5: ext[-5], -2: ext[-2]}
+
+    @pytest.mark.parametrize("make", [*CORPUS, lazy_walk_z12])
+    def test_matches_all_levels_oracle(self, make):
+        from oracles import all_centerings
+
+        noise = make()
+        res = compute_limit(noise)
+        depth = 2 * res.deepest_depth + 1  # past deepest_depth + 40, as deepest_depth >= 50
+        ref = all_centerings(noise, res, depth)
+        anchor = -res.deepest_depth
+        every = extend_centerings(noise, res, range(0, -depth - 1, -1))
+        assert every[anchor] == res.alphas[anchor]
+        assert {**every, anchor: ref[anchor]} == ref
+        # the two levels the half-depth check reads, at depths on both sides
+        # of the deepest computed one
+        for d in (2 * res.depth_used, res.deepest_depth, res.deepest_depth + 1,
+                  res.deepest_depth + 40, 2 * res.deepest_depth, depth):
+            pair = extend_centerings(noise, res, (-d, -(d // 2)))
+            assert pair == {l: every[l] for l in (-d, -(d // 2))}
+
+    def test_positive_level_rejected(self):
+        noise = z4_noise_case_c()
+        with pytest.raises(BadRange):
+            extend_centerings(noise, compute_limit(noise), [0, 1])

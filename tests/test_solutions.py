@@ -317,7 +317,7 @@ class TestDecompose:
             residuals=res.residuals, shape_history=res.shape_history,
         )
         with pytest.raises(CosetNotStabilized):
-            decompose_ensemble(ens, doctored)
+            decompose_ensemble(ens, doctored, noise=noise)
 
 
 class TestTorusDecompose:

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gamma
 
-from convlimit.errors import EmptySample, InsufficientSamples, OutOfSupport
+from convlimit.errors import EmptySample, InsufficientSamples, InvalidSpec, OutOfSupport
 from convlimit.groups import cyclic_group, subgroup, trivial_subgroup
 from convlimit.limits import compute_limit, constant_noise
 from convlimit.measures import Measure, delta, haar, tv_distance
@@ -181,6 +181,24 @@ class TestCaseBDiagnostic:
         for r in recs:
             assert r.element_disagreement > 0.3
             assert r.coset_disagreement == 0.0
+
+
+    @pytest.mark.parametrize("case", ["case_a", "case_b", "case_c"])
+    @pytest.mark.parametrize("depths", [[10, 20, 40], [20, 30, 40], "deepest"])
+    def test_matches_oracle_loops(self, case, depths, request):
+        from oracles import case_b_diagnostic
+
+        noise, res = request.getfixturevalue(case)
+        if depths == "deepest":
+            depths = [3 * res.deepest_depth // 4, res.deepest_depth]
+        assert (case_b_convergence_diagnostic(noise, res, depths, n_paths=500, seed=4)
+                == case_b_diagnostic(noise, res, depths, n_paths=500, seed=4))
+
+    @pytest.mark.parametrize("depths", [[0], [10, -1]])
+    def test_nonpositive_depth_rejected(self, case_b, depths):
+        noise, res = case_b
+        with pytest.raises(InvalidSpec, match="positive"):
+            case_b_convergence_diagnostic(noise, res, depths)
 
 
 class TestVerifyTheorems:
