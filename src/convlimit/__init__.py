@@ -52,7 +52,6 @@ from .limits import (
     ConjugacyCheck,
     LimitResult,
     NoiseLaw,
-    classify_trichotomy,
     compute_limit,
     constant_noise,
     noise_from_spec,

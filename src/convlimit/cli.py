@@ -305,8 +305,7 @@ def cmd_verify(args) -> int:
     out = _out_dir(args)
     noise = noise_from_spec(spec)
     result = _limit_from_args(args, noise)
-    depth = args.depth if args.depth is not None else 2 * result.depth_used
-    ens = extremal_ensemble(noise, result, depth, args.paths, args.seed)
+    ens = _build_ensemble_for(args, noise, result, "extremal")
     report = verify_theorems(noise, result, ens, significance=args.significance)
     payload = {"command": "verify", "case": result.case, **report.to_json_dict()}
     _write_json(out / "report.json", payload)

@@ -330,11 +330,6 @@ def _case_of(group: FiniteGroup, H: Subgroup) -> str:
     return "C"
 
 
-def classify_trichotomy(result: LimitResult) -> str:
-    """'A' iff H is the whole group, 'B' iff trivial, 'C' otherwise."""
-    return _case_of(result.group, result.subgroup)
-
-
 def strong_subgroup(group: FiniteGroup, H_mu: Subgroup) -> Subgroup:
     """Smallest normal subgroup containing H_mu."""
     return normal_closure(group, H_mu)

@@ -3,10 +3,13 @@
 Three constructions: the uniform solution (Haar initial state pushed
 forward), the extremal solution (noise-measurable coset part phi_k times an
 independent uniform subgroup factor U_k), and mixtures eta_k = eta0_k V for
-an independent V. Any path factors back into (phi_k, U_k, V) with exact
-reconstruction; almost-sure coset limits are replaced by a finite-depth
-stabilization check that compares the full window depth against half depth
-and refuses rather than guessing.
+an independent V. All of them rest on one identity: with the centred product
+full_k = xi_k ... xi_{-depth} alpha_{-depth}, every solution over the window
+is eta_k = full_k Z for one group element Z. An extremal path takes Z in H,
+and a decomposition reads Z off k = 0, so any path factors back into
+(phi_k, U_k, V) exactly. Almost-sure coset limits are replaced by a
+finite-depth stabilization check that compares the full window depth against
+half depth and refuses rather than guessing.
 
 Ensembles are generated in fixed-size chunks, each chunk on its own RNG
 stream keyed by (seed, purpose, chunk), so results are identical for any
@@ -24,7 +27,6 @@ import numpy as np
 
 from .errors import CosetNotStabilized, InvalidSpec
 from .groups import (
-    CosetSpace,
     FiniteGroup,
     Section,
     Subgroup,
@@ -168,12 +170,6 @@ def recursion_break(group: FiniteGroup, xi: np.ndarray, eta: np.ndarray,
     return None
 
 
-def _check_recursion(group: FiniteGroup, xi: np.ndarray, eta: np.ndarray,
-                     depth: int, k_min: int) -> None:
-    if recursion_break(group, xi, eta, depth, k_min) is not None:
-        raise AssertionError("defining recursion violated; internal error")
-
-
 def sample_noise(noise: NoiseLaw, depth: int, size: int, seed: int, chunk: int) -> np.ndarray:
     """Independent draws xi_k ~ mu_k; column i of the (size, depth + 1) array holds k = -depth + i.
 
@@ -207,7 +203,6 @@ def uniform_ensemble(noise: NoiseLaw, depth: int, n_paths: int, seed: int) -> En
         eta[start:start + size] = block_eta
 
     _run_chunks(n_paths, worker)
-    _check_recursion(group, xi, eta, depth, -depth)
     return Ensemble(group=group, kind="uniform", seed=seed, depth=depth,
                     k_min=-depth, xi=xi, eta=eta)
 
@@ -246,23 +241,27 @@ def centered_window(
     return mul[window, alpha_full], mul[mul[window, mark[:, None]], alpha_half]
 
 
-def _phi_cosets(
+def _centered_phi(
     group: FiniteGroup,
-    space: CosetSpace,
+    section: Section,
     alphas: dict[int, int],
     xi: np.ndarray,
     depth: int,
     k_min: int,
-) -> np.ndarray:
-    """Coset ids of the full-depth :func:`centered_window`, checked at half depth.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(full, phi): the full-depth :func:`centered_window` and its coset representatives.
 
-    A coset that differs between the two depths means the finite depth has not
-    reached the almost-sure limit, and raises :class:`CosetNotStabilized`.
+    ``full[:, k - k_min]`` is full_k = xi_k ... xi_{-depth} alpha_{-depth}
+    and ``phi`` maps it to the section's representative of full_k H. Each
+    coset is checked against the half-depth product's: one that differs
+    means the finite depth has not reached the almost-sure limit, and raises
+    :class:`CosetNotStabilized`.
     """
     half = depth // 2
     full, at_half = centered_window(
         group, xi, depth, k_min, int(alphas[-depth]), int(alphas[-half])
     )
+    space = section.space
     cos_full = space.coset_of[full]
     cos_half = space.coset_of[at_half]
 
@@ -277,47 +276,7 @@ def _phi_cosets(
             f"(coset {int(cos_half[i, j])}) on path {i} "
             f"({int(bad_paths.size)} of {xi.shape[0]} paths affected); increase the depth"
         )
-    return cos_full
-
-
-def _extremal_from_xi(
-    group: FiniteGroup,
-    space: CosetSpace,
-    section: Section,
-    alphas: dict[int, int],
-    xi: np.ndarray,
-    depth: int,
-    k_min: int,
-    u0: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(eta, phi, U) arrays for the extremal construction from given noise."""
-    mul = group.mul
-    inv = group.inv
-    reps = np.array(section.representative, dtype=np.int64)
-
-    cosets = _phi_cosets(group, space, alphas, xi, depth, k_min)
-    phi = reps[cosets]
-
-    w = -k_min + 1
-    n_paths = xi.shape[0]
-    q = np.full(n_paths, group.identity, dtype=np.int64)  # xi_{0,k+1}, empty at k=0
-    qs = np.empty((n_paths, w), dtype=np.int64)
-    qs[:, w - 1] = q
-    for k in range(0, k_min, -1):
-        q = mul[q, xi[:, k + depth]]
-        qs[:, k - 1 - k_min] = q
-
-    phi0 = phi[:, w - 1]
-    # U_k = phi_k^{-1} * (xi_{0,k+1})^{-1} * phi_0 * U_0
-    target = mul[phi0, u0]
-    U = mul[inv[phi], mul[inv[qs], target[:, None]]]
-    eta = mul[phi, U]
-
-    id_coset = int(space.coset_of[group.identity])
-    if not (space.coset_of[U] == id_coset).all():
-        raise CosetNotStabilized("subgroup factor left H; internal gauge error")
-    _check_recursion(group, xi, eta, depth, k_min)
-    return eta, phi, U
+    return full, np.array(section.representative, dtype=np.int64)[cos_full]
 
 
 def _require_extremal_inputs(noise: NoiseLaw, limitres: LimitResult, depth: int) -> None:
@@ -339,17 +298,23 @@ def extremal_ensemble(
     k_min: Optional[int] = None,
     u0: Optional[int] = None,
 ) -> Ensemble:
-    """Extremal paths eta0_k = phi_k U_k with U_0 uniform on H (or pinned)."""
+    """Extremal paths eta0_k = phi_k U_k with U_0 uniform on H (or pinned).
+
+    Every path is full_k h for one h in H (see :func:`_centered_phi`):
+    h = full_0^{-1} phi_0 U_0 lies in H because full_0 lies in phi_0 H, so
+    U_k = phi_k^{-1} full_k h lies in H, U_0 is the drawn u0, and
+    eta_k = xi_k eta_{k-1} holds because full_k = xi_k full_{k-1}.
+    """
     _require_extremal_inputs(noise, limitres, depth)
     group = noise.group
     k_min = limitres.k_min if k_min is None else k_min
     H = limitres.subgroup
     if u0 is not None and u0 not in H:
         raise InvalidSpec(f"u0={u0} is not a member of H")
-    space = left_cosets(group, H)
-    section = default_section(space)
+    section = default_section(left_cosets(group, H))
     alphas = extend_centerings(noise, limitres, (-depth, -(depth // 2)))
     members = np.array(H.members, dtype=np.int64)
+    mul, inv = group.mul, group.inv
 
     w = -k_min + 1
     xi = np.empty((n_paths, depth + 1), dtype=np.int64)
@@ -364,13 +329,13 @@ def extremal_ensemble(
             block_u0 = members[rng_u0.integers(0, members.size, size=size)]
         else:
             block_u0 = np.full(size, int(u0), dtype=np.int64)
-        be, bp, bu = _extremal_from_xi(
-            group, space, section, alphas, block_xi, depth, k_min, block_u0
-        )
+        full, bp = _centered_phi(group, section, alphas, block_xi, depth, k_min)
+        h = mul[mul[inv[full[:, -1]], bp[:, -1]], block_u0]
+        be = mul[full, h[:, None]]
         xi[start:start + size] = block_xi
         eta[start:start + size] = be
         phi[start:start + size] = bp
-        U[start:start + size] = bu
+        U[start:start + size] = mul[inv[bp], be]
 
     _run_chunks(n_paths, worker)
     return Ensemble(group=group, kind="extremal", seed=seed, depth=depth, k_min=k_min,
@@ -392,57 +357,10 @@ def general_ensemble(extremal: Ensemble, v_law: Measure, seed: int) -> Ensemble:
 
     _run_chunks(n_paths, worker)
     eta = group.mul[extremal.eta, V[:, None]]
-    _check_recursion(group, extremal.xi, eta, extremal.depth, extremal.k_min)
     return Ensemble(group=group, kind="mixture", seed=seed, depth=extremal.depth,
                     k_min=extremal.k_min, xi=extremal.xi, eta=eta,
                     phi=extremal.phi, U=extremal.U, V=V,
                     subgroup=extremal.subgroup, section=extremal.section)
-
-
-def _decompose_core(
-    group: FiniteGroup,
-    space: CosetSpace,
-    section: Section,
-    alphas: dict[int, int],
-    xi: np.ndarray,
-    depth: int,
-    eta: np.ndarray,
-    k_min: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Recover (phi, U, V) from paths; exact reconstruction or an error."""
-    mul = group.mul
-    inv = group.inv
-    reps = np.array(section.representative, dtype=np.int64)
-
-    cosets = _phi_cosets(group, space, alphas, xi, depth, k_min)
-    phi = reps[cosets]
-
-    w = -k_min + 1
-    quarter = max(1, w // 4)
-    # remote-past coset eta_l^{-1} phi_l H over the deepest quarter of the window
-    v_cosets = space.coset_of[mul[inv[eta[:, :quarter]], phi[:, :quarter]]]
-    if not (v_cosets == v_cosets[:, :1]).all():
-        i = int(np.flatnonzero((v_cosets != v_cosets[:, :1]).any(axis=1))[0])
-        raise CosetNotStabilized(
-            f"remote-past coset varies over the deepest quarter of the window "
-            f"on path {i}: {v_cosets[i].tolist()}; increase the window depth"
-        )
-    V = inv[reps[v_cosets[:, 0]]]
-
-    x = mul[eta, inv[V][:, None]]
-    U = mul[inv[reps[space.coset_of[x]]], x]
-
-    recon = mul[phi, mul[U, V[:, None]]]
-    if not np.array_equal(recon, eta):
-        bad = int((recon != eta).any(axis=1).sum())
-        raise CosetNotStabilized(
-            f"reconstruction failed on {bad} of {eta.shape[0]} paths; "
-            "the noise-limit coset has not stabilized at this depth"
-        )
-    id_coset = int(space.coset_of[group.identity])
-    if not (space.coset_of[U] == id_coset).all():
-        raise CosetNotStabilized("recovered subgroup factor left H")
-    return phi, U, V
 
 
 def decompose_ensemble(
@@ -457,23 +375,42 @@ def decompose_ensemble(
     ``k_min`` restricts the factorization to a shallower report window; the
     default uses the ensemble's full window, which for uniform-solution
     ensembles is too deep for the half-depth stabilization check.
+
+    A path that breaks eta_k = xi_k eta_{k-1} on the report window is refused
+    with :class:`CosetNotStabilized`, naming the path and k. On the others
+    the factors follow from the recursion, with no further check. Because
+    full_k = xi_k full_{k-1} too, Z = full_k^{-1} eta_k is the same element
+    at every k, read at k = 0. Write full_k = phi_k h_k and
+    rep(Z^{-1} H) = Z^{-1} h' with h_k, h' in H. Then V = rep(Z^{-1} H)^{-1}
+    gives eta_k V^{-1} = full_k Z Z^{-1} h' = phi_k h_k h', so
+    U_k = phi_k^{-1} eta_k V^{-1} = h_k h' lies in H and phi_k U_k V = eta_k
+    exactly. The remote-past coset eta_l^{-1} phi_l H = Z^{-1} H is the same
+    at every level l, so V does not depend on which level it is read at.
     """
     group = ens.group
     H = limitres.subgroup
-    space = left_cosets(group, H)
     if section is None:
-        section = default_section(space)
+        section = default_section(left_cosets(group, H))
     elif section.space.subgroup.members != H.members:
         raise InvalidSpec("section built for a different subgroup")
     if k_min is None:
         k_min = ens.k_min
     if k_min < ens.k_min:
         raise InvalidSpec(f"report window {k_min} exceeds the ensemble window {ens.k_min}")
-    alphas = extend_centerings(noise, limitres, (-ens.depth, -(ens.depth // 2)))
     eta = ens.eta[:, k_min - ens.k_min:]
-    phi, U, V = _decompose_core(
-        group, space, section, alphas, ens.xi, ens.depth, eta, k_min
-    )
+    broken = recursion_break(group, ens.xi, eta, ens.depth, k_min)
+    if broken is not None:
+        raise CosetNotStabilized(
+            f"path {broken[0]} breaks eta_k = xi_k eta_(k-1) at k={broken[1]}; "
+            "only solutions of the recursion factor"
+        )
+    alphas = extend_centerings(noise, limitres, (-ens.depth, -(ens.depth // 2)))
+    full, phi = _centered_phi(group, section, alphas, ens.xi, ens.depth, k_min)
+    mul, inv = group.mul, group.inv
+    reps = np.array(section.representative, dtype=np.int64)
+    Z = mul[inv[full[:, -1]], eta[:, -1]]
+    V = inv[reps[section.space.coset_of[inv[Z]]]]
+    U = mul[mul[inv[phi], eta], inv[V][:, None]]
     out = Ensemble(group=group, kind=ens.kind, seed=ens.seed, depth=ens.depth,
                    k_min=k_min, xi=ens.xi, eta=eta,
                    phi=phi, U=U, V=V, subgroup=H, section=section)

@@ -12,6 +12,7 @@ pushed onto a cyclic grid to cross-validate the two.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -292,7 +293,6 @@ class TorusClassification:
 
     p_mu: int
     case: str
-    pi_values: dict[int, tuple[float, float]]
     depth_used: int
     undetermined: tuple[int, ...]
     bounds: dict[int, PiBounds]
@@ -316,8 +316,8 @@ class TorusClassification:
             "depth_used": self.depth_used,
             "undetermined": list(self.undetermined),
             "pi": {
-                str(p): {"lower": lo, "upper": up, "decision": self.bounds[p].decision}
-                for p, (lo, up) in sorted(self.pi_values.items())
+                str(p): {"lower": b.lower, "upper": b.upper, "decision": b.decision}
+                for p, b in sorted(self.bounds.items())
             },
         }
 
@@ -351,7 +351,6 @@ def compute_p_mu(
     return TorusClassification(
         p_mu=g,
         case=case,
-        pi_values={p: (b.lower, b.upper) for p, b in bounds.items()},
         depth_used=max(b.depth for b in bounds.values()),
         undetermined=undecided,
         bounds=bounds,
@@ -441,8 +440,8 @@ def predicted_cyclic_subgroup(n: int, p_mu: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 def _number(value) -> float:
-    """A JSON number as a float; true and false are refused rather than read as 1 and 0."""
-    if isinstance(value, bool):
+    """A JSON number as a float; strings, true and false are refused, never converted."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"expected a number, got {value!r}")
     return float(value)
 

@@ -13,7 +13,7 @@ from convlimit.errors import CosetNotStabilized, GridMismatch, InvalidSpec
 from convlimit.groups import full_subgroup, generated_subgroup, left_cosets, trivial_subgroup
 from convlimit.limits import extend_centerings, shape_distance
 from convlimit.measures import convolve
-from convlimit.solutions import sample_noise
+from convlimit.solutions import centered_window, recursion_break, sample_noise
 from convlimit.stats import DepthRecord
 
 
@@ -238,3 +238,77 @@ def case_b_diagnostic(noise, limitres, depths, n_paths=1000, seed=0):
             coset_disagreement=float((space.coset_of[at_l] != space.coset_of[at_2l]).mean()),
         ))
     return out
+
+
+def phi_cosets(group, space, alphas, xi, depth, k_min):
+    """Coset ids of the full-depth centred window, required to match the half-depth ones."""
+    half = depth // 2
+    full, at_half = centered_window(
+        group, xi, depth, k_min, int(alphas[-depth]), int(alphas[-half])
+    )
+    cos_full = space.coset_of[full]
+    if not np.array_equal(cos_full, space.coset_of[at_half]):
+        raise CosetNotStabilized(f"coset differs between depth {depth} and depth {half}")
+    return cos_full
+
+
+def extremal_from_xi(group, space, section, alphas, xi, depth, k_min, u0):
+    """(eta, phi, U) of the extremal construction, built backwards from U_0 = u0.
+
+    U_k = phi_k^{-1} (xi_0 ... xi_{k+1})^{-1} phi_0 U_0, with the partial
+    products accumulated one column at a time, then checked: every U_k must
+    lie in H and every row must satisfy the recursion.
+    """
+    mul = group.mul
+    inv = group.inv
+    reps = np.array(section.representative, dtype=np.int64)
+    phi = reps[phi_cosets(group, space, alphas, xi, depth, k_min)]
+
+    w = -k_min + 1
+    n_paths = xi.shape[0]
+    q = np.full(n_paths, group.identity, dtype=np.int64)  # xi_{0,k+1}, empty at k=0
+    qs = np.empty((n_paths, w), dtype=np.int64)
+    qs[:, w - 1] = q
+    for k in range(0, k_min, -1):
+        q = mul[q, xi[:, k + depth]]
+        qs[:, k - 1 - k_min] = q
+
+    target = mul[phi[:, w - 1], u0]
+    U = mul[inv[phi], mul[inv[qs], target[:, None]]]
+    eta = mul[phi, U]
+
+    id_coset = int(space.coset_of[group.identity])
+    if not (space.coset_of[U] == id_coset).all():
+        raise CosetNotStabilized("subgroup factor left H")
+    if recursion_break(group, xi, eta, depth, k_min) is not None:
+        raise AssertionError("defining recursion violated")
+    return eta, phi, U
+
+
+def decompose_core(group, space, section, alphas, xi, depth, eta, k_min):
+    """(phi, U, V) of paths by the remote-past scan, with exact reconstruction or an error.
+
+    V comes from the coset eta_l^{-1} phi_l H, required constant over the
+    deepest quarter of the window; U is read off eta V^{-1}, and phi U V must
+    give eta back on every path with every U_k in H.
+    """
+    mul = group.mul
+    inv = group.inv
+    reps = np.array(section.representative, dtype=np.int64)
+    phi = reps[phi_cosets(group, space, alphas, xi, depth, k_min)]
+
+    quarter = max(1, (-k_min + 1) // 4)
+    v_cosets = space.coset_of[mul[inv[eta[:, :quarter]], phi[:, :quarter]]]
+    if not (v_cosets == v_cosets[:, :1]).all():
+        raise CosetNotStabilized("remote-past coset varies over the deepest quarter")
+    V = inv[reps[v_cosets[:, 0]]]
+
+    x = mul[eta, inv[V][:, None]]
+    U = mul[inv[reps[space.coset_of[x]]], x]
+
+    if not np.array_equal(mul[phi, mul[U, V[:, None]]], eta):
+        raise CosetNotStabilized("reconstruction failed")
+    id_coset = int(space.coset_of[group.identity])
+    if not (space.coset_of[U] == id_coset).all():
+        raise CosetNotStabilized("recovered subgroup factor left H")
+    return phi, U, V

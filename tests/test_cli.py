@@ -416,6 +416,11 @@ MALFORMED_INPUTS = {
         t, "classify", _torus_spec({"kind": "dirac", "x": False}), "--torus"), "got False"),
     "torus-schedule-c-bool": (lambda t, p: _command(
         t, "classify", {"tail": {"kind": "gauss_schedule", "c": True}}, "--torus"), "got True"),
+    "torus-dirac-x-string": (lambda t, p: _command(
+        t, "classify", _torus_spec({"kind": "dirac", "x": "0.25"}), "--torus"), "got '0.25'"),
+    "torus-schedule-c-string": (lambda t, p: _command(
+        t, "classify", {"tail": {"kind": "gauss_schedule", "c": "0.1"}}, "--torus"),
+        "got '0.1'"),
 }
 
 

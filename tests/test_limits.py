@@ -7,7 +7,6 @@ from convlimit.limits import (
     ConjugacyCheck,
     LimitResult,
     NoiseLaw,
-    classify_trichotomy,
     compute_limit,
     constant_noise,
     extend_centerings,
@@ -295,7 +294,7 @@ class TestClassifyAndStrongSubgroup:
     def test_classify_matches_case(self):
         for make, case in zip(CORPUS, ["A", "B", "C", "C"]):
             res = compute_limit(make())
-            assert classify_trichotomy(res) == res.case == case
+            assert res.case == case
 
     def test_strong_subgroup_abelian(self):
         res = compute_limit(z4_noise_case_c())
@@ -308,6 +307,18 @@ class TestClassifyAndStrongSubgroup:
     def test_strong_subgroup_trivial(self):
         res = compute_limit(z4_noise_case_b())
         assert strong_subgroup(Z4, res.subgroup).order == 1
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "compute_limit reads H from lambda_0 alone and certifies on the shape at level 0, "
+    "so a Haar mu_0 hides a deterministic tail: it reports case A with H = G"))
+def test_symmetric_prefix_does_not_hide_the_tail():
+    # eta_k = k + 1 for k <= -1 and eta_0 = xi_0 is a function of the noise that
+    # solves the recursion, and so is every constant shift of it: case B.
+    noise = NoiseLaw(Z4, prefix=(haar(Z4),), tail=(delta(Z4, 1),))
+    res = compute_limit(noise)
+    assert res.case == "B"
+    assert res.subgroup.order == 1
 
 
 class TestConjugacyUniqueness:

@@ -3,7 +3,14 @@ import json
 
 import numpy as np
 import pytest
-from oracles import ensemble_records, recursion_holds, torus_decompose
+from oracles import (
+    decompose_core,
+    ensemble_records,
+    extremal_from_xi,
+    recursion_holds,
+    torus_decompose,
+)
+from test_golden_records import SPECS as GOLDEN_SPECS
 
 from convlimit import cli
 from convlimit.errors import CosetNotStabilized, GridMismatch, InvalidSpec
@@ -16,7 +23,7 @@ from convlimit.groups import (
     subgroup,
     symmetric_group,
 )
-from convlimit.limits import compute_limit, constant_noise
+from convlimit.limits import compute_limit, constant_noise, extend_centerings, noise_from_spec
 from convlimit.measures import (
     Measure,
     delta,
@@ -26,7 +33,9 @@ from convlimit.measures import (
     tv_distance,
 )
 from convlimit.solutions import (
+    _PURPOSE_U0,
     CHUNK_SIZE,
+    _stream,
     decompose_ensemble,
     extremal_ensemble,
     general_ensemble,
@@ -490,3 +499,48 @@ def test_records_text_is_byte_identical_to_json_dumps(name, n_paths, tmp_path, m
                 "paths": ensemble_records(ens)}
         expected = json.dumps(body, indent=2, sort_keys=True) + "\n"
         assert (tmp_path / "out.json").read_text(encoding="utf-8") == expected, kind
+
+
+ORACLE_SPECS = {
+    **GOLDEN_SPECS,
+    "z4-case-a": {"group": {"kind": "builtin", "name": "Z4"}, "prefix": [],
+                  "tail": {"kind": "constant", "mu": {"kind": "haar"}}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
+def test_kernels_match_reference_oracles(name):
+    """Extremal, mixture and decomposed ensembles equal the reference kernels on every row.
+
+    The decompositions run on a mixture at its full window and at a shallower
+    one, and on a uniform solution at the limit's window.
+    """
+    noise = noise_from_spec(ORACLE_SPECS[name])
+    res = compute_limit(noise)
+    group, depth, n_paths, seed = noise.group, 2 * res.depth_used, 60, 41
+    space = left_cosets(group, res.subgroup)
+    section = default_section(space)
+    alphas = extend_centerings(noise, res, (-depth, -(depth // 2)))
+    members = np.array(res.subgroup.members)
+    u0 = members[_stream(seed, _PURPOSE_U0, 0).integers(0, members.size, size=n_paths)]
+
+    ext = extremal_ensemble(noise, res, depth, n_paths, seed=seed)
+    eta, phi, U = extremal_from_xi(group, space, section, alphas, ext.xi, depth, ext.k_min, u0)
+    assert np.array_equal(ext.eta, eta)
+    assert np.array_equal(ext.phi, phi)
+    assert np.array_equal(ext.U, U)
+
+    mix = general_ensemble(ext, haar(group), seed=seed + 1)
+    assert np.array_equal(mix.eta, group.mul[eta, mix.V[:, None]])
+    uni = uniform_ensemble(noise, depth, n_paths, seed=seed + 2)
+    for ens in (ext, mix, uni):
+        assert all(row_recursion_holds(ens, i) for i in range(n_paths)), ens.kind
+
+    for ens, k_min in ((mix, ext.k_min), (mix, ext.k_min // 2), (uni, ext.k_min)):
+        dec, _ = decompose_ensemble(ens, res, noise, k_min=k_min)
+        window = ens.eta[:, k_min - ens.k_min:]
+        phi, U, V = decompose_core(group, space, section, alphas, ens.xi, depth, window, k_min)
+        assert np.array_equal(dec.eta, window)
+        assert np.array_equal(dec.phi, phi)
+        assert np.array_equal(dec.U, U)
+        assert np.array_equal(dec.V, V)
