@@ -256,13 +256,13 @@ def _ensemble_from_file(path: str, group) -> Ensemble:
     if xi.dtype.kind not in "iu" or eta.dtype.kind not in "iu":
         raise InvalidSpec(f"ensemble file element ids must be integers, "
                           f"got {xi.dtype} and {eta.dtype}")
-    xi, eta = xi.astype(np.int64, copy=False), eta.astype(np.int64, copy=False)
     if not 0 <= -k_min <= depth:
         raise InvalidSpec(f"ensemble window k_min={k_min} does not fit in depth {depth}")
     if xi.shape != (len(records), depth + 1) or eta.shape != (len(records), -k_min + 1):
         raise InvalidSpec("ensemble file arrays do not match its window fields")
     if min(xi.min(), eta.min()) < 0 or max(xi.max(), eta.max()) >= group.order:
         raise InvalidSpec(f"ensemble file holds element ids outside [0, {group.order})")
+    xi, eta = xi.astype(group.id_dtype), eta.astype(group.id_dtype)
     broken = recursion_break(group, xi, eta, depth, k_min)
     if broken is not None:
         raise InvalidSpec(
@@ -283,7 +283,8 @@ def cmd_decompose(args) -> int:
     else:
         kind = args.kind if args.kind != "uniform" else "mixture"
         ens = _build_ensemble_for(args, noise, result, kind)
-    dec, audit = decompose_ensemble(ens, result, noise=noise)
+    # a uniform file's window is its whole depth; factor it on the limit's window
+    dec, audit = decompose_ensemble(ens, result, noise=noise, k_min=max(ens.k_min, result.k_min))
     payload = {
         "command": "decompose",
         "kind": ens.kind,

@@ -60,6 +60,22 @@ class FiniteGroup:
         return table
 
     @cached_property
+    def id_dtype(self) -> np.dtype:
+        """The dtype of element-id arrays of this group; see :func:`id_dtype`."""
+        return id_dtype(self.order)
+
+    @cached_property
+    def flat_mul(self) -> np.ndarray:
+        """``flat_mul[a * order + b]`` is the index of a*b, in :attr:`id_dtype`; read-only.
+
+        A flat index can reach order^2 - 1, so its arithmetic needs
+        ``id_dtype(order * order)``.
+        """
+        table = self.mul.ravel().astype(self.id_dtype)
+        table.setflags(write=False)
+        return table
+
+    @cached_property
     def right_div(self) -> np.ndarray:
         """``right_div[x, g]`` is the index of x g^-1; built once per group, read-only."""
         table = self.mul[:, self.inv]
@@ -69,6 +85,18 @@ class FiniteGroup:
     def __repr__(self) -> str:
         tag = self.name or f"order-{self.order} group"
         return f"FiniteGroup({tag})"
+
+
+def id_dtype(count: int) -> np.dtype:
+    """The narrowest signed integer dtype that holds ``count`` (int8, int16, int32 or int64).
+
+    Element ids of a group of order n are stored in ``id_dtype(n)``, so an
+    ensemble of a group of order at most 127 takes one byte per id.
+    """
+    for dtype in (np.int8, np.int16, np.int32):
+        if count <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
 
 
 def same_group(g1: FiniteGroup, g2: FiniteGroup) -> bool:

@@ -7,6 +7,7 @@ plain O(n^2) sum, which doubles as its own brute-force oracle at desk scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -19,6 +20,10 @@ WEIGHT_SUM_TOL = 1e-12
 # Post-convergence checks (stabilizer membership, idempotence) distinguish
 # numerical noise from genuine asymmetry at this default.
 STABILIZER_TOL = 1e-9
+
+# The inverse-CDF guide table has at least this many buckets per element,
+# so at most 1/64 of the draws fall back to a binary search.
+GUIDE_BUCKETS_PER_ELEMENT = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,6 +53,19 @@ class Measure:
 
     def __repr__(self) -> str:
         return f"Measure({np.array2string(self.weights, precision=4)})"
+
+    @cached_property
+    def _guide(self) -> tuple[np.ndarray, np.ndarray]:
+        """(cum, guide) for :func:`inverse_cdf`, built on the first draw and kept."""
+        cum = np.cumsum(self.weights)
+        cum[-1] = max(cum[-1], 1.0)
+        m = 1 << (GUIDE_BUCKETS_PER_ELEMENT * self.group.order - 1).bit_length()
+        edges = np.arange(m + 1) / m  # exact: m is a power of two
+        lo = np.searchsorted(cum, edges[:-1], side="right")
+        hi = np.searchsorted(cum, edges[1:], side="left")
+        guide = np.where(lo == hi, lo, -1).astype(self.group.id_dtype)
+        guide.setflags(write=False)
+        return cum, guide
 
 
 def _require_same_group(mu: Measure, nu: Measure) -> None:
@@ -150,14 +168,38 @@ def is_haar_idempotent(mu: Measure, tol: float = STABILIZER_TOL) -> Optional[Sub
     return H
 
 
+def inverse_cdf(mu: Measure, u: np.ndarray) -> np.ndarray:
+    """The ids ``np.searchsorted(cum, u, side="right")`` of uniforms u in [0, 1), exactly.
+
+    ``cum`` is the cumulative sum of the weights in element index order,
+    with its last entry raised to 1 if it drifted below, so every id lies in
+    [0, n). The ids come in the group's ``id_dtype``, shaped like ``u``.
+
+    Table-guided inversion (Chen & Asau 1974; Devroye 1986, III.2.4): [0, 1)
+    is cut into m = 2^j >= 64 n buckets. As m is a power of two, u * m is
+    exact and floor(u * m) is u's bucket b. Every u in bucket b has an id
+    between lo = searchsorted(cum, b/m, "right") and
+    hi = searchsorted(cum, (b+1)/m, "left"); the table holds lo where
+    lo == hi and -1 where a step of the CDF falls inside the bucket. At most
+    n buckets hold a step, and only draws in those go to the binary search.
+    """
+    cum, guide = mu._guide
+    ids = guide.take((u * guide.size).astype(np.intp))
+    ambiguous = ids < 0
+    if ambiguous.any():
+        ids[ambiguous] = np.searchsorted(cum, u[ambiguous], side="right")
+    return ids
+
+
 def sample(mu: Measure, rng: np.random.Generator, size: Optional[int] = None):
-    """Inverse-CDF sampling over element index order; deterministic given rng state."""
-    cum = np.cumsum(mu.weights)
-    cum[-1] = max(cum[-1], 1.0)
+    """Inverse-CDF sampling over element index order; deterministic given rng state.
+
+    Draws ``rng.random(size)`` and maps it through :func:`inverse_cdf`; with
+    ``size=None`` one draw comes back as an ``int``.
+    """
     if size is None:
-        return int(np.searchsorted(cum, rng.random(), side="right"))
-    u = rng.random(size)
-    return np.searchsorted(cum, u, side="right").astype(np.int64)
+        return int(inverse_cdf(mu, np.array([rng.random()]))[0])
+    return inverse_cdf(mu, rng.random(size))
 
 
 def measure_from_spec(group: FiniteGroup, obj: dict) -> Measure:

@@ -13,7 +13,10 @@ half depth and refuses rather than guessing.
 
 Ensembles are generated in fixed-size chunks, each chunk on its own RNG
 stream keyed by (seed, purpose, chunk), so results are identical for any
-thread count; CONV_LIMIT_THREADS caps the worker pool.
+thread count; CONV_LIMIT_THREADS caps the worker pool. Within a chunk the
+noise and the products stay level-major (one contiguous row of paths per
+level) and in the group's narrow id dtype; only the store into an
+:class:`Ensemble` transposes them to one row per path.
 """
 
 from __future__ import annotations
@@ -31,13 +34,18 @@ from .groups import (
     Section,
     Subgroup,
     default_section,
+    id_dtype,
     left_cosets,
     same_group,
 )
 from .limits import LimitResult, NoiseLaw, extend_centerings
-from .measures import Measure, haar, sample
+from .measures import Measure, haar, inverse_cdf, sample
 
 CHUNK_SIZE = 4096
+
+# Levels of uniforms drawn at once: a chunk holds LEVEL_BLOCK * CHUNK_SIZE
+# float64 draws at a time, whatever the depth.
+LEVEL_BLOCK = 64
 
 _PURPOSE_XI = 0
 _PURPOSE_INIT = 1
@@ -88,7 +96,8 @@ class Ensemble:
     """Vectorized bundle of paths sharing one noise law and construction.
 
     This is the library's one path type; a single path is an ensemble with
-    ``n_paths=1``.
+    ``n_paths=1``. The builders store element ids in the group's
+    ``id_dtype``, the narrowest signed integer dtype that holds its order.
     """
 
     group: FiniteGroup
@@ -170,37 +179,79 @@ def recursion_break(group: FiniteGroup, xi: np.ndarray, eta: np.ndarray,
     return None
 
 
+def _flat_index(group: FiniteGroup, a: np.ndarray) -> np.ndarray:
+    """``a * order`` in C order and in the narrowest dtype that holds order^2.
+
+    These are a's row offsets in ``flat_mul``; order^2 overflows int16 once
+    the order exceeds 181.
+    """
+    n = group.order
+    return np.multiply(a, n, dtype=id_dtype(n * n), order="C")
+
+
+def _product(group: FiniteGroup, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise a*b (a and b broadcast, the result laid out like a), in the id dtype."""
+    return group.flat_mul.take(_flat_index(group, a) + b)
+
+
+def _walk(group: FiniteGroup, rows: np.ndarray, prod: np.ndarray,
+          out: Optional[np.ndarray] = None) -> np.ndarray:
+    """prod <- xi prod for each level row of ``rows`` (which holds ``n * xi``), in order.
+
+    Row i of ``out``, when given, receives the product after row i. Returns
+    the last product. Each level is one add and one take from ``flat_mul``.
+    """
+    flat = group.flat_mul
+    for i in range(rows.shape[0]):
+        prod = flat.take(rows[i] + prod)
+        if out is not None:
+            out[i] = prod
+    return prod
+
+
 def sample_noise(noise: NoiseLaw, depth: int, size: int, seed: int, chunk: int) -> np.ndarray:
     """Independent draws xi_k ~ mu_k; column i of the (size, depth + 1) array holds k = -depth + i.
 
     The draws come shallow-first (k = 0 down to -depth) from the RNG stream
     keyed by (seed, noise purpose, chunk), so a chunk's noise does not depend
-    on which construction consumes it.
+    on which construction consumes it. They are drawn ``LEVEL_BLOCK`` levels
+    at a time: ``rng.random((levels, size))`` yields the same doubles as
+    that many ``rng.random(size)`` calls. In each block, the levels of one
+    prefix position or one tail phase go through :func:`inverse_cdf` in one
+    call. The ids are in the group's ``id_dtype``, and the array is the
+    transpose of a C-contiguous (depth + 1, size) one, so ``xi.T[i]`` is one
+    contiguous row of paths.
     """
     rng = _stream(seed, _PURPOSE_XI, chunk)
-    xi = np.empty((size, depth + 1), dtype=np.int64)
-    for k in range(0, -depth - 1, -1):
-        xi[:, k + depth] = sample(noise.measure_at(k), rng, size=size)
-    return xi
+    levels = np.empty((depth + 1, size), dtype=noise.group.id_dtype)
+    by_depth = levels[::-1]  # row j holds k = -j, the j-th level drawn
+    n_prefix, period = len(noise.prefix), len(noise.tail)
+    for top in range(0, depth + 1, LEVEL_BLOCK):
+        stop = min(top + LEVEL_BLOCK, depth + 1)
+        u = rng.random((stop - top, size))
+        for j in range(top, min(stop, n_prefix)):
+            by_depth[j] = inverse_cdf(noise.prefix[j], u[j - top])
+        first = max(top, n_prefix)
+        for j in range(first, min(first + period, stop)):
+            mu = noise.tail[(j - n_prefix) % period]
+            by_depth[j:stop:period] = inverse_cdf(mu, u[j - top::period])
+    return levels.T
 
 
 def uniform_ensemble(noise: NoiseLaw, depth: int, n_paths: int, seed: int) -> Ensemble:
     """Paths started from an independent Haar state one step below the window."""
     group = noise.group
     omega = haar(group)
-    xi = np.empty((n_paths, depth + 1), dtype=np.int64)
-    eta = np.empty((n_paths, depth + 1), dtype=np.int64)
-    mul = group.mul
+    xi = np.empty((n_paths, depth + 1), dtype=group.id_dtype)
+    eta = np.empty((n_paths, depth + 1), dtype=group.id_dtype)
 
     def worker(idx: int, start: int, size: int) -> None:
         block_xi = sample_noise(noise, depth, size, seed, idx)
         state = sample(omega, _stream(seed, _PURPOSE_INIT, idx), size=size)
-        block_eta = np.empty_like(block_xi)
-        for i in range(depth + 1):
-            state = mul[block_xi[:, i], state]
-            block_eta[:, i] = state
+        block_eta = np.empty((depth + 1, size), dtype=group.id_dtype)
+        _walk(group, _flat_index(group, block_xi.T), state, out=block_eta)
         xi[start:start + size] = block_xi
-        eta[start:start + size] = block_eta
+        eta[start:start + size] = block_eta.T
 
     _run_chunks(n_paths, worker)
     return Ensemble(group=group, kind="uniform", seed=seed, depth=depth,
@@ -220,6 +271,10 @@ def centered_window(
     ``xi`` holds k = -depth..0 as in :class:`Ensemble`. Column k - k_min of the two
     returned arrays holds xi_{k,-depth} alpha_full and xi_{k,-half} alpha_half for
     k in [k_min, 0], where half = depth // 2 must lie below the window.
+
+    The walk runs on level rows: ``n * xi.T`` is built in C order (the one
+    transposing copy when ``xi`` is path-major), and the two returned arrays
+    are transposes of C-contiguous (window, paths) arrays in the id dtype.
     """
     half = depth // 2
     if half < -k_min + 1:
@@ -227,18 +282,17 @@ def centered_window(
             f"depth {depth} too shallow for window k_min={k_min}; "
             "the half-depth check needs depth/2 below the window"
         )
-    mul = group.mul
-    inv = group.inv
-    window = np.empty((xi.shape[0], -k_min + 1), dtype=np.int64)
-    prod = xi[:, 0]  # xi_{-depth,-depth}; half >= 1 puts -half inside the loop
-    for k in range(-depth + 1, 1):
-        if k == -half:
-            mark = inv[prod]  # (xi_{-half-1,-depth})^{-1}
-        prod = mul[xi[:, k + depth], prod]  # xi_{k,-depth}
-        if k >= k_min:
-            window[:, k - k_min] = prod
+    rows = _flat_index(group, xi.T)
+    prod = xi.T[0].astype(group.id_dtype)  # xi_{-depth,-depth}
+    mark = _walk(group, rows[1:depth - half], prod)  # xi_{-half-1,-depth}
+    prod = _walk(group, rows[depth - half:depth + k_min], mark)  # xi_{k_min-1,-depth}
+    window = np.empty((-k_min + 1, xi.shape[0]), dtype=group.id_dtype)
+    _walk(group, rows[depth + k_min:], prod, out=window)  # row k - k_min: xi_{k,-depth}
+    flat, n = group.flat_mul, group.order
+    full = flat[alpha_full::n].take(window)  # right multiplication by alpha_full
     # xi_{k,-half} = xi_{k,-depth} * (xi_{-half-1,-depth})^{-1}
-    return mul[window, alpha_full], mul[mul[window, mark[:, None]], alpha_half]
+    at_half = flat[alpha_half::n].take(_product(group, window, group.inv[mark]))
+    return full.T, at_half.T
 
 
 def _centered_phi(
@@ -251,32 +305,33 @@ def _centered_phi(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(full, phi): the full-depth :func:`centered_window` and its coset representatives.
 
-    ``full[:, k - k_min]`` is full_k = xi_k ... xi_{-depth} alpha_{-depth}
-    and ``phi`` maps it to the section's representative of full_k H. Each
-    coset is checked against the half-depth product's: one that differs
-    means the finite depth has not reached the almost-sure limit, and raises
-    :class:`CosetNotStabilized`.
+    Both are level-major (window, paths) arrays: ``full[k - k_min]`` is
+    full_k = xi_k ... xi_{-depth} alpha_{-depth} and ``phi`` maps it to the
+    section's representative of full_k H. Each coset is checked against the
+    half-depth product's: one that differs means the finite depth has not
+    reached the almost-sure limit, and raises :class:`CosetNotStabilized`.
     """
     half = depth // 2
     full, at_half = centered_window(
         group, xi, depth, k_min, int(alphas[-depth]), int(alphas[-half])
     )
+    full, at_half = full.T, at_half.T  # back to their C-contiguous level rows
     space = section.space
     cos_full = space.coset_of[full]
     cos_half = space.coset_of[at_half]
 
     disagree = cos_full != cos_half
     if disagree.any():
-        bad_paths = np.flatnonzero(disagree.any(axis=1))
+        bad_paths = np.flatnonzero(disagree.any(axis=0))
         i = int(bad_paths[0])
-        j = int(np.flatnonzero(disagree[i])[0])
+        j = int(np.flatnonzero(disagree[:, i])[0])
         raise CosetNotStabilized(
             f"coset of the centered product at k={k_min + j} differs between "
             f"depth {depth} (coset {int(cos_full[i, j])}) and depth {half} "
             f"(coset {int(cos_half[i, j])}) on path {i} "
             f"({int(bad_paths.size)} of {xi.shape[0]} paths affected); increase the depth"
         )
-    return full, np.array(section.representative, dtype=np.int64)[cos_full]
+    return full, np.array(section.representative, dtype=group.id_dtype)[cos_full]
 
 
 def _require_extremal_inputs(noise: NoiseLaw, limitres: LimitResult, depth: int) -> None:
@@ -313,14 +368,15 @@ def extremal_ensemble(
         raise InvalidSpec(f"u0={u0} is not a member of H")
     section = default_section(left_cosets(group, H))
     alphas = extend_centerings(noise, limitres, (-depth, -(depth // 2)))
-    members = np.array(H.members, dtype=np.int64)
+    dtype = group.id_dtype
+    members = np.array(H.members, dtype=dtype)
     mul, inv = group.mul, group.inv
 
     w = -k_min + 1
-    xi = np.empty((n_paths, depth + 1), dtype=np.int64)
-    eta = np.empty((n_paths, w), dtype=np.int64)
-    phi = np.empty((n_paths, w), dtype=np.int64)
-    U = np.empty((n_paths, w), dtype=np.int64)
+    xi = np.empty((n_paths, depth + 1), dtype=dtype)
+    eta = np.empty((n_paths, w), dtype=dtype)
+    phi = np.empty((n_paths, w), dtype=dtype)
+    U = np.empty((n_paths, w), dtype=dtype)
 
     def worker(idx: int, start: int, size: int) -> None:
         block_xi = sample_noise(noise, depth, size, seed, idx)
@@ -328,14 +384,14 @@ def extremal_ensemble(
             rng_u0 = _stream(seed, _PURPOSE_U0, idx)
             block_u0 = members[rng_u0.integers(0, members.size, size=size)]
         else:
-            block_u0 = np.full(size, int(u0), dtype=np.int64)
+            block_u0 = np.full(size, int(u0), dtype=dtype)
         full, bp = _centered_phi(group, section, alphas, block_xi, depth, k_min)
-        h = mul[mul[inv[full[:, -1]], bp[:, -1]], block_u0]
-        be = mul[full, h[:, None]]
+        h = mul[mul[inv[full[-1]], bp[-1]], block_u0]
+        be = _product(group, full, h)
         xi[start:start + size] = block_xi
-        eta[start:start + size] = be
-        phi[start:start + size] = bp
-        U[start:start + size] = mul[inv[bp], be]
+        eta[start:start + size] = be.T
+        phi[start:start + size] = bp.T
+        U[start:start + size] = _product(group, inv[bp], be).T
 
     _run_chunks(n_paths, worker)
     return Ensemble(group=group, kind="extremal", seed=seed, depth=depth, k_min=k_min,
@@ -350,13 +406,13 @@ def general_ensemble(extremal: Ensemble, v_law: Measure, seed: int) -> Ensemble:
         raise InvalidSpec("V law lives on a different group")
     group = extremal.group
     n_paths = extremal.n_paths
-    V = np.empty(n_paths, dtype=np.int64)
+    V = np.empty(n_paths, dtype=group.id_dtype)
 
     def worker(idx: int, start: int, size: int) -> None:
         V[start:start + size] = sample(v_law, _stream(seed, _PURPOSE_V, idx), size=size)
 
     _run_chunks(n_paths, worker)
-    eta = group.mul[extremal.eta, V[:, None]]
+    eta = _product(group, extremal.eta, V[:, None])
     return Ensemble(group=group, kind="mixture", seed=seed, depth=extremal.depth,
                     k_min=extremal.k_min, xi=extremal.xi, eta=eta,
                     phi=extremal.phi, U=extremal.U, V=V,
@@ -406,11 +462,12 @@ def decompose_ensemble(
         )
     alphas = extend_centerings(noise, limitres, (-ens.depth, -(ens.depth // 2)))
     full, phi = _centered_phi(group, section, alphas, ens.xi, ens.depth, k_min)
+    phi = np.ascontiguousarray(phi.T)
     mul, inv = group.mul, group.inv
     reps = np.array(section.representative, dtype=np.int64)
-    Z = mul[inv[full[:, -1]], eta[:, -1]]
-    V = inv[reps[section.space.coset_of[inv[Z]]]]
-    U = mul[mul[inv[phi], eta], inv[V][:, None]]
+    Z = mul[inv[full[-1]], eta[:, -1]]
+    V = inv[reps[section.space.coset_of[inv[Z]]]].astype(group.id_dtype)
+    U = _product(group, _product(group, inv[phi], eta), inv[V][:, None])
     out = Ensemble(group=group, kind=ens.kind, seed=ens.seed, depth=ens.depth,
                    k_min=k_min, xi=ens.xi, eta=eta,
                    phi=phi, U=U, V=V, subgroup=H, section=section)

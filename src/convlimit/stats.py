@@ -124,20 +124,22 @@ def _pool_small_cells(table: np.ndarray) -> tuple[np.ndarray, int]:
 def chi_square_independence(pairs: Iterable[tuple[int, int]]) -> ChiSquareResult:
     """Contingency-table independence test for paired categorical samples.
 
-    A table with a constant coordinate is degenerate: there is no variation
-    to test and the result carries p = 1 with the degenerate flag.
+    The categories are the integer values seen, in increasing order; the
+    counts come from one ``bincount`` over the span of each coordinate, so
+    that span should stay small, as it does for element ids. A table with a
+    constant coordinate is degenerate: there is no variation to test and the
+    result carries p = 1 with the degenerate flag.
     """
     arr = np.asarray(list(pairs) if not isinstance(pairs, np.ndarray) else pairs,
                      dtype=np.int64)
     if arr.size == 0:
         raise EmptySample("no sample pairs")
-    xs, ys = arr[:, 0], arr[:, 1]
-    xcats, xi = np.unique(xs, return_inverse=True)
-    ycats, yi = np.unique(ys, return_inverse=True)
-    if xcats.size < 2 or ycats.size < 2:
+    xs, ys = arr[:, 0] - arr[:, 0].min(), arr[:, 1] - arr[:, 1].min()
+    n_y = int(ys.max()) + 1
+    counts = np.bincount(xs * n_y + ys, minlength=(int(xs.max()) + 1) * n_y).reshape(-1, n_y)
+    table = counts[counts.any(axis=1)][:, counts.any(axis=0)]
+    if min(table.shape) < 2:
         return ChiSquareResult(statistic=0.0, df=0, p_value=1.0, degenerate=True)
-    table = np.zeros((xcats.size, ycats.size))
-    np.add.at(table, (xi, yi), 1.0)
     table, pooled = _pool_small_cells(table)
     n = table.sum()
     expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / n

@@ -13,7 +13,7 @@ from convlimit.errors import CosetNotStabilized, GridMismatch, InvalidSpec
 from convlimit.groups import full_subgroup, generated_subgroup, left_cosets, trivial_subgroup
 from convlimit.limits import extend_centerings, shape_distance
 from convlimit.measures import convolve
-from convlimit.solutions import centered_window, recursion_break, sample_noise
+from convlimit.solutions import _PURPOSE_XI, _stream, centered_window, recursion_break, sample_noise
 from convlimit.stats import DepthRecord
 
 
@@ -173,6 +173,22 @@ def torus_decompose(group, xi, eta, p_mu, limitres, noise):
             raise CosetNotStabilized(f"grid reconstruction failed at k={k}")
     window = range(k_min, 1)
     return np.array([phi[k] for k in window]), np.array([U[k] for k in window]), V
+
+
+def sample_noise_per_level(noise, depth, size, seed, chunk):
+    """The noise array of ``sample_noise``, drawn one level at a time.
+
+    Each level k = 0, -1, ..., -depth takes its own ``rng.random(size)`` from
+    the chunk's noise stream and one binary search in the cumulative weights
+    of mu_k, written into column k + depth of an int64 (size, depth + 1) array.
+    """
+    rng = _stream(seed, _PURPOSE_XI, chunk)
+    xi = np.empty((size, depth + 1), dtype=np.int64)
+    for k in range(0, -depth - 1, -1):
+        cum = np.cumsum(noise.measure_at(k).weights)
+        cum[-1] = max(cum[-1], 1.0)
+        xi[:, k + depth] = np.searchsorted(cum, rng.random(size), side="right")
+    return xi
 
 
 def ensemble_records(ens):

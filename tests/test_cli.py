@@ -201,6 +201,25 @@ class TestDecompose:
         payload = json.loads((dec_out / "decomposition.json").read_text())
         assert payload["audit"]["exact_reconstruction"] == 40
 
+    def test_decompose_uniform_ensemble_file(self, tmp_path):
+        # a uniform file's window is its whole depth, too deep for the
+        # half-depth check; it is factored on the limit's window instead
+        spec = write_spec(tmp_path, Z4_CASE_C_SPEC)
+        sim_out = tmp_path / "sim"
+        assert main(["simulate", "--input", str(spec), "--out", str(sim_out),
+                     "--seed", "5", "--paths", "200", "--kind", "uniform"]) == 0
+        simulated = json.loads((sim_out / "ensemble.json").read_text())
+        dec_out = tmp_path / "dec"
+        assert main(["decompose", "--input", str(spec), "--out", str(dec_out),
+                     "--seed", "5", "--ensemble", str(sim_out / "ensemble.json")]) == 0
+        payload = json.loads((dec_out / "decomposition.json").read_text())
+        assert payload["audit"]["exact_reconstruction"] == 200
+        k_min, top = payload["audit"]["window"]
+        assert simulated["k_min"] < k_min and top == 0
+        for sim, dec in zip(simulated["paths"], payload["paths"]):
+            assert dec["xi"] == sim["xi"]
+            assert dec["eta"] == sim["eta"][k_min - sim["k_min"]:]
+
     def test_missing_ensemble_file(self, tmp_path):
         spec = write_spec(tmp_path, Z4_CASE_C_SPEC)
         rc = main(["decompose", "--input", str(spec), "--out", str(tmp_path),

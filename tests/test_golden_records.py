@@ -3,7 +3,9 @@
 A refactor of the sampling or decomposition kernels must leave these bytes
 alone. Each digest covers one ``ensemble.json`` or ``decomposition.json``
 with its ``generated_at`` line removed. The files hold only integer ids and
-fixed strings, so floating-point summation order cannot move a digest.
+fixed strings, so floating-point summation order cannot move a digest. The
+Z130 and Z500 digests were taken while ids were still int64, so they guard
+the narrow id dtypes against overflow.
 
 To re-derive a digest after an intended output change, run
 ``python tests/test_golden_records.py``; it prints the table.
@@ -20,6 +22,20 @@ from convlimit.solutions import CHUNK_SIZE
 
 # Z6 relabelled so that the identity is element 3: a * b = a + b - 3 (mod 6).
 _Z6_IDENTITY_3 = [[(a + b - 3) % 6 for b in range(6)] for a in range(6)]
+
+
+def _ramp(n: int) -> list[float]:
+    """Weights on every element of Z_n, proportional to 1, 2, 3, 4, 5, 1, 2, ..."""
+    raw = [g % 5 + 1 for g in range(n)]
+    return [x / sum(raw) for x in raw]
+
+
+def _coset(n: int, start: int, step: int) -> list[float]:
+    """Weights uniform on the coset start + <step> of Z_n."""
+    w = [0.0] * n
+    for g in range(start, start + n, step):
+        w[g % n] = step / n
+    return w
 
 SPECS = {
     "z4-case-c-prefix": {
@@ -54,6 +70,18 @@ SPECS = {
         "group": {"kind": "table", "mul": _Z6_IDENTITY_3, "identity": 3},
         "prefix": [{"kind": "delta", "at": 4}],
         "tail": {"kind": "constant", "mu": {"kind": "weights", "w": [0, 0, 0, 0.5, 0, 0.5]}},
+    },
+    # orders past the narrow id dtypes: ids of Z130 overflow int8, and the
+    # flat table index a * 500 + b of Z500 overflows int16
+    "zn130": {
+        "group": {"kind": "builtin", "name": "Zn:130"},
+        "prefix": [{"kind": "weights", "w": _ramp(130)}],
+        "tail": {"kind": "constant", "mu": {"kind": "weights", "w": _coset(130, 7, 10)}},
+    },
+    "zn500": {
+        "group": {"kind": "builtin", "name": "Zn:500"},
+        "prefix": [{"kind": "weights", "w": _ramp(500)}],
+        "tail": {"kind": "constant", "mu": {"kind": "weights", "w": _coset(500, 3, 5)}},
     },
 }
 
@@ -102,6 +130,20 @@ GOLDEN = {
         "simulate-uniform": "9e5af0156920d077e2ddd5dce67b796b2d12a28aa753a687023af7540c0fb41e",
         "decompose-fresh": "05aeae2bf230bb4ef9e3af08e9a7cf4748b28cf72719329fb53831c37e723785",
         "decompose-file": "05aeae2bf230bb4ef9e3af08e9a7cf4748b28cf72719329fb53831c37e723785",
+    },
+    "zn130/6": {
+        "simulate-extremal": "47f6fc89a65df4ca03e2556a637e5a95fdacdaa30c7b380e4b1bd53d8399956b",
+        "simulate-mixture": "94e536fcb6a504fc760b46a1e9f69a4cbc67dc5c20eea4d355cee5ec6a245c16",
+        "simulate-uniform": "06b860c4e63470910804d6dc1d9cf3ce3bac5bcc47325afd10a232d74c365e7c",
+        "decompose-fresh": "3af550acf42e9c00121bf3efa9581d15e883aa551e788de06cfb0bdcf1af506a",
+        "decompose-file": "3af550acf42e9c00121bf3efa9581d15e883aa551e788de06cfb0bdcf1af506a",
+    },
+    "zn500/6": {
+        "simulate-extremal": "ae7cb3653e839da870b64fc8c15499d6be3c0276473d864fcfe3628cdf5b132c",
+        "simulate-mixture": "1b00b6be99ca14f179ecff9ad17cdc8807a92da404daf8b6ed87c3124a074a86",
+        "simulate-uniform": "1b4aead2fe7dd9c8ed0e828387225fc8a64d69a49a1892bb78180c8f75caa183",
+        "decompose-fresh": "0be199529ef1b6f96ac698b97ecda92a2bd8f0b6c8325f977e80d74d930c56e1",
+        "decompose-file": "0be199529ef1b6f96ac698b97ecda92a2bd8f0b6c8325f977e80d74d930c56e1",
     },
     "z4-case-c-prefix/4099": {
         "simulate-extremal": "a57fec8252247f7231f68b6210be2ed13ef9cb0a23353b649f0d3d57671e9281",

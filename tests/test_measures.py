@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from convlimit.measures import (
     haar,
     haar_subgroup,
     is_haar_idempotent,
+    inverse_cdf,
     measure_from_spec,
     right_stabilizer,
     sample,
@@ -288,6 +291,57 @@ class TestSample:
             xs = sample(mu, np.random.default_rng(100 + i), size=100_000)
             emp = np.bincount(xs, minlength=n) / xs.size
             assert 0.5 * np.abs(emp - mu.weights).sum() <= 3 * np.sqrt(n / 100_000)
+
+
+_cyclic = functools.cache(cyclic_group)
+
+
+@st.composite
+def inversion_cases(draw):
+    """(measure, uniforms): weights with zero runs or one point of support,
+    summing to 1 give or take 5e-13, and uniforms on guide-bucket edges, on
+    CDF steps and one float either side of both."""
+    n = draw(st.integers(1, 1000), label="order")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    if draw(st.booleans(), label="one point"):
+        w = np.zeros(n)
+        w[rng.integers(n)] = 1.0
+    else:
+        raw = rng.integers(0, 4, n).astype(float)
+        for _ in range(draw(st.integers(0, 3), label="zero runs")):
+            a = rng.integers(n)
+            raw[a:a + rng.integers(1, n + 1)] = 0.0
+        raw[rng.integers(n)] += 1.0
+        w = raw / raw.sum()
+    w = w * (1.0 + draw(st.sampled_from([-5e-13, 0.0, 5e-13]), label="drift"))
+    m = 1 << (64 * n - 1).bit_length()  # the guide's bucket count: 2^j >= 64 n
+    edges = rng.integers(0, m, 50) / m
+    steps = np.cumsum(w)
+    points = np.concatenate([edges, steps, [0.0, 1.0]])
+    u = np.concatenate([rng.random(200), points, np.nextafter(points, 0.0), np.nextafter(points, 1.0)])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    return Measure(_cyclic(n), w), u
+
+
+class TestInverseCdf:
+    @settings(max_examples=150)
+    @given(inversion_cases())
+    def test_equals_binary_search(self, case):
+        mu, u = case
+        cum = np.cumsum(mu.weights)
+        cum[-1] = max(cum[-1], 1.0)
+        got = inverse_cdf(mu, u)
+        assert got.dtype == mu.group.id_dtype
+        assert np.array_equal(got, np.searchsorted(cum, u, side="right"))
+        # shape follows the uniforms, and a strided view inverts the same
+        grid = np.resize(u, (4, u.size))[::2, ::3]
+        assert np.array_equal(inverse_cdf(mu, grid), np.searchsorted(cum, grid, side="right"))
+
+    def test_sample_is_inverse_cdf_of_the_draws(self):
+        mu = Measure(D4, [0.1, 0.0, 0.0, 0.3, 0.2, 0.0, 0.4, 0.0])
+        u = np.random.default_rng(4).random(500)
+        assert np.array_equal(sample(mu, np.random.default_rng(4), size=500), inverse_cdf(mu, u))
+        assert sample(mu, np.random.default_rng(4)) == inverse_cdf(mu, u[:1])[0]
 
 
 class TestSpecParsing:

@@ -8,6 +8,7 @@ from oracles import (
     ensemble_records,
     extremal_from_xi,
     recursion_holds,
+    sample_noise_per_level,
     torus_decompose,
 )
 from test_golden_records import SPECS as GOLDEN_SPECS
@@ -23,18 +24,21 @@ from convlimit.groups import (
     subgroup,
     symmetric_group,
 )
-from convlimit.limits import compute_limit, constant_noise, extend_centerings, noise_from_spec
+from convlimit.limits import NoiseLaw, compute_limit, constant_noise, extend_centerings, noise_from_spec
 from convlimit.measures import (
     Measure,
     delta,
     haar,
     haar_subgroup,
+    inverse_cdf,
     translate_right,
     tv_distance,
 )
+from convlimit import solutions
 from convlimit.solutions import (
     _PURPOSE_U0,
     CHUNK_SIZE,
+    LEVEL_BLOCK,
     _stream,
     decompose_ensemble,
     extremal_ensemble,
@@ -91,6 +95,41 @@ class TestSampleNoise:
         assert np.array_equal(a, b)
         # the chunk index keys its own stream
         assert not np.array_equal(a, sample_noise(noise, 20, size=50, seed=42, chunk=4))
+
+    @pytest.mark.parametrize("spec, depth, size", [
+        ("z4-case-c-prefix", 10, 5),           # a prefix and a constant tail
+        ("z4-case-c-prefix", 1, 4),            # depth below the prefix length
+        ("d4-periodic", 2 * LEVEL_BLOCK + 5, 7),  # tail phases across level blocks
+        ("zn500", LEVEL_BLOCK + 1, 3),         # ids and table indices past int16
+        ("s3", 3, CHUNK_SIZE + 3),
+    ])
+    def test_matches_per_level_reference(self, spec, depth, size):
+        noise = noise_from_spec(GOLDEN_SPECS[spec])
+        got = sample_noise(noise, depth, size, seed=11, chunk=2)
+        assert got.dtype == noise.group.id_dtype
+        assert np.array_equal(got, sample_noise_per_level(noise, depth, size, seed=11, chunk=2))
+
+    def test_one_inversion_per_measure_and_level_block(self, monkeypatch):
+        prefix = [delta(S3, 2), Measure(S3, [0.5, 0, 0, 0.5, 0, 0])]
+        tail = [haar(S3), delta(S3, 1), Measure(S3, [0, 0.25, 0.25, 0.5, 0, 0])]
+        noise = NoiseLaw(group=S3, prefix=tuple(prefix), tail=tuple(tail), tail_kind="periodic")
+        depth = 4 * LEVEL_BLOCK + 9
+        blocks = []
+
+        def counting(mu, u):
+            block = u.base if u.base is not None else u
+            # the uniforms held at once cover at most LEVEL_BLOCK levels
+            assert block.shape[0] <= LEVEL_BLOCK
+            if not blocks or blocks[-1][0] is not block:
+                blocks.append([block, 0])
+            blocks[-1][1] += 1
+            return inverse_cdf(mu, u)
+
+        monkeypatch.setattr(solutions, "inverse_cdf", counting)
+        got = sample_noise(noise, depth, 6, seed=3, chunk=0)
+        assert len(blocks) == -(-(depth + 1) // LEVEL_BLOCK)
+        assert all(calls <= len(prefix) + len(tail) for _, calls in blocks)
+        assert np.array_equal(got, sample_noise_per_level(noise, depth, 6, seed=3, chunk=0))
 
     def test_marginal_law(self, case_a):
         noise, _ = case_a

@@ -158,6 +158,10 @@ class TestIndependence:
         r2 = chi_square_independence(np.stack([x, y], axis=1))
         assert r1 == r2
         assert r1.pooled_cells >= 1
+        # the categories are the values seen: shifting x and closing the gap
+        # below y = 9 changes nothing, pooling included
+        r3 = chi_square_independence(np.stack([x - 7, np.where(y == 9, 2, y)], axis=1))
+        assert r3 == r1
 
 
 class TestCaseBDiagnostic:
