@@ -3,16 +3,19 @@
 The engine deepens the product nu_l = mu_0 * mu_-1 * ... * mu_l one factor
 at a time and watches the *shape* of nu_l, i.e. its equivalence class under
 right translation. Shapes always converge on a finite group; once they hold
-still for a confirmation span the product is certified, a deterministic
-gauge turns the final shape into the limit law lambda_0, and the centering
-elements alpha_l are read off as alignment witnesses. The subgroup H is the
-right stabilizer of lambda_0; H = G, H = {e} and anything in between are
-the three classification cases.
+still for a confirmation span the product is certified and deepened on to
+an anchor depth M, and a deterministic gauge picks alpha_M, turning nu_M
+into nu_M delta_{alpha_M}. The result keeps the chain nu_0 .. nu_M; the
+centering element alpha_l at any level is read from it on request, by
+:func:`extend_centerings`, as the translation that aligns nu_l best with
+nu_M delta_{alpha_M}. The subgroup H is the right stabilizer of that law;
+H = G, H = {e} and anything in between are the three classification cases.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -124,15 +127,15 @@ def noise_from_spec(obj: dict) -> NoiseLaw:
 class LimitResult:
     """Output of :func:`compute_limit`.
 
-    ``lambdas`` maps k in [k_min, 0] to the limit law at k; ``alphas`` maps
-    every computed depth l in [-deepest_depth, 0] to its centering element.
-    ``case`` is 'A' iff the subgroup is everything, 'B' iff it is trivial,
-    'C' otherwise.
+    ``lambdas`` maps k in [k_min, 0] to the limit law at k. ``products`` is
+    the chain nu_0 .. nu_M (index i holds depth -i), M = -deepest_depth, and
+    ``anchor`` the gauge's alpha_M. Centerings align to nu_M delta_{alpha_M},
+    which can differ from ``lambdas[0]`` in the last bits. ``case`` is 'A'
+    iff the subgroup is everything, 'B' iff it is trivial, 'C' otherwise.
     """
 
     group: FiniteGroup
     lambdas: dict[int, Measure]
-    alphas: dict[int, int]
     subgroup: Subgroup
     case: str
     depth_used: int
@@ -140,10 +143,17 @@ class LimitResult:
     k_min: int
     residuals: dict[str, float]
     shape_history: tuple[tuple[int, float], ...]
+    anchor: int
+    products: tuple[Measure, ...] = field(repr=False)
 
     @property
     def lambda0(self) -> Measure:
         return self.lambdas[0]
+
+    @cached_property
+    def alphas(self) -> dict[int, int]:
+        """alpha_l at every level l in [-deepest_depth, 0]; the kept chain needs no noise."""
+        return extend_centerings(None, self, range(0, -self.deepest_depth - 1, -1))
 
     def to_json_dict(self) -> dict:
         return {
@@ -267,19 +277,11 @@ def compute_limit(
 
     # The reported quantities come from a deeper anchor depth M so that the
     # haar-check below can estimate lambda_{L-1} from a much deeper restart.
-    extension = max(depth_used, 2 * confirm_span)
-    deepest = depth_used + extension
-    deepest = max(deepest, -k_min + confirm_span)
+    deepest = max(2 * depth_used, depth_used + 2 * confirm_span, -k_min + confirm_span)
     _extend_products(noise, nus, deepest)
     m_idx = -deepest  # anchor depth M as a (negative) noise index
 
     lambda0, alpha_m = _gauge_align(nus[deepest], gauge)
-
-    alphas: dict[int, int] = {}
-    for i in range(deepest + 1):
-        _, w = shape_distance(nus[i], lambda0)
-        alphas[-i] = w
-    alphas[m_idx] = alpha_m  # exact by construction of the gauge
 
     # sigma_j = mu_{j,M}; lambdas over the window are its alpha_M-translates.
     sigma: dict[int, Measure] = {m_idx: noise.measure_at(m_idx)}
@@ -290,24 +292,20 @@ def compute_limit(
     H = right_stabilizer(lambda0, stabilizer_tol)
     case = _case_of(noise.group, H)
 
-    conv_eq = 0.0
-    for k in range(k_min, 1):
-        lam_prev = translate_right(sigma[k - 1], alpha_m)
-        conv_eq = max(conv_eq, tv_distance(lambdas[k], convolve(noise.measure_at(k), lam_prev)))
+    conv_eq = max(tv_distance(lambdas[k], convolve(noise.measure_at(k),
+                                                   translate_right(sigma[k - 1], alpha_m)))
+                  for k in range(k_min, 1))
 
     shape_stab = max(d for _, d in history[-confirm_span:])
 
     lam_deep_prev = translate_right(sigma[l_cert - 1], alpha_m)
-    omega_h = haar_subgroup(noise.group, H)
-    alpha_l = alphas[l_cert]
-    haar_check = tv_distance(
-        translate_left(int(noise.group.inv[alpha_l]), lam_deep_prev), omega_h
-    )
+    _, alpha_l = shape_distance(nus[depth_used], lambda0)
+    haar_check = tv_distance(translate_left(int(noise.group.inv[alpha_l]), lam_deep_prev),
+                             haar_subgroup(noise.group, H))
 
     return LimitResult(
         group=noise.group,
         lambdas=lambdas,
-        alphas=alphas,
         subgroup=H,
         case=case,
         depth_used=depth_used,
@@ -319,6 +317,8 @@ def compute_limit(
             "haar_check": float(haar_check),
         },
         shape_history=tuple(history),
+        anchor=alpha_m,
+        products=tuple(nus),
     )
 
 
@@ -339,21 +339,19 @@ def extend_centerings(noise: NoiseLaw, result: LimitResult,
                       levels: Iterable[int]) -> dict[int, int]:
     """Centering elements alpha_l at the requested levels l <= 0, as {l: alpha_l}.
 
-    Levels in ``result.alphas``, the gauge-pinned anchor at -deepest_depth
-    included, are read from it; the others are aligned to lambda_0 after one
-    deepening of the product chain to the deepest of them.
+    alpha_l is the smallest g aligning nu_l delta_g best with nu_M delta_{alpha_M}
+    (M = -deepest_depth; alpha_M is the gauge's own), a law that can differ
+    from ``result.lambda0`` in the last bits. Levels past M continue
+    ``result.products`` from nu_M, one convolution each; only they read ``noise``.
     """
     levels = sorted(set(levels), reverse=True)
     if levels and levels[0] > 0:
         raise BadRange(f"centering levels must be <= 0, got {levels[0]}")
-    out = {l: result.alphas[l] for l in levels if l in result.alphas}
-    deeper = [l for l in levels if l not in out]
-    if deeper:
-        nus = [noise.measure_at(0)]
-        _extend_products(noise, nus, -deeper[-1])
-        for l in deeper:
-            _, out[l] = shape_distance(nus[-l], result.lambda0)
-    return out
+    nus = list(result.products)
+    _extend_products(noise, nus, -min(levels, default=0))
+    target = translate_right(result.products[-1], result.anchor)
+    return {l: result.anchor if l == -result.deepest_depth else shape_distance(nus[-l], target)[1]
+            for l in levels}
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import GroupMismatch, InvalidSpec, NotClosedAtTolerance
+from .errors import GroupMismatch, InvalidSpec, NotASubgroup, NotClosedAtTolerance
 from .groups import FiniteGroup, Subgroup, closure_break, is_integer, same_group, subgroup
 
 WEIGHT_SUM_TOL = 1e-12
@@ -159,7 +159,7 @@ def is_haar_idempotent(mu: Measure, tol: float = STABILIZER_TOL) -> Optional[Sub
     support = [g for g in range(grp.order) if mu.weights[g] > tol]
     try:
         H = subgroup(grp, support)
-    except Exception:
+    except NotASubgroup:
         return None
     if tv_distance(mu, haar_subgroup(grp, H)) > tol:
         return None

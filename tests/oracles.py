@@ -12,7 +12,7 @@ import numpy as np
 from convlimit.errors import CosetNotStabilized, GridMismatch, InvalidSpec
 from convlimit.groups import full_subgroup, generated_subgroup, left_cosets, trivial_subgroup
 from convlimit.limits import extend_centerings, shape_distance
-from convlimit.measures import convolve
+from convlimit.measures import convolve, translate_right
 from convlimit.solutions import _PURPOSE_XI, _stream, centered_window, recursion_break, sample_noise
 from convlimit.stats import DepthRecord
 
@@ -214,16 +214,20 @@ def ensemble_records(ens):
 def all_centerings(noise, result, depth):
     """Centering elements alpha_l for every l in [-depth, 0].
 
-    Up to the result's deepest depth they are its own alphas. Past it the
-    whole product chain is rebuilt from nu_0 and every level, the anchor at
-    -deepest_depth included, is aligned to lambda_0 by ``shape_distance``.
+    The whole product chain is rebuilt from nu_0, down to depth or to the
+    anchor depth M = -deepest_depth if that is deeper, and every level is
+    aligned by ``shape_distance`` to nu_M delta_{alpha_M}, where alpha_M is
+    the result's gauge-pinned anchor; the anchor level keeps alpha_M itself.
     """
-    if depth <= result.deepest_depth:
-        return {l: a for l, a in result.alphas.items() if -l <= depth}
+    m = result.deepest_depth
     nus = [noise.measure_at(0)]
-    for l in range(-1, -depth - 1, -1):
+    for l in range(-1, -max(depth, m) - 1, -1):
         nus.append(convolve(nus[-1], noise.measure_at(l)))
-    return {-i: shape_distance(nu, result.lambda0)[1] for i, nu in enumerate(nus)}
+    target = translate_right(nus[m], result.anchor)
+    out = {-i: shape_distance(nus[i], target)[1] for i in range(depth + 1)}
+    if m <= depth:
+        out[-m] = result.anchor
+    return out
 
 
 def case_b_diagnostic(noise, limitres, depths, n_paths=1000, seed=0):

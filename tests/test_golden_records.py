@@ -71,6 +71,11 @@ SPECS = {
         "prefix": [{"kind": "delta", "at": 4}],
         "tail": {"kind": "constant", "mu": {"kind": "weights", "w": [0, 0, 0, 0.5, 0, 0.5]}},
     },
+    "q8-case-c": {
+        "group": {"kind": "builtin", "name": "Q8"},
+        "prefix": [{"kind": "weights", "w": [0.4, 0.3, 0.2, 0.1, 0, 0, 0, 0]}],
+        "tail": {"kind": "constant", "mu": {"kind": "weights", "w": [0.5, 0, 0.5, 0, 0, 0, 0, 0]}},
+    },
     # orders past the narrow id dtypes: ids of Z130 overflow int8, and the
     # flat table index a * 500 + b of Z500 overflows int16
     "zn130": {
@@ -87,6 +92,9 @@ SPECS = {
 
 # (spec, paths): every spec at a few paths, and one run that spans two chunks.
 RUNS = [(name, 6) for name in SPECS] + [("z4-case-c-prefix", CHUNK_SIZE + 3)]
+# (spec, paths, depth): a window deeper than the limit's deepest_depth (164),
+# whose centering at -depth lies past the chain that compute_limit keeps
+DEEP_RUNS = [("q8-case-c", 6, 201)]
 
 GOLDEN = {
     "z4-case-c-prefix/6": {
@@ -131,6 +139,13 @@ GOLDEN = {
         "decompose-fresh": "05aeae2bf230bb4ef9e3af08e9a7cf4748b28cf72719329fb53831c37e723785",
         "decompose-file": "05aeae2bf230bb4ef9e3af08e9a7cf4748b28cf72719329fb53831c37e723785",
     },
+    "q8-case-c/6": {
+        "simulate-extremal": "08f7b8b6ec67da69ce53b730bb7e9c030437a6aef6ee02b6154184757d63f89f",
+        "simulate-mixture": "77ad0a5b27a0c6b72eedd2b9612208c2d405bd35b357b8956be8dcc894075d06",
+        "simulate-uniform": "8fd189e805d7dfc9fc781792b701fb486c257bba6397c9c25dfa436b9e17e13f",
+        "decompose-fresh": "ee6db4174f4da1d719fb1cfc74cb1d094505857a30ae1c9dd7c1452f61d20287",
+        "decompose-file": "ee6db4174f4da1d719fb1cfc74cb1d094505857a30ae1c9dd7c1452f61d20287",
+    },
     "zn130/6": {
         "simulate-extremal": "47f6fc89a65df4ca03e2556a637e5a95fdacdaa30c7b380e4b1bd53d8399956b",
         "simulate-mixture": "94e536fcb6a504fc760b46a1e9f69a4cbc67dc5c20eea4d355cee5ec6a245c16",
@@ -152,6 +167,13 @@ GOLDEN = {
         "decompose-fresh": "b35dd8fc320841fcaa927922ca1e6ed5e0d28f22db6c739e704164cfeeef479f",
         "decompose-file": "b35dd8fc320841fcaa927922ca1e6ed5e0d28f22db6c739e704164cfeeef479f",
     },
+    "q8-case-c/6/201": {
+        "simulate-extremal": "b0ddecc8c31b9b80f0b4daf58141f485adc5f41e44fdecb4a749c43c090a8dbb",
+        "simulate-mixture": "988eae86cea15c2dd7b79cf32335c12e9d263c8c7b3eb4923f53c278c47dc8ef",
+        "simulate-uniform": "c29bba68d69f97aa5351c0be9609234bf328046fc699f16849c304f5b30d0e4e",
+        "decompose-fresh": "a9ba2645589634ae1163e600de003f588baf51057eab75d990300f8e8deee7d0",
+        "decompose-file": "a9ba2645589634ae1163e600de003f588baf51057eab75d990300f8e8deee7d0",
+    },
 }
 
 _GENERATED_AT = re.compile(rb'\n  "generated_at": "[^"]*",')
@@ -161,11 +183,13 @@ def _digest(path) -> str:
     return hashlib.sha256(_GENERATED_AT.sub(b"", path.read_bytes())).hexdigest()
 
 
-def record_digests(tmp_path, name: str, n_paths: int) -> dict[str, str]:
+def record_digests(tmp_path, name: str, n_paths: int, depth=None) -> dict[str, str]:
     """Digests of the five record files one spec yields: simulate x3, decompose x2."""
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(SPECS[name]))
     common = ["--input", str(spec), "--seed", "7", "--paths", str(n_paths)]
+    if depth is not None:
+        common += ["--depth", str(depth)]
     out = {}
     for kind in ("extremal", "mixture", "uniform"):
         target = tmp_path / f"simulate-{kind}"
@@ -186,6 +210,11 @@ def test_record_files_match_pinned_digests(name, n_paths, tmp_path):
     assert record_digests(tmp_path, name, n_paths) == GOLDEN[f"{name}/{n_paths}"]
 
 
+@pytest.mark.parametrize("name, n_paths, depth", DEEP_RUNS)
+def test_deep_record_files_match_pinned_digests(name, n_paths, depth, tmp_path):
+    assert record_digests(tmp_path, name, n_paths, depth) == GOLDEN[f"{name}/{n_paths}/{depth}"]
+
+
 if __name__ == "__main__":
     import tempfile
     from pathlib import Path
@@ -194,6 +223,9 @@ if __name__ == "__main__":
     for name, n_paths in RUNS:
         with tempfile.TemporaryDirectory() as tmp:
             table[f"{name}/{n_paths}"] = record_digests(Path(tmp), name, n_paths)
+    for name, n_paths, depth in DEEP_RUNS:
+        with tempfile.TemporaryDirectory() as tmp:
+            table[f"{name}/{n_paths}/{depth}"] = record_digests(Path(tmp), name, n_paths, depth)
     print("GOLDEN = {")
     for run, digests in table.items():
         print(f'    "{run}": {{')

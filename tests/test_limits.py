@@ -282,6 +282,17 @@ class TestComputeLimit:
         assert set(h_tail.members) <= set(res.subgroup.members)
         assert res.subgroup.members == h_tail.members
 
+    def test_aligns_only_the_level_haar_check_reads(self, monkeypatch):
+        from convlimit import limits
+
+        calls = []
+        monkeypatch.setattr(limits, "shape_distance",
+                            lambda *a: calls.append(1) or shape_distance(*a))
+        for make in CORPUS:
+            calls.clear()
+            res = compute_limit(make())
+            assert len(calls) == res.depth_used + 1  # one per deepening step, one for haar_check
+
     def test_determinism(self):
         a = compute_limit(z4_noise_case_c())
         b = compute_limit(z4_noise_case_c())
@@ -429,8 +440,8 @@ class TestExtendCenterings:
         ref = all_centerings(noise, res, depth)
         anchor = -res.deepest_depth
         every = extend_centerings(noise, res, range(0, -depth - 1, -1))
-        assert every[anchor] == res.alphas[anchor]
-        assert {**every, anchor: ref[anchor]} == ref
+        assert every[anchor] == res.anchor
+        assert every == ref
         # the two levels the half-depth check reads, at depths on both sides
         # of the deepest computed one
         for d in (2 * res.depth_used, res.deepest_depth, res.deepest_depth + 1,
@@ -442,3 +453,28 @@ class TestExtendCenterings:
         noise = z4_noise_case_c()
         with pytest.raises(BadRange):
             extend_centerings(noise, compute_limit(noise), [0, 1])
+
+    def test_past_deepest_continues_the_chain(self, monkeypatch):
+        from convlimit import limits
+
+        noise = lazy_walk_z12()
+        res = compute_limit(noise)
+        calls = []
+        monkeypatch.setattr(limits, "convolve", lambda *a: calls.append(1) or convolve(*a))
+        depth = res.deepest_depth + 40
+        extend_centerings(noise, res, (-depth, -(depth // 2)))
+        assert len(calls) == depth - res.deepest_depth
+
+    def test_past_deepest_matches_oracle_on_q8(self):
+        # case C with ties inside each coset of H, so the alignment target
+        # decides which member of alpha_l H is returned
+        from oracles import all_centerings
+        from test_golden_records import SPECS
+
+        noise = noise_from_spec(SPECS["q8-case-c"])
+        res = compute_limit(noise)
+        assert (res.case, res.deepest_depth) == ("C", 164)
+        depth = res.deepest_depth + 40
+        levels = range(-res.deepest_depth - 1, -depth - 1, -1)
+        ref = all_centerings(noise, res, depth)
+        assert extend_centerings(noise, res, levels) == {l: ref[l] for l in levels}

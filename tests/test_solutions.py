@@ -353,19 +353,19 @@ class TestDecompose:
         with pytest.raises(CosetNotStabilized):
             decompose_ensemble(broken, res, noise=noise)
 
-    def test_wrong_centering_detected(self, case_c):
+    def test_wrong_centering_detected(self, case_c, monkeypatch):
         noise, res = case_c
         ens = extremal_ensemble(noise, res, 2 * res.depth_used, 50, seed=21)
-        bad_alphas = dict(res.alphas)
-        bad_alphas[-(ens.depth // 2)] = (bad_alphas[-(ens.depth // 2)] + 1) % 4
-        doctored = type(res)(
-            group=res.group, lambdas=res.lambdas, alphas=bad_alphas,
-            subgroup=res.subgroup, case=res.case, depth_used=res.depth_used,
-            deepest_depth=res.deepest_depth, k_min=res.k_min,
-            residuals=res.residuals, shape_history=res.shape_history,
-        )
+        half = -(ens.depth // 2)
+
+        def doctored(noise, result, levels):
+            alphas = extend_centerings(noise, result, levels)
+            alphas[half] = (alphas[half] + 1) % 4
+            return alphas
+
+        monkeypatch.setattr(solutions, "extend_centerings", doctored)
         with pytest.raises(CosetNotStabilized):
-            decompose_ensemble(ens, doctored, noise=noise)
+            decompose_ensemble(ens, res, noise=noise)
 
 
 class TestTorusDecompose:

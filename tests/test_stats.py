@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -243,12 +244,7 @@ class TestVerifyTheorems:
     def test_misspecified_subgroup_fails(self, case_c):
         noise, res = case_c
         ens = extremal_ensemble(noise, res, 2 * res.depth_used, 2000, seed=16)
-        doctored = type(res)(
-            group=res.group, lambdas=res.lambdas, alphas=res.alphas,
-            subgroup=trivial_subgroup(Z4), case="B", depth_used=res.depth_used,
-            deepest_depth=res.deepest_depth, k_min=res.k_min,
-            residuals=res.residuals, shape_history=res.shape_history,
-        )
+        doctored = dataclasses.replace(res, subgroup=trivial_subgroup(Z4), case="B")
         report = verify_theorems(noise, doctored, ens)
         assert not report.passed
         assert any("uniformity" in f or "discrimination" in f for f in report.failures)
