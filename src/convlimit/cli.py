@@ -262,7 +262,8 @@ def _ensemble_from_file(path: str, group) -> Ensemble:
         raise InvalidSpec("ensemble file arrays do not match its window fields")
     if min(xi.min(), eta.min()) < 0 or max(xi.max(), eta.max()) >= group.order:
         raise InvalidSpec(f"ensemble file holds element ids outside [0, {group.order})")
-    xi, eta = xi.astype(group.id_dtype), eta.astype(group.id_dtype)
+    # one row per level from here on, as in every Ensemble
+    xi, eta = (a.T.astype(group.id_dtype, order="C") for a in (xi, eta))
     broken = recursion_break(group, xi, eta, depth, k_min)
     if broken is not None:
         raise InvalidSpec(
@@ -281,9 +282,8 @@ def cmd_decompose(args) -> int:
     if args.ensemble is not None:
         ens = _ensemble_from_file(args.ensemble, noise.group)
     else:
-        kind = args.kind if args.kind != "uniform" else "mixture"
-        ens = _build_ensemble_for(args, noise, result, kind)
-    # a uniform file's window is its whole depth; factor it on the limit's window
+        ens = _build_ensemble_for(args, noise, result, args.kind)
+    # a uniform ensemble's window is its whole depth; factor it on the limit's window
     dec, audit = decompose_ensemble(ens, result, noise=noise, k_min=max(ens.k_min, result.k_min))
     payload = {
         "command": "decompose",

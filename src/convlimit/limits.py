@@ -197,24 +197,18 @@ def _gauge_align(nu: Measure, gauge: str) -> tuple[Measure, int]:
 
     max-weight: the (first) maximal-weight element goes to the smallest
     possible index. min-support: index 0 must carry positive weight.
-    Ties break by lexicographic weight vector, then by the translation index.
+    Ties break by lexicographic weight vector, then by the translation index:
+    one ``lexsort`` whose last key is the primary one.
     """
-    translates = all_right_translates(nu)
-    best_key = None
-    best_g = 0
-    for g in range(nu.group.order):
-        w = translates[:, g]
-        if gauge == GAUGE_MAX_WEIGHT:
-            primary = int(np.argmax(w))
-        elif gauge == GAUGE_MIN_SUPPORT:
-            primary = 0 if w[0] > SUPPORT_TOL else 1
-        else:
-            raise InvalidSpec(f"unknown gauge {gauge!r}")
-        key = (primary, tuple(w), g)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_g = g
-    return translate_right(nu, best_g), best_g
+    if gauge not in (GAUGE_MAX_WEIGHT, GAUGE_MIN_SUPPORT):
+        raise InvalidSpec(f"unknown gauge {gauge!r}")
+    translates = all_right_translates(nu)  # column g holds nu delta_g
+    if gauge == GAUGE_MAX_WEIGHT:
+        primary = np.argmax(translates, axis=0)
+    else:
+        primary = np.where(translates[0] > SUPPORT_TOL, 0, 1)
+    g = int(np.lexsort((np.arange(nu.group.order), *translates[::-1], primary))[0])
+    return translate_right(nu, g), g
 
 
 def _deepen_products(
@@ -257,9 +251,7 @@ def compute_limit(
     *,
     eps_shape: float = DEFAULT_EPS_SHAPE,
     max_depth: int = DEFAULT_MAX_DEPTH,
-    k_min: int = DEFAULT_K_MIN,
     confirm_span: int = DEFAULT_CONFIRM_SPAN,
-    stabilizer_tol: float = DEFAULT_STABILIZER_TOL,
     gauge: str = GAUGE_MAX_WEIGHT,
 ) -> LimitResult:
     """Compute the limit laws, centering sequence, subgroup and case for a noise law.
@@ -269,15 +261,13 @@ def compute_limit(
     """
     if eps_shape <= 0:
         raise InvalidSpec("eps_shape must be positive")
-    if k_min > 0:
-        raise InvalidSpec("k_min must be <= 0")
 
     nus, l_cert, history = _deepen_products(noise, eps_shape, max_depth, confirm_span)
     depth_used = -l_cert
 
     # The reported quantities come from a deeper anchor depth M so that the
     # haar-check below can estimate lambda_{L-1} from a much deeper restart.
-    deepest = max(2 * depth_used, depth_used + 2 * confirm_span, -k_min + confirm_span)
+    deepest = max(2 * depth_used, depth_used + 2 * confirm_span, -DEFAULT_K_MIN + confirm_span)
     _extend_products(noise, nus, deepest)
     m_idx = -deepest  # anchor depth M as a (negative) noise index
 
@@ -287,14 +277,14 @@ def compute_limit(
     sigma: dict[int, Measure] = {m_idx: noise.measure_at(m_idx)}
     for j in range(m_idx + 1, 1):
         sigma[j] = convolve(noise.measure_at(j), sigma[j - 1])
-    lambdas = {k: translate_right(sigma[k], alpha_m) for k in range(k_min, 1)}
+    lambdas = {k: translate_right(sigma[k], alpha_m) for k in range(DEFAULT_K_MIN, 1)}
 
-    H = right_stabilizer(lambda0, stabilizer_tol)
+    H = right_stabilizer(lambda0, DEFAULT_STABILIZER_TOL)
     case = _case_of(noise.group, H)
 
     conv_eq = max(tv_distance(lambdas[k], convolve(noise.measure_at(k),
                                                    translate_right(sigma[k - 1], alpha_m)))
-                  for k in range(k_min, 1))
+                  for k in range(DEFAULT_K_MIN, 1))
 
     shape_stab = max(d for _, d in history[-confirm_span:])
 
@@ -310,7 +300,7 @@ def compute_limit(
         case=case,
         depth_used=depth_used,
         deepest_depth=deepest,
-        k_min=k_min,
+        k_min=DEFAULT_K_MIN,
         residuals={
             "shape_stabilization": float(shape_stab),
             "conv_eq": float(conv_eq),

@@ -13,10 +13,11 @@ half depth and refuses rather than guessing.
 
 Ensembles are generated in fixed-size chunks, each chunk on its own RNG
 stream keyed by (seed, purpose, chunk), so results are identical for any
-thread count; CONV_LIMIT_THREADS caps the worker pool. Within a chunk the
-noise and the products stay level-major (one contiguous row of paths per
-level) and in the group's narrow id dtype; only the store into an
-:class:`Ensemble` transposes them to one row per path.
+thread count; CONV_LIMIT_THREADS caps the worker pool. Every array is
+level-major, from the draw through the walk to the stored
+:class:`Ensemble`: one contiguous row of paths per level, in the group's
+narrow id dtype. Only the record text of :meth:`Ensemble.to_records` lays a
+path out as a row.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .errors import CosetNotStabilized, InvalidSpec
 from .groups import (
     FiniteGroup,
     Section,
-    Subgroup,
     default_section,
     id_dtype,
     left_cosets,
@@ -96,8 +96,10 @@ class Ensemble:
     """Vectorized bundle of paths sharing one noise law and construction.
 
     This is the library's one path type; a single path is an ensemble with
-    ``n_paths=1``. The builders store element ids in the group's
-    ``id_dtype``, the narrowest signed integer dtype that holds its order.
+    ``n_paths=1``. Every array holds one row per level and one column per
+    path, in C order, so path i is ``eta[:, i]``. The builders store element
+    ids in the group's ``id_dtype``, the narrowest signed integer dtype that
+    holds its order.
     """
 
     group: FiniteGroup
@@ -105,27 +107,25 @@ class Ensemble:
     seed: int
     depth: int
     k_min: int
-    xi: np.ndarray   # (n_paths, depth + 1), column i holds k = -depth + i
-    eta: np.ndarray  # (n_paths, -k_min + 1), column i holds k = k_min + i
-    phi: Optional[np.ndarray] = None
-    U: Optional[np.ndarray] = None
-    V: Optional[np.ndarray] = None
-    subgroup: Optional[Subgroup] = None
-    section: Optional[Section] = None
+    xi: np.ndarray   # (depth + 1, n_paths), row i holds k = -depth + i
+    eta: np.ndarray  # (-k_min + 1, n_paths), row i holds k = k_min + i
+    phi: Optional[np.ndarray] = None  # rows as eta
+    U: Optional[np.ndarray] = None    # rows as eta
+    V: Optional[np.ndarray] = None    # (n_paths,)
 
     @property
     def n_paths(self) -> int:
-        return self.xi.shape[0]
+        return self.xi.shape[1]
 
     def xi_col(self, k: int) -> np.ndarray:
-        return self.xi[:, k + self.depth]
+        return self.xi[k + self.depth]
 
     def eta_col(self, k: int) -> np.ndarray:
-        return self.eta[:, k - self.k_min]
+        return self.eta[k - self.k_min]
 
     def u_col(self, k: int) -> np.ndarray:
         assert self.U is not None
-        return self.U[:, k - self.k_min]
+        return self.U[k - self.k_min]
 
     def to_records(self) -> str:
         """The JSON text of the ``"paths"`` array, one record per path.
@@ -135,8 +135,8 @@ class Ensemble:
         byte. Each record holds ``U``, ``V``, ``eta``, ``k_min``,
         ``path_id``, ``phi``, ``xi`` and ``xi_k_min``, in that order; ``U``
         and ``phi`` are left out when absent and ``V`` is null when absent.
-        The text is rendered from the columns: each id goes through one
-        table of digit strings, and each row through one ``str.join``.
+        The text is rendered from the path columns: each id goes through
+        one table of digit strings, and each path through one ``str.join``.
         """
         if self.n_paths == 0:
             return "[]"
@@ -144,7 +144,7 @@ class Ensemble:
 
         def rows(a: np.ndarray) -> list[str]:
             return ["[\n        " + ",\n        ".join(r) + "\n      ]"
-                    for r in digits[a].tolist()]
+                    for r in digits[a.T].tolist()]
 
         eta, xi = rows(self.eta), rows(self.xi)
         phi = rows(self.phi) if self.phi is not None else None
@@ -169,11 +169,11 @@ def recursion_break(group: FiniteGroup, xi: np.ndarray, eta: np.ndarray,
     """First (path, k) with eta_k != xi_k eta_{k-1}, or None when every path holds.
 
     ``xi`` holds k = -depth..0 and ``eta`` holds k = k_min..0, one row per
-    path, as in :class:`Ensemble`; the caller picks the error to raise.
+    level, as in :class:`Ensemble`; the caller picks the error to raise.
     """
     mul = group.mul
     for k in range(k_min + 1, 1):
-        bad = eta[:, k - k_min] != mul[xi[:, k + depth], eta[:, k - 1 - k_min]]
+        bad = eta[k - k_min] != mul[xi[k + depth], eta[k - 1 - k_min]]
         if bad.any():
             return int(np.flatnonzero(bad)[0]), k
     return None
@@ -210,7 +210,7 @@ def _walk(group: FiniteGroup, rows: np.ndarray, prod: np.ndarray,
 
 
 def sample_noise(noise: NoiseLaw, depth: int, size: int, seed: int, chunk: int) -> np.ndarray:
-    """Independent draws xi_k ~ mu_k; column i of the (size, depth + 1) array holds k = -depth + i.
+    """Independent draws xi_k ~ mu_k; row i of the (depth + 1, size) array holds k = -depth + i.
 
     The draws come shallow-first (k = 0 down to -depth) from the RNG stream
     keyed by (seed, noise purpose, chunk), so a chunk's noise does not depend
@@ -218,9 +218,7 @@ def sample_noise(noise: NoiseLaw, depth: int, size: int, seed: int, chunk: int) 
     at a time: ``rng.random((levels, size))`` yields the same doubles as
     that many ``rng.random(size)`` calls. In each block, the levels of one
     prefix position or one tail phase go through :func:`inverse_cdf` in one
-    call. The ids are in the group's ``id_dtype``, and the array is the
-    transpose of a C-contiguous (depth + 1, size) one, so ``xi.T[i]`` is one
-    contiguous row of paths.
+    call. The array is C-contiguous and in the group's ``id_dtype``.
     """
     rng = _stream(seed, _PURPOSE_XI, chunk)
     levels = np.empty((depth + 1, size), dtype=noise.group.id_dtype)
@@ -235,23 +233,28 @@ def sample_noise(noise: NoiseLaw, depth: int, size: int, seed: int, chunk: int) 
         for j in range(first, min(first + period, stop)):
             mu = noise.tail[(j - n_prefix) % period]
             by_depth[j:stop:period] = inverse_cdf(mu, u[j - top::period])
-    return levels.T
+    return levels
+
+
+def _require_sizes(depth: int, n_paths: int, k_min: int) -> None:
+    if depth < 0 or n_paths < 0 or k_min > 0:
+        raise InvalidSpec(f"need depth >= 0, n_paths >= 0 and k_min <= 0, "
+                          f"got depth={depth}, n_paths={n_paths}, k_min={k_min}")
 
 
 def uniform_ensemble(noise: NoiseLaw, depth: int, n_paths: int, seed: int) -> Ensemble:
     """Paths started from an independent Haar state one step below the window."""
+    _require_sizes(depth, n_paths, 0)
     group = noise.group
     omega = haar(group)
-    xi = np.empty((n_paths, depth + 1), dtype=group.id_dtype)
-    eta = np.empty((n_paths, depth + 1), dtype=group.id_dtype)
+    xi = np.empty((depth + 1, n_paths), dtype=group.id_dtype)
+    eta = np.empty((depth + 1, n_paths), dtype=group.id_dtype)
 
     def worker(idx: int, start: int, size: int) -> None:
-        block_xi = sample_noise(noise, depth, size, seed, idx)
+        paths = slice(start, start + size)
+        block_xi = xi[:, paths] = sample_noise(noise, depth, size, seed, idx)
         state = sample(omega, _stream(seed, _PURPOSE_INIT, idx), size=size)
-        block_eta = np.empty((depth + 1, size), dtype=group.id_dtype)
-        _walk(group, _flat_index(group, block_xi.T), state, out=block_eta)
-        xi[start:start + size] = block_xi
-        eta[start:start + size] = block_eta.T
+        _walk(group, _flat_index(group, block_xi), state, out=eta[:, paths])
 
     _run_chunks(n_paths, worker)
     return Ensemble(group=group, kind="uniform", seed=seed, depth=depth,
@@ -268,13 +271,11 @@ def centered_window(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Centered backward products over the window, at full and at half depth.
 
-    ``xi`` holds k = -depth..0 as in :class:`Ensemble`. Column k - k_min of the two
-    returned arrays holds xi_{k,-depth} alpha_full and xi_{k,-half} alpha_half for
-    k in [k_min, 0], where half = depth // 2 must lie below the window.
-
-    The walk runs on level rows: ``n * xi.T`` is built in C order (the one
-    transposing copy when ``xi`` is path-major), and the two returned arrays
-    are transposes of C-contiguous (window, paths) arrays in the id dtype.
+    ``xi`` holds k = -depth..0 as in :class:`Ensemble`. Row k - k_min of the two
+    returned (window, paths) arrays holds xi_{k,-depth} alpha_full and
+    xi_{k,-half} alpha_half for k in [k_min, 0], where half = depth // 2 must
+    lie below the window. The walk runs on the level rows of ``n * xi``, built
+    once in C order, and both results are C-contiguous and in the id dtype.
     """
     half = depth // 2
     if half < -k_min + 1:
@@ -282,65 +283,54 @@ def centered_window(
             f"depth {depth} too shallow for window k_min={k_min}; "
             "the half-depth check needs depth/2 below the window"
         )
-    rows = _flat_index(group, xi.T)
-    prod = xi.T[0].astype(group.id_dtype)  # xi_{-depth,-depth}
-    mark = _walk(group, rows[1:depth - half], prod)  # xi_{-half-1,-depth}
+    rows = _flat_index(group, xi)
+    mark = _walk(group, rows[1:depth - half], xi[0])  # xi_{-half-1,-depth}
     prod = _walk(group, rows[depth - half:depth + k_min], mark)  # xi_{k_min-1,-depth}
-    window = np.empty((-k_min + 1, xi.shape[0]), dtype=group.id_dtype)
+    window = np.empty((-k_min + 1, xi.shape[1]), dtype=group.id_dtype)
     _walk(group, rows[depth + k_min:], prod, out=window)  # row k - k_min: xi_{k,-depth}
     flat, n = group.flat_mul, group.order
     full = flat[alpha_full::n].take(window)  # right multiplication by alpha_full
     # xi_{k,-half} = xi_{k,-depth} * (xi_{-half-1,-depth})^{-1}
     at_half = flat[alpha_half::n].take(_product(group, window, group.inv[mark]))
-    return full.T, at_half.T
+    return full, at_half
 
 
 def _centered_phi(
-    group: FiniteGroup,
+    noise: NoiseLaw,
+    limitres: LimitResult,
     section: Section,
-    alphas: dict[int, int],
-    xi: np.ndarray,
     depth: int,
     k_min: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(full, phi): the full-depth :func:`centered_window` and its coset representatives.
+) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """The kernel xi -> (full, phi) of one window; its two centerings are fetched once.
 
-    Both are level-major (window, paths) arrays: ``full[k - k_min]`` is
-    full_k = xi_k ... xi_{-depth} alpha_{-depth} and ``phi`` maps it to the
-    section's representative of full_k H. Each coset is checked against the
-    half-depth product's: one that differs means the finite depth has not
-    reached the almost-sure limit, and raises :class:`CosetNotStabilized`.
+    ``full[k - k_min]`` is full_k = xi_k ... xi_{-depth} alpha_{-depth}, a
+    (window, paths) row of :func:`centered_window`, and ``phi`` maps it to
+    the section's representative of full_k H. Each coset is checked against
+    the half-depth product's: one that differs means the finite depth has
+    not reached the almost-sure limit, and raises :class:`CosetNotStabilized`.
     """
-    half = depth // 2
-    full, at_half = centered_window(
-        group, xi, depth, k_min, int(alphas[-depth]), int(alphas[-half])
-    )
-    full, at_half = full.T, at_half.T  # back to their C-contiguous level rows
-    space = section.space
-    cos_full = space.coset_of[full]
-    cos_half = space.coset_of[at_half]
+    group, half = noise.group, depth // 2
+    alphas = extend_centerings(noise, limitres, (-depth, -half))
+    reps, coset_of = np.array(section.representative, dtype=group.id_dtype), section.space.coset_of
 
-    disagree = cos_full != cos_half
-    if disagree.any():
-        bad_paths = np.flatnonzero(disagree.any(axis=0))
-        i = int(bad_paths[0])
-        j = int(np.flatnonzero(disagree[:, i])[0])
-        raise CosetNotStabilized(
-            f"coset of the centered product at k={k_min + j} differs between "
-            f"depth {depth} (coset {int(cos_full[i, j])}) and depth {half} "
-            f"(coset {int(cos_half[i, j])}) on path {i} "
-            f"({int(bad_paths.size)} of {xi.shape[0]} paths affected); increase the depth"
-        )
-    return full, np.array(section.representative, dtype=group.id_dtype)[cos_full]
+    def kernel(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        full, at_half = centered_window(group, xi, depth, k_min, alphas[-depth], alphas[-half])
+        cos_full, cos_half = coset_of[full], coset_of[at_half]
+        disagree = cos_full != cos_half
+        if disagree.any():
+            bad_paths = np.flatnonzero(disagree.any(axis=0))
+            i = int(bad_paths[0])
+            j = int(np.flatnonzero(disagree[:, i])[0])
+            raise CosetNotStabilized(
+                f"coset of the centered product at k={k_min + j} differs between "
+                f"depth {depth} (coset {int(cos_full[j, i])}) and depth {half} "
+                f"(coset {int(cos_half[j, i])}) on path {i} "
+                f"({int(bad_paths.size)} of {xi.shape[1]} paths affected); increase the depth"
+            )
+        return full, reps[cos_full]
 
-
-def _require_extremal_inputs(noise: NoiseLaw, limitres: LimitResult, depth: int) -> None:
-    if not same_group(noise.group, limitres.group):
-        raise InvalidSpec("limit result computed for a different group")
-    if depth < 2 * limitres.depth_used:
-        raise InvalidSpec(
-            f"depth {depth} is below 2 * depth_used = {2 * limitres.depth_used}"
-        )
+    return kernel
 
 
 def extremal_ensemble(
@@ -360,42 +350,45 @@ def extremal_ensemble(
     U_k = phi_k^{-1} full_k h lies in H, U_0 is the drawn u0, and
     eta_k = xi_k eta_{k-1} holds because full_k = xi_k full_{k-1}.
     """
-    _require_extremal_inputs(noise, limitres, depth)
-    group = noise.group
     k_min = limitres.k_min if k_min is None else k_min
+    _require_sizes(depth, n_paths, k_min)
+    if not same_group(noise.group, limitres.group):
+        raise InvalidSpec("limit result computed for a different group")
+    if depth < 2 * limitres.depth_used:
+        raise InvalidSpec(f"depth {depth} is below 2 * depth_used = {2 * limitres.depth_used}")
+    group = noise.group
     H = limitres.subgroup
     if u0 is not None and u0 not in H:
         raise InvalidSpec(f"u0={u0} is not a member of H")
-    section = default_section(left_cosets(group, H))
-    alphas = extend_centerings(noise, limitres, (-depth, -(depth // 2)))
+    centered_phi = _centered_phi(noise, limitres, default_section(left_cosets(group, H)),
+                                 depth, k_min)
     dtype = group.id_dtype
     members = np.array(H.members, dtype=dtype)
     mul, inv = group.mul, group.inv
 
     w = -k_min + 1
-    xi = np.empty((n_paths, depth + 1), dtype=dtype)
-    eta = np.empty((n_paths, w), dtype=dtype)
-    phi = np.empty((n_paths, w), dtype=dtype)
-    U = np.empty((n_paths, w), dtype=dtype)
+    xi = np.empty((depth + 1, n_paths), dtype=dtype)
+    eta = np.empty((w, n_paths), dtype=dtype)
+    phi = np.empty((w, n_paths), dtype=dtype)
+    U = np.empty((w, n_paths), dtype=dtype)
 
     def worker(idx: int, start: int, size: int) -> None:
-        block_xi = sample_noise(noise, depth, size, seed, idx)
+        paths = slice(start, start + size)
+        block_xi = xi[:, paths] = sample_noise(noise, depth, size, seed, idx)
         if u0 is None:
             rng_u0 = _stream(seed, _PURPOSE_U0, idx)
             block_u0 = members[rng_u0.integers(0, members.size, size=size)]
         else:
             block_u0 = np.full(size, int(u0), dtype=dtype)
-        full, bp = _centered_phi(group, section, alphas, block_xi, depth, k_min)
+        full, bp = centered_phi(block_xi)
         h = mul[mul[inv[full[-1]], bp[-1]], block_u0]
-        be = _product(group, full, h)
-        xi[start:start + size] = block_xi
-        eta[start:start + size] = be.T
-        phi[start:start + size] = bp.T
-        U[start:start + size] = _product(group, inv[bp], be).T
+        be = eta[:, paths] = _product(group, full, h)
+        phi[:, paths] = bp
+        U[:, paths] = _product(group, inv[bp], be)
 
     _run_chunks(n_paths, worker)
     return Ensemble(group=group, kind="extremal", seed=seed, depth=depth, k_min=k_min,
-                    xi=xi, eta=eta, phi=phi, U=U, V=None, subgroup=H, section=section)
+                    xi=xi, eta=eta, phi=phi, U=U, V=None)
 
 
 def general_ensemble(extremal: Ensemble, v_law: Measure, seed: int) -> Ensemble:
@@ -412,11 +405,9 @@ def general_ensemble(extremal: Ensemble, v_law: Measure, seed: int) -> Ensemble:
         V[start:start + size] = sample(v_law, _stream(seed, _PURPOSE_V, idx), size=size)
 
     _run_chunks(n_paths, worker)
-    eta = _product(group, extremal.eta, V[:, None])
     return Ensemble(group=group, kind="mixture", seed=seed, depth=extremal.depth,
-                    k_min=extremal.k_min, xi=extremal.xi, eta=eta,
-                    phi=extremal.phi, U=extremal.U, V=V,
-                    subgroup=extremal.subgroup, section=extremal.section)
+                    k_min=extremal.k_min, xi=extremal.xi, eta=_product(group, extremal.eta, V),
+                    phi=extremal.phi, U=extremal.U, V=V)
 
 
 def decompose_ensemble(
@@ -451,26 +442,24 @@ def decompose_ensemble(
         raise InvalidSpec("section built for a different subgroup")
     if k_min is None:
         k_min = ens.k_min
-    if k_min < ens.k_min:
-        raise InvalidSpec(f"report window {k_min} exceeds the ensemble window {ens.k_min}")
-    eta = ens.eta[:, k_min - ens.k_min:]
+    if not ens.k_min <= k_min <= 0:
+        raise InvalidSpec(f"report window k_min={k_min} must lie in the ensemble window "
+                          f"[{ens.k_min}, 0]")
+    eta = ens.eta[k_min - ens.k_min:]
     broken = recursion_break(group, ens.xi, eta, ens.depth, k_min)
     if broken is not None:
         raise CosetNotStabilized(
             f"path {broken[0]} breaks eta_k = xi_k eta_(k-1) at k={broken[1]}; "
             "only solutions of the recursion factor"
         )
-    alphas = extend_centerings(noise, limitres, (-ens.depth, -(ens.depth // 2)))
-    full, phi = _centered_phi(group, section, alphas, ens.xi, ens.depth, k_min)
-    phi = np.ascontiguousarray(phi.T)
+    full, phi = _centered_phi(noise, limitres, section, ens.depth, k_min)(ens.xi)
     mul, inv = group.mul, group.inv
     reps = np.array(section.representative, dtype=np.int64)
-    Z = mul[inv[full[-1]], eta[:, -1]]
+    Z = mul[inv[full[-1]], eta[-1]]
     V = inv[reps[section.space.coset_of[inv[Z]]]].astype(group.id_dtype)
-    U = _product(group, _product(group, inv[phi], eta), inv[V][:, None])
+    U = _product(group, _product(group, inv[phi], eta), inv[V])
     out = Ensemble(group=group, kind=ens.kind, seed=ens.seed, depth=ens.depth,
-                   k_min=k_min, xi=ens.xi, eta=eta,
-                   phi=phi, U=U, V=V, subgroup=H, section=section)
+                   k_min=k_min, xi=ens.xi, eta=eta, phi=phi, U=U, V=V)
     audit = {
         "n_paths": ens.n_paths,
         "exact_reconstruction": ens.n_paths,

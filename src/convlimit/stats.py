@@ -176,7 +176,7 @@ def case_b_convergence_diagnostic(
     alphas = extend_centerings(noise, limitres, [l for L in depths for l in (-L, -2 * L)])
     out = []
     for L in depths:
-        xi = sample_noise(noise, 2 * L, n_paths, seed, chunk=L)  # cols: k = -2L..0
+        xi = sample_noise(noise, 2 * L, n_paths, seed, chunk=L)  # rows: k = -2L..0
         at_2l, at_l = centered_window(noise.group, xi, 2 * L, 0, alphas[-2 * L], alphas[-L])
         elem = float((at_l != at_2l).mean())
         coset = float((space.coset_of[at_l] != space.coset_of[at_2l]).mean())
@@ -274,7 +274,7 @@ def verify_theorems(
         lam = limitres.lambdas.get(k)
         tv_k = math.nan
         if lam is not None:
-            tv_k = tv_distance(empirical_law(group, eta0[:, k - ensemble.k_min]), lam)
+            tv_k = tv_distance(empirical_law(group, eta0[k - ensemble.k_min]), lam)
             if tv_k >= MARGINAL_TV_THRESHOLD:
                 failures.append(f"marginal at k={k} is {tv_k:.3f} from the limit law")
         u_k = ensemble.u_col(k)
@@ -302,7 +302,7 @@ def verify_theorems(
                                 uniformity_out_of_support=out_of_support))
 
     # H-invariance discrimination on the time-0 extremal marginal
-    emp = empirical_law(group, eta0[:, -ensemble.k_min])
+    emp = empirical_law(group, eta0[-ensemble.k_min])
     tvs = tv_to_right_translates(emp, emp)
     hiso = {h: float(tvs[h]) for h in range(group.order)}
     detected = tuple(h for h in range(group.order) if tvs[h] < HISO_TV_THRESHOLD)

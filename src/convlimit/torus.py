@@ -207,6 +207,23 @@ def _formula_start_depth(noise: TorusNoiseLaw) -> int:
     return len(noise.prefix) + len(noise.tail.head)
 
 
+def _window(noise: TorusNoiseLaw, depth: int) -> tuple[list[TorusMeasureSpec], np.ndarray]:
+    """The distinct measures of the computed window and, per level i = -k, its index into them.
+
+    The analytic tail rules of :func:`pi_mu_bounds` describe the region
+    beyond the window, so the window covers at least the prefix (and any
+    schedule head).
+    """
+    if depth < 1:
+        raise InvalidSpec(f"depth must be >= 1, got {depth}")
+    eff_depth = max(depth, len(noise.prefix) + 1)
+    if isinstance(noise.tail, GaussianSchedule):
+        eff_depth = max(eff_depth, _formula_start_depth(noise) + 1)
+    index: dict[TorusMeasureSpec, int] = {}
+    levels = [index.setdefault(noise.spec_at(-i), len(index)) for i in range(eff_depth)]
+    return list(index), np.array(levels)
+
+
 def pi_mu_bounds(
     noise: TorusNoiseLaw,
     p: int,
@@ -220,29 +237,27 @@ def pi_mu_bounds(
     factor bounded away from 1, or an upper bound below the floor; deciding
     'member' requires a finite log-domain lower bound.
     """
-    if depth < 1:
-        raise InvalidSpec(f"depth must be >= 1, got {depth}")
+    window = _window(noise, depth)
     if p == 0:
         curve = (1.0,) * depth
         return PiBounds(p=0, lower=1.0, upper=1.0, decision="member", depth=depth,
                         curve=curve, log_lower=0.0, log_upper=0.0)
+    return _pi_bounds(noise, p, *window, floor)
 
-    # the analytic tail rules below describe the region beyond the window,
-    # so the window must at least cover the prefix (and any schedule head)
-    eff_depth = max(depth, len(noise.prefix) + 1)
-    if isinstance(noise.tail, GaussianSchedule):
-        eff_depth = max(eff_depth, _formula_start_depth(noise) + 1)
 
-    log_upper = 0.0
-    hit_zero = False
-    curve = []
-    for i in range(eff_depth):
-        lf = _log_abs_char(noise.spec_at(-i), p)
-        if lf == -math.inf:
-            hit_zero = True
-        else:
-            log_upper += lf
-        curve.append(0.0 if hit_zero else math.exp(log_upper))
+def _pi_bounds(noise: TorusNoiseLaw, p: int, measures: list[TorusMeasureSpec],
+               levels: np.ndarray, floor: float) -> PiBounds:
+    """:func:`pi_mu_bounds` at p != 0, with one |char| per distinct measure of the window."""
+    eff_depth = levels.size
+    logs = np.array([_log_abs_char(m, p) for m in measures])[levels]
+    zero = logs == -math.inf
+    hit_zero = bool(zero.any())
+    # the log partial products in level order from 0.0; a zero factor adds 0.0
+    partial = np.cumsum(np.concatenate(([0.0], np.where(zero, 0.0, logs))))
+    log_upper = float(partial[-1])
+    n_positive = int(zero.argmax()) if hit_zero else eff_depth
+    curve = [math.exp(x) for x in partial[1:n_positive + 1].tolist()]
+    curve += [0.0] * (eff_depth - n_positive)
     upper = 0.0 if hit_zero else math.exp(log_upper)
 
     decision = "undetermined"
@@ -336,7 +351,8 @@ def compute_p_mu(
     """
     if p_max < 1:
         raise InvalidSpec(f"p_max must be >= 1, got {p_max}")
-    bounds = {p: pi_mu_bounds(noise, p, depth=depth, floor=floor) for p in range(1, p_max + 1)}
+    window = _window(noise, depth)
+    bounds = {p: _pi_bounds(noise, p, *window, floor) for p in range(1, p_max + 1)}
     members = [p for p, b in bounds.items() if b.decision == "member"]
     undecided = tuple(p for p, b in bounds.items() if b.decision == "undetermined")
 

@@ -6,15 +6,35 @@ loops over one path at a time.
 """
 
 import itertools
+import math
 
 import numpy as np
 
 from convlimit.errors import CosetNotStabilized, GridMismatch, InvalidSpec
 from convlimit.groups import full_subgroup, generated_subgroup, left_cosets, trivial_subgroup
-from convlimit.limits import extend_centerings, shape_distance
-from convlimit.measures import convolve, translate_right
+from convlimit.limits import (
+    GAUGE_MAX_WEIGHT,
+    GAUGE_MIN_SUPPORT,
+    SUPPORT_TOL,
+    extend_centerings,
+    shape_distance,
+)
+from convlimit.measures import all_right_translates, convolve, translate_right
 from convlimit.solutions import _PURPOSE_XI, _stream, centered_window, recursion_break, sample_noise
 from convlimit.stats import DepthRecord
+from convlimit.torus import (
+    DEFAULT_DEPTH,
+    DEFAULT_FLOOR,
+    ONE_MINUS_DECAY,
+    ONE_MINUS_EXACT,
+    ConstantTail,
+    GaussianSchedule,
+    PeriodicTail,
+    PiBounds,
+    _formula_start_depth,
+    _log_abs_char,
+    char_fn,
+)
 
 
 def associativity_witness(mul):
@@ -91,7 +111,7 @@ def enumerate_subgroups(group):
 
 
 def recursion_holds(group, xi, eta, depth, k_min):
-    """eta_k == xi_k eta_{k-1} on the window, for one path row of an ensemble.
+    """eta_k == xi_k eta_{k-1} on the window, for one path (one column) of an ensemble.
 
     ``xi`` holds k = -depth..0 and ``eta`` holds k = k_min..0.
     """
@@ -112,7 +132,7 @@ def require_cyclic(group):
 def torus_decompose(group, xi, eta, p_mu, limitres, noise):
     """Factor one path on the cyclic grid by integer/fractional-part arithmetic.
 
-    ``xi`` and ``eta`` are one row pair of an ensemble (k = -depth..0 and
+    ``xi`` and ``eta`` are one path's column pair of an ensemble (k = -depth..0 and
     k = k_min..0). Uses the fractional-part section x -> (x mod n/p), which
     is exactly the minimal-index section of the cyclic subgroup of order p,
     and the same remote-past gauge as ``decompose_ensemble``, so both return
@@ -199,13 +219,13 @@ def ensemble_records(ens):
             "path_id": i,
             "k_min": ens.k_min,
             "xi_k_min": -ens.depth,
-            "eta": [int(x) for x in ens.eta[i]],
-            "xi": [int(x) for x in ens.xi[i]],
+            "eta": [int(x) for x in ens.eta[:, i]],
+            "xi": [int(x) for x in ens.xi[:, i]],
         }
         if ens.phi is not None:
-            rec["phi"] = [int(x) for x in ens.phi[i]]
+            rec["phi"] = [int(x) for x in ens.phi[:, i]]
         if ens.U is not None:
-            rec["U"] = [int(x) for x in ens.U[i]]
+            rec["U"] = [int(x) for x in ens.U[:, i]]
         rec["V"] = int(ens.V[i]) if ens.V is not None else None
         out.append(rec)
     return out
@@ -243,7 +263,7 @@ def case_b_diagnostic(noise, limitres, depths, n_paths=1000, seed=0):
     alphas = all_centerings(noise, limitres, 2 * max(depths))
     out = []
     for L in depths:
-        xi = sample_noise(noise, 2 * L, n_paths, seed, chunk=L)  # cols: k = -2L..0
+        xi = sample_noise(noise, 2 * L, n_paths, seed, chunk=L).T  # cols: k = -2L..0
         prod = xi[:, 0].copy()  # xi_{0,-2L} once fully accumulated
         for k in range(-2 * L + 1, 1):
             prod = mul[xi[:, k + 2 * L], prod]
@@ -263,9 +283,9 @@ def case_b_diagnostic(noise, limitres, depths, n_paths=1000, seed=0):
 def phi_cosets(group, space, alphas, xi, depth, k_min):
     """Coset ids of the full-depth centred window, required to match the half-depth ones."""
     half = depth // 2
-    full, at_half = centered_window(
-        group, xi, depth, k_min, int(alphas[-depth]), int(alphas[-half])
-    )
+    full, at_half = (a.T for a in centered_window(
+        group, xi.T, depth, k_min, int(alphas[-depth]), int(alphas[-half])
+    ))
     cos_full = space.coset_of[full]
     if not np.array_equal(cos_full, space.coset_of[at_half]):
         raise CosetNotStabilized(f"coset differs between depth {depth} and depth {half}")
@@ -300,7 +320,7 @@ def extremal_from_xi(group, space, section, alphas, xi, depth, k_min, u0):
     id_coset = int(space.coset_of[group.identity])
     if not (space.coset_of[U] == id_coset).all():
         raise CosetNotStabilized("subgroup factor left H")
-    if recursion_break(group, xi, eta, depth, k_min) is not None:
+    if recursion_break(group, xi.T, eta.T, depth, k_min) is not None:
         raise AssertionError("defining recursion violated")
     return eta, phi, U
 
@@ -332,3 +352,94 @@ def decompose_core(group, space, section, alphas, xi, depth, eta, k_min):
     if not (space.coset_of[U] == id_coset).all():
         raise CosetNotStabilized("recovered subgroup factor left H")
     return phi, U, V
+
+
+def gauge_align_per_translate(nu, gauge):
+    """(aligned law, g) of ``limits._gauge_align``, with one Python tuple key per translate g.
+
+    The key is (primary, weight vector of nu delta_g, g) and the smallest wins.
+    """
+    translates = all_right_translates(nu)
+    best_key = None
+    best_g = 0
+    for g in range(nu.group.order):
+        w = translates[:, g]
+        if gauge == GAUGE_MAX_WEIGHT:
+            primary = int(np.argmax(w))
+        elif gauge == GAUGE_MIN_SUPPORT:
+            primary = 0 if w[0] > SUPPORT_TOL else 1
+        else:
+            raise InvalidSpec(f"unknown gauge {gauge!r}")
+        key = (primary, tuple(w), g)
+        if best_key is None or key < best_key:
+            best_key = key
+            best_g = g
+    return translate_right(nu, best_g), best_g
+
+
+def pi_mu_bounds_per_level(noise, p, depth=DEFAULT_DEPTH, floor=DEFAULT_FLOOR):
+    """``torus.pi_mu_bounds`` with one scalar |char| evaluation per level of the window.
+
+    The log partial product is accumulated one level at a time in a Python
+    float, and each curve point is its ``math.exp``.
+    """
+    if depth < 1:
+        raise InvalidSpec(f"depth must be >= 1, got {depth}")
+    if p == 0:
+        curve = (1.0,) * depth
+        return PiBounds(p=0, lower=1.0, upper=1.0, decision="member", depth=depth,
+                        curve=curve, log_lower=0.0, log_upper=0.0)
+
+    eff_depth = max(depth, len(noise.prefix) + 1)
+    if isinstance(noise.tail, GaussianSchedule):
+        eff_depth = max(eff_depth, _formula_start_depth(noise) + 1)
+
+    log_upper = 0.0
+    hit_zero = False
+    curve = []
+    for i in range(eff_depth):
+        lf = _log_abs_char(noise.spec_at(-i), p)
+        if lf == -math.inf:
+            hit_zero = True
+        else:
+            log_upper += lf
+        curve.append(0.0 if hit_zero else math.exp(log_upper))
+    upper = 0.0 if hit_zero else math.exp(log_upper)
+
+    decision = "undetermined"
+    log_lower = -math.inf
+
+    if isinstance(noise.tail, ConstantTail):
+        f_tail = min(abs(char_fn(noise.tail.mu, p)), 1.0)
+        if f_tail >= 1.0 - ONE_MINUS_EXACT:
+            log_lower = -math.inf if hit_zero else log_upper
+        elif f_tail <= 1.0 - ONE_MINUS_DECAY:
+            decision = "null"
+    elif isinstance(noise.tail, PeriodicTail):
+        fs = [min(abs(char_fn(m, p)), 1.0) for m in noise.tail.mus]
+        if all(f >= 1.0 - ONE_MINUS_EXACT for f in fs):
+            log_lower = -math.inf if hit_zero else log_upper
+        elif any(f <= 1.0 - ONE_MINUS_DECAY for f in fs):
+            decision = "null"
+    else:
+        sched = noise.tail
+        if sched.ratio >= 1.0:
+            decision = "null"
+        else:
+            r2 = sched.ratio ** 2
+            rem = sched.coeff**2 * r2**eff_depth / (1.0 - r2)
+            penalty = 2.0 * math.pi**2 * p**2 * rem
+            log_lower = -math.inf if hit_zero else (log_upper - penalty)
+
+    if decision == "undetermined":
+        if math.isfinite(log_lower):
+            decision = "member"
+        elif upper < floor:
+            decision = "null"
+
+    lower = math.exp(log_lower) if math.isfinite(log_lower) else 0.0
+    return PiBounds(
+        p=p, lower=lower, upper=upper, decision=decision,
+        depth=eff_depth, curve=tuple(curve),
+        log_lower=log_lower, log_upper=(-math.inf if hit_zero else log_upper),
+    )

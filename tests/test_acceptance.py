@@ -198,7 +198,7 @@ def test_criterion_07_decomposition_round_trip(corpus, case_c_ensemble):
         mixed = general_ensemble(case_c_ensemble, v_law, seed=211)
         dec, audit = decompose_ensemble(mixed, res, noise=noise)
         assert audit["exact_reconstruction"] == N_PATHS
-        recon = Z4.mul[dec.phi, Z4.mul[dec.U, dec.V[:, None]]]
+        recon = Z4.mul[dec.phi, Z4.mul[dec.U, dec.V]]
         assert np.array_equal(recon, mixed.eta), name
         # V recovered under the gauge V = s(V^-1)^-1
         for v in np.unique(dec.V):

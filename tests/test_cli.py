@@ -220,6 +220,20 @@ class TestDecompose:
             assert dec["xi"] == sim["xi"]
             assert dec["eta"] == sim["eta"][k_min - sim["k_min"]:]
 
+    def test_kind_uniform_decomposes_uniform_paths(self, tmp_path):
+        spec = write_spec(tmp_path, Z4_CASE_C_SPEC)
+        common = ["--input", str(spec), "--seed", "5", "--paths", "50", "--kind", "uniform"]
+        assert main(["simulate", "--out", str(tmp_path / "sim"), *common]) == 0
+        assert main(["decompose", "--out", str(tmp_path / "dec"), *common]) == 0
+        simulated = json.loads((tmp_path / "sim" / "ensemble.json").read_text())
+        payload = json.loads((tmp_path / "dec" / "decomposition.json").read_text())
+        assert payload["kind"] == "uniform"
+        assert payload["audit"]["exact_reconstruction"] == payload["n_paths"] == 50
+        k_min = payload["audit"]["window"][0]
+        for sim, dec in zip(simulated["paths"], payload["paths"], strict=True):
+            assert dec["xi"] == sim["xi"]
+            assert dec["eta"] == sim["eta"][k_min - sim["k_min"]:]
+
     def test_missing_ensemble_file(self, tmp_path):
         spec = write_spec(tmp_path, Z4_CASE_C_SPEC)
         rc = main(["decompose", "--input", str(spec), "--out", str(tmp_path),

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from convlimit.errors import BadRange, InvalidSpec, NoConvergenceAtDepth
-from convlimit.groups import cyclic_group, subgroup, symmetric_group
+from convlimit.groups import builtin_group, cyclic_group, generated_subgroup, subgroup, symmetric_group
 from convlimit.limits import (
+    GAUGE_MAX_WEIGHT,
+    GAUGE_MIN_SUPPORT,
     ConjugacyCheck,
     LimitResult,
     NoiseLaw,
@@ -14,6 +16,7 @@ from convlimit.limits import (
     partial_product,
     shape_distance,
     strong_subgroup,
+    _gauge_align,
     verify_conjugacy_uniqueness,
 )
 from convlimit.measures import (
@@ -21,6 +24,7 @@ from convlimit.measures import (
     convolve,
     delta,
     haar,
+    haar_subgroup,
     right_stabilizer,
     translate_right,
     tv_distance,
@@ -478,3 +482,42 @@ class TestExtendCenterings:
         levels = range(-res.deepest_depth - 1, -depth - 1, -1)
         ref = all_centerings(noise, res, depth)
         assert extend_centerings(noise, res, levels) == {l: ref[l] for l in levels}
+
+
+def _gauge_corpus():
+    """Laws to align: each golden spec's noise measures, limit laws and a few products,
+    Haar measures (every translate ties) and Haar on subgroups."""
+    from test_golden_records import SPECS
+
+    laws = []
+    for spec in SPECS.values():
+        noise = noise_from_spec(spec)
+        res = compute_limit(noise)
+        laws += [*noise.prefix, *noise.tail, *res.lambdas.values(),
+                 *(res.products[i] for i in (0, 1, res.depth_used, -1))]
+    for name in ("Z4", "S3", "D4", "Q8", "S4", "Zn:500"):
+        group = builtin_group(name)
+        laws += [haar(group), haar_subgroup(group, generated_subgroup(group, (1,)))]
+    return laws
+
+
+class TestGaugeAlign:
+    @pytest.mark.parametrize("gauge", [GAUGE_MAX_WEIGHT, GAUGE_MIN_SUPPORT])
+    def test_matches_per_translate_oracle(self, gauge):
+        from oracles import gauge_align_per_translate
+
+        for nu in _gauge_corpus():
+            law, g = _gauge_align(nu, gauge)
+            want_law, want_g = gauge_align_per_translate(nu, gauge)
+            assert g == want_g
+            assert np.array_equal(law.weights, want_law.weights)
+
+    def test_unknown_gauge_refused_before_any_work(self, monkeypatch):
+        from convlimit import limits
+
+        def no_work(nu):
+            raise AssertionError("translates computed for an unknown gauge")
+
+        monkeypatch.setattr(limits, "all_right_translates", no_work)
+        with pytest.raises(InvalidSpec, match="unknown gauge"):
+            _gauge_align(haar(Z4), "bogus")

@@ -74,7 +74,7 @@ def empirical(group, samples):
 
 
 def row_recursion_holds(ens, i):
-    return recursion_holds(ens.group, ens.xi[i], ens.eta[i], ens.depth, ens.k_min)
+    return recursion_holds(ens.group, ens.xi[:, i], ens.eta[:, i], ens.depth, ens.k_min)
 
 
 def single_path(noise, res, seed, **kw):
@@ -85,7 +85,7 @@ class TestSampleNoise:
     def test_dirac_noise_deterministic(self, case_b):
         noise, _ = case_b
         xi = sample_noise(noise, 10, size=3, seed=0, chunk=0)
-        assert xi.shape == (3, 11)  # columns k = -10..0
+        assert xi.shape == (11, 3)  # rows k = -10..0
         assert (xi == 1).all()
 
     def test_equal_seeds_identical(self, case_c):
@@ -107,7 +107,7 @@ class TestSampleNoise:
         noise = noise_from_spec(GOLDEN_SPECS[spec])
         got = sample_noise(noise, depth, size, seed=11, chunk=2)
         assert got.dtype == noise.group.id_dtype
-        assert np.array_equal(got, sample_noise_per_level(noise, depth, size, seed=11, chunk=2))
+        assert np.array_equal(got, sample_noise_per_level(noise, depth, size, seed=11, chunk=2).T)
 
     def test_one_inversion_per_measure_and_level_block(self, monkeypatch):
         prefix = [delta(S3, 2), Measure(S3, [0.5, 0, 0, 0.5, 0, 0])]
@@ -129,7 +129,7 @@ class TestSampleNoise:
         got = sample_noise(noise, depth, 6, seed=3, chunk=0)
         assert len(blocks) == -(-(depth + 1) // LEVEL_BLOCK)
         assert all(calls <= len(prefix) + len(tail) for _, calls in blocks)
-        assert np.array_equal(got, sample_noise_per_level(noise, depth, 6, seed=3, chunk=0))
+        assert np.array_equal(got, sample_noise_per_level(noise, depth, 6, seed=3, chunk=0).T)
 
     def test_marginal_law(self, case_a):
         noise, _ = case_a
@@ -224,6 +224,19 @@ class TestExtremalSolution:
         ens = extremal_ensemble(noise, res, 2 * res.depth_used, 100, seed=11, u0=2)
         assert (ens.u_col(0) == 2).all()
 
+    def test_centerings_fetched_once_for_every_chunk(self, case_c, monkeypatch):
+        noise, res = case_c
+        calls = []
+
+        def counted(noise, result, levels):
+            calls.append(tuple(levels))
+            return extend_centerings(noise, result, levels)
+
+        monkeypatch.setattr(solutions, "extend_centerings", counted)
+        depth = 2 * res.depth_used
+        extremal_ensemble(noise, res, depth, CHUNK_SIZE + 1, seed=3)
+        assert calls == [(-depth, -(depth // 2))]
+
     def test_depth_validation(self, case_c):
         noise, res = case_c
         with pytest.raises(InvalidSpec):
@@ -272,7 +285,7 @@ class TestDecompose:
         dec, audit = decompose_ensemble(mixed, res, noise=noise)
         assert audit["exact_reconstruction"] == 3000
         # exact reconstruction per path
-        recon = Z4.mul[dec.phi, Z4.mul[dec.U, dec.V[:, None]]]
+        recon = Z4.mul[dec.phi, Z4.mul[dec.U, dec.V]]
         assert np.array_equal(recon, mixed.eta)
         # gauge: V = s(V^{-1} coset)^{-1}
         space = left_cosets(Z4, res.subgroup)
@@ -289,8 +302,8 @@ class TestDecompose:
         path = single_path(noise, res, seed=6)
         mixed = general_ensemble(path, delta(Z4, 3), seed=7)
         dec, _ = decompose_ensemble(mixed, res, noise=noise)
-        assert np.array_equal(Z4.mul[dec.phi, Z4.mul[dec.U, dec.V[:, None]]], mixed.eta)
-        assert all(u in res.subgroup for u in dec.U[0])
+        assert np.array_equal(Z4.mul[dec.phi, Z4.mul[dec.U, dec.V]], mixed.eta)
+        assert all(u in res.subgroup for u in dec.U[:, 0])
 
     def test_case_b_noise_measurable(self, case_b):
         noise, res = case_b
@@ -299,13 +312,13 @@ class TestDecompose:
         dec, _ = decompose_ensemble(mixed, res, noise=noise)
         # H trivial: U identically the identity and eta = phi * V
         assert (dec.U == 0).all()
-        assert np.array_equal(Z4.mul[dec.phi, dec.V[:, None]], mixed.eta)
+        assert np.array_equal(Z4.mul[dec.phi, dec.V], mixed.eta)
 
     def test_case_a_degenerate_run(self, case_a):
         noise, res = case_a
         ens = extremal_ensemble(noise, res, 2 * res.depth_used, 500, seed=18)
         dec, _ = decompose_ensemble(ens, res, noise=noise)
-        recon = Z4.mul[dec.phi, Z4.mul[dec.U, dec.V[:, None]]]
+        recon = Z4.mul[dec.phi, Z4.mul[dec.U, dec.V]]
         assert np.array_equal(recon, ens.eta)
         # H = G: the coset part is constant and V is pinned to the identity gauge
         assert set(np.unique(dec.phi)) == {0}
@@ -319,8 +332,8 @@ class TestDecompose:
         assert audit["window"] == [-8, 0]
         assert set(np.unique(dec.phi)) == {0}
         assert set(np.unique(dec.V)) == {0}
-        assert np.array_equal(dec.U, ens.eta[:, ens.eta.shape[1] - 9:])
-        recon = Z4.mul[dec.phi, Z4.mul[dec.U, dec.V[:, None]]]
+        assert np.array_equal(dec.U, ens.eta[ens.eta.shape[0] - 9:])
+        recon = Z4.mul[dec.phi, Z4.mul[dec.U, dec.V]]
         assert np.array_equal(recon, dec.eta)
 
     def test_report_window_cannot_exceed_path_window(self, case_c):
@@ -337,8 +350,8 @@ class TestDecompose:
         alt = section_from_representatives(space, [2, 3])
         d1, _ = decompose_ensemble(mixed, res, noise=noise)
         d2, _ = decompose_ensemble(mixed, res, section=alt, noise=noise)
-        r1 = Z4.mul[d1.phi, Z4.mul[d1.U, d1.V[:, None]]]
-        r2 = Z4.mul[d2.phi, Z4.mul[d2.U, d2.V[:, None]]]
+        r1 = Z4.mul[d1.phi, Z4.mul[d1.U, d1.V]]
+        r2 = Z4.mul[d2.phi, Z4.mul[d2.U, d2.V]]
         assert np.array_equal(r1, mixed.eta)
         assert np.array_equal(r2, mixed.eta)
         assert not np.array_equal(d1.phi, d2.phi)
@@ -368,17 +381,32 @@ class TestDecompose:
             decompose_ensemble(ens, res, noise=noise)
 
 
+    @pytest.mark.parametrize("path", [3, 10])
+    def test_unstabilized_coset_names_its_path_and_cosets(self, case_c, path):
+        # xi_{-depth} = 1 on one path moves the full-depth coset of every window
+        # level but not the half-depth one; path 10 lies past the window's 9 rows
+        noise, res = case_c
+        depth = 2 * res.depth_used
+        xi = np.zeros((depth + 1, 12), dtype=Z4.id_dtype)
+        xi[0, path] = 1
+        section = default_section(left_cosets(Z4, res.subgroup))
+        with pytest.raises(CosetNotStabilized, match=rf"k=-8 differs between depth {depth} "
+                           rf"\(coset 1\) and depth {depth // 2} \(coset 0\) on path {path} "
+                           r"\(1 of 12 paths"):
+            solutions._centered_phi(noise, res, section, depth, res.k_min)(xi)
+
+
 class TestTorusDecompose:
     def test_p1_trivial_u(self, case_b):
         noise, res = case_b
         path = single_path(noise, res, seed=12)
         mixed = general_ensemble(path, delta(Z4, 1), seed=13)
-        phi, U, V = torus_decompose(Z4, mixed.xi[0], mixed.eta[0], 1, res, noise)
+        phi, U, V = torus_decompose(Z4, mixed.xi[:, 0], mixed.eta[:, 0], 1, res, noise)
         assert (U == 0).all()
-        assert np.array_equal((phi + V) % 4, mixed.eta[0])
+        assert np.array_equal((phi + V) % 4, mixed.eta[:, 0])
         dec, _ = decompose_ensemble(mixed, res, noise=noise)
-        assert np.array_equal(dec.phi[0], phi)
-        assert np.array_equal(dec.U[0], U)
+        assert np.array_equal(dec.phi[:, 0], phi)
+        assert np.array_equal(dec.U[:, 0], U)
         assert int(dec.V[0]) == V
 
     def test_matches_group_engine_per_path(self, case_c):
@@ -387,9 +415,9 @@ class TestTorusDecompose:
         mixed = general_ensemble(ens, haar(Z4), seed=23)
         dec, _ = decompose_ensemble(mixed, res, noise=noise)
         for i in range(0, 200, 17):
-            phi, U, V = torus_decompose(Z4, mixed.xi[i], mixed.eta[i], 2, res, noise)
-            assert np.array_equal(dec.phi[i], phi)
-            assert np.array_equal(dec.U[i], U)
+            phi, U, V = torus_decompose(Z4, mixed.xi[:, i], mixed.eta[:, i], 2, res, noise)
+            assert np.array_equal(dec.phi[:, i], phi)
+            assert np.array_equal(dec.U[:, i], U)
             assert int(dec.V[i]) == V
 
     def test_u_uniform_on_h(self, case_c):
@@ -400,7 +428,7 @@ class TestTorusDecompose:
         mixed = general_ensemble(ens, haar(Z4), seed=25)
         u0 = []
         for i in range(500):
-            _, U, _ = torus_decompose(Z4, mixed.xi[i], mixed.eta[i], 2, res, noise)
+            _, U, _ = torus_decompose(Z4, mixed.xi[:, i], mixed.eta[:, i], 2, res, noise)
             u0.append(U[-1])  # the window ends at k = 0
         r = chi_square_uniformity(np.array(u0), res.subgroup)
         assert r.p_value > 0.01
@@ -409,14 +437,14 @@ class TestTorusDecompose:
         noise, res = case_c
         path = single_path(noise, res, seed=14)
         with pytest.raises(GridMismatch):
-            torus_decompose(Z4, path.xi[0], path.eta[0], 3, res, noise)
+            torus_decompose(Z4, path.xi[:, 0], path.eta[:, 0], 3, res, noise)
 
     def test_non_cyclic_group_rejected(self):
         noise = constant_noise(haar(S3))
         res = compute_limit(noise)
         path = single_path(noise, res, seed=15)
         with pytest.raises(GridMismatch):
-            torus_decompose(S3, path.xi[0], path.eta[0], 2, res, noise)
+            torus_decompose(S3, path.xi[:, 0], path.eta[:, 0], 2, res, noise)
 
 
 @pytest.fixture(scope="module")
@@ -463,7 +491,7 @@ class TestNonAbelianPipeline:
         mixed = general_ensemble(ens, haar(S3), seed=34)
         dec, audit = decompose_ensemble(mixed, res, noise=noise)
         assert audit["exact_reconstruction"] == 4000
-        recon = S3.mul[dec.phi, S3.mul[dec.U, dec.V[:, None]]]
+        recon = S3.mul[dec.phi, S3.mul[dec.U, dec.V]]
         assert np.array_equal(recon, mixed.eta)
         # gauge identity for the recovered V
         space = left_cosets(S3, res.subgroup)
@@ -500,10 +528,44 @@ class TestEnsemblePlumbing:
         ens = extremal_ensemble(noise, res, 2 * res.depth_used, 5, seed=27)
         assert row_recursion_holds(ens, 2)
         # column accessors address the window by k
-        assert ens.eta_col(0)[2] == ens.eta[2, -1]
-        assert ens.eta_col(ens.k_min)[2] == ens.eta[2, 0]
-        assert ens.xi_col(0)[2] == ens.xi[2, -1]
-        assert ens.xi_col(-ens.depth)[2] == ens.xi[2, 0]
+        assert ens.eta_col(0)[2] == ens.eta[-1, 2]
+        assert ens.eta_col(ens.k_min)[2] == ens.eta[0, 2]
+        assert ens.xi_col(0)[2] == ens.xi[-1, 2]
+        assert ens.xi_col(-ens.depth)[2] == ens.xi[0, 2]
+
+
+@pytest.mark.parametrize("build", [
+    lambda noise, res: uniform_ensemble(noise, -1, 5, seed=1),
+    lambda noise, res: uniform_ensemble(noise, 5, -1, seed=1),
+    lambda noise, res: extremal_ensemble(noise, res, 2 * res.depth_used, -1, seed=1),
+    lambda noise, res: extremal_ensemble(noise, res, 2 * res.depth_used, 5, seed=1, k_min=1),
+    lambda noise, res: decompose_ensemble(single_path(noise, res, seed=1), res, noise, k_min=1),
+], ids=["uniform-depth", "uniform-paths", "extremal-paths", "extremal-k-min", "decompose-k-min"])
+def test_sizes_and_windows_refused(case_c, build):
+    with pytest.raises(InvalidSpec):
+        build(*case_c)
+
+
+@pytest.mark.parametrize("name", ["S4", "Zn:500"])
+def test_every_array_is_level_major(name, tmp_path):
+    """One row per level and one column per path, C-contiguous, in the id dtype;
+    an ensemble read back from its record file too."""
+    ensembles = _ensembles_of_every_kind(name, 5)
+    cli._write_json(tmp_path / "mixture.json", {"kind": "mixture", "depth": ensembles["mixture"].depth,
+                                                "k_min": ensembles["mixture"].k_min,
+                                                "paths": ensembles["mixture"].to_records()})
+    ensembles["file"] = cli._ensemble_from_file(str(tmp_path / "mixture.json"), builtin_group(name))
+    for kind, ens in ensembles.items():
+        window = (-ens.k_min + 1, 5)
+        shapes = {"xi": (ens.depth + 1, 5), "eta": window, "phi": window, "U": window, "V": (5,)}
+        for field, shape in shapes.items():
+            a = getattr(ens, field)
+            if a is None:
+                continue
+            assert a.shape == shape, (kind, field)
+            assert a.flags.c_contiguous, (kind, field)
+            assert a.dtype == ens.group.id_dtype, (kind, field)
+    assert {f.name for f in dataclasses.fields(solutions.Ensemble)}.isdisjoint({"subgroup", "section"})
 
 
 def _ensembles_of_every_kind(name, n_paths):
@@ -564,22 +626,23 @@ def test_kernels_match_reference_oracles(name):
     u0 = members[_stream(seed, _PURPOSE_U0, 0).integers(0, members.size, size=n_paths)]
 
     ext = extremal_ensemble(noise, res, depth, n_paths, seed=seed)
-    eta, phi, U = extremal_from_xi(group, space, section, alphas, ext.xi, depth, ext.k_min, u0)
+    eta, phi, U = (a.T for a in extremal_from_xi(group, space, section, alphas, ext.xi.T, depth,
+                                                   ext.k_min, u0))
     assert np.array_equal(ext.eta, eta)
     assert np.array_equal(ext.phi, phi)
     assert np.array_equal(ext.U, U)
 
     mix = general_ensemble(ext, haar(group), seed=seed + 1)
-    assert np.array_equal(mix.eta, group.mul[eta, mix.V[:, None]])
+    assert np.array_equal(mix.eta, group.mul[eta, mix.V])
     uni = uniform_ensemble(noise, depth, n_paths, seed=seed + 2)
     for ens in (ext, mix, uni):
         assert all(row_recursion_holds(ens, i) for i in range(n_paths)), ens.kind
 
     for ens, k_min in ((mix, ext.k_min), (mix, ext.k_min // 2), (uni, ext.k_min)):
         dec, _ = decompose_ensemble(ens, res, noise, k_min=k_min)
-        window = ens.eta[:, k_min - ens.k_min:]
-        phi, U, V = decompose_core(group, space, section, alphas, ens.xi, depth, window, k_min)
+        window = ens.eta[k_min - ens.k_min:]
+        phi, U, V = decompose_core(group, space, section, alphas, ens.xi.T, depth, window.T, k_min)
         assert np.array_equal(dec.eta, window)
-        assert np.array_equal(dec.phi, phi)
-        assert np.array_equal(dec.U, U)
+        assert np.array_equal(dec.phi, phi.T)
+        assert np.array_equal(dec.U, U.T)
         assert np.array_equal(dec.V, V)

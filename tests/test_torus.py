@@ -1,7 +1,9 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import pi_mu_bounds_per_level
 from scipy.integrate import quad
 
 from convlimit.errors import (
@@ -20,6 +22,7 @@ from convlimit.torus import (
     UniformIntervalSpec,
     WrappedGaussianSpec,
     char_fn,
+    DEFAULT_DEPTH,
     compute_p_mu,
     discretize_to_cyclic,
     pi_mu_bounds,
@@ -278,6 +281,53 @@ class TestComputePMu:
     def test_depth_override(self):
         cls = compute_p_mu(TorusNoiseLaw(tail=ConstantTail(DiracSpec(0.1))), depth=8, p_max=4)
         assert cls.depth_used == 8
+
+
+def _benchmark_torus_noises(seeds):
+    """The circle specs that the benchmark's certify-verify pass classifies, per seed."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        import workloads
+    return {f"bench-{seed}-{c.id}": (torus_noise_from_spec(c.spec), int(c.args[c.args.index("--p-max") + 1]))
+            for seed in seeds for c in workloads.commands("certify-verify", seed)
+            if "--torus" in c.args}
+
+
+# (noise, p_max): the laws the tests above classify and four edge cases
+ORACLE_NOISES = {
+    "dirac": (TorusNoiseLaw(tail=ConstantTail(DiracSpec(0.3))), 64),
+    "half-atoms": (TorusNoiseLaw(tail=ConstantTail(HALF_ATOMS)), 64),
+    "gauss": (TorusNoiseLaw(tail=ConstantTail(WrappedGaussianSpec(0.0, 0.1))), 64),
+    "schedule": (TorusNoiseLaw(tail=GaussianSchedule(coeff=0.1, ratio=0.5)), 64),
+    "interval-schedule": (TorusNoiseLaw(prefix=(UniformIntervalSpec(0.0, 0.3),),
+                                        tail=GaussianSchedule(coeff=0.2, ratio=0.7)), 64),
+    "near-half-atoms": (TorusNoiseLaw(tail=ConstantTail(AtomsSpec(((0.0, 0.5 + 1e-10),
+                                                                   (0.5, 0.5 - 1e-10))))), 8),
+    "periodic-dirac": (TorusNoiseLaw(prefix=(DiracSpec(0.1),),
+                                     tail=PeriodicTail((DiracSpec(0.2), DiracSpec(0.3)))), 64),
+    # |char| is exactly 0 at p = 13, 26, 33, ...: the two ends round to one angle
+    "zero-factor-interval": (TorusNoiseLaw(prefix=(UniformIntervalSpec(0.1, math.nextafter(0.1, 1)),),
+                                           tail=ConstantTail(HALF_ATOMS)), 64),
+    "periodic-atoms-gauss": (TorusNoiseLaw(tail=PeriodicTail((HALF_ATOMS,
+                                                              WrappedGaussianSpec(0.2, 0.05)))), 64),
+    "schedule-head": (TorusNoiseLaw(tail=GaussianSchedule(head=(0.5, 0.3), coeff=0.1, ratio=0.5)), 64),
+    # sd^2 underflows, so every log factor is -0.0
+    "schedule-sd-1e-200": (TorusNoiseLaw(tail=GaussianSchedule(coeff=1e-200, ratio=0.5)), 64),
+}
+BENCH_NOISES = _benchmark_torus_noises(range(1, 4))
+
+
+@pytest.mark.parametrize("name, depth", [(name, depth) for name in sorted(ORACLE_NOISES)
+                                         for depth in (4, DEFAULT_DEPTH)]
+                         + [(name, DEFAULT_DEPTH) for name in sorted(BENCH_NOISES)])
+def test_bounds_match_per_level_oracle(name, depth):
+    """Every PiBounds field, curve and log bounds included, equals the scalar loop's."""
+    noise, p_max = {**ORACLE_NOISES, **BENCH_NOISES}[name]
+    want = {p: repr(pi_mu_bounds_per_level(noise, p, depth)) for p in range(p_max + 1)}
+    assert {p: repr(pi_mu_bounds(noise, p, depth)) for p in (0, 1, 2, p_max)} == \
+        {p: want[p] for p in (0, 1, 2, p_max)}
+    bounds = compute_p_mu(noise, p_max=p_max, depth=depth).bounds
+    assert {p: repr(b) for p, b in bounds.items()} == {p: want[p] for p in range(1, p_max + 1)}
 
 
 class TestDiscretize:
