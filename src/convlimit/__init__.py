@@ -93,7 +93,6 @@ from .stats import (
 )
 from .torus import (
     AtomsSpec,
-    ConstantTail,
     DiracSpec,
     GaussianSchedule,
     PeriodicTail,

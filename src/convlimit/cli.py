@@ -56,6 +56,7 @@ EXIT_INDETERMINATE = 4
 EXIT_DOMAIN = 5
 
 SCHEMA_VERSION = 1
+ENSEMBLE_KINDS = ("uniform", "extremal", "mixture")
 
 
 def _timestamp() -> str:
@@ -250,6 +251,9 @@ def _ensemble_from_file(path: str, group) -> Ensemble:
         raise InvalidSpec(f"ensemble file lacks the field {exc}") from None
     except (TypeError, ValueError) as exc:
         raise InvalidSpec(f"ensemble file arrays are malformed: {exc}") from None
+    kind = payload.get("kind", "mixture")
+    if kind not in ENSEMBLE_KINDS:
+        raise InvalidSpec(f"ensemble file kind must be one of {list(ENSEMBLE_KINDS)}, got {kind!r}")
     for name, value in (("k_min", k_min), ("depth", depth), ("seed", seed)):
         if not is_integer(value):
             raise InvalidSpec(f"ensemble file field {name!r} must be an integer, got {value!r}")
@@ -269,8 +273,7 @@ def _ensemble_from_file(path: str, group) -> Ensemble:
         raise InvalidSpec(
             f"path {broken[0]} of the ensemble file breaks eta_k = xi_k eta_(k-1) at k={broken[1]}"
         )
-    return Ensemble(group=group, kind=payload.get("kind", "mixture"),
-                    seed=seed, depth=depth, k_min=k_min,
+    return Ensemble(group=group, kind=kind, seed=seed, depth=depth, k_min=k_min,
                     xi=xi, eta=eta)
 
 
@@ -382,8 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="sample an ensemble of solution paths")
     common(p, seeded=True)
-    p.add_argument("--kind", choices=["uniform", "extremal", "mixture"],
-                   default="extremal")
+    p.add_argument("--kind", choices=ENSEMBLE_KINDS, default="extremal")
     p.add_argument("--v-law", default=None,
                    help="measure spec JSON for the mixture V law (default Haar)")
     p.set_defaults(func=cmd_simulate)

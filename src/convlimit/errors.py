@@ -62,15 +62,24 @@ class BadRange(ConvLimitError):
 
 
 class NoConvergenceAtDepth(ConvLimitError):
-    """Shape of the backward products did not certify within max_depth."""
+    """Shape of the backward products did not certify within max_depth.
 
-    def __init__(self, max_depth: int, history: list[tuple[int, float]]):
+    ``rate`` (contraction per level) and ``projected_depth`` come from a fit to
+    the recent shape distances; both are None when those do not decrease.
+    """
+
+    def __init__(self, max_depth: int, history: list[tuple[int, float]],
+                 rate: float | None, projected_depth: int | None):
         self.max_depth = max_depth
         self.history = history
+        self.rate = rate
+        self.projected_depth = projected_depth
         tail = ", ".join(f"l={l}: {d:.3e}" for l, d in history[-5:])
+        projection = ("no contraction, no projected depth" if rate is None
+                      else f"contraction {rate:.6f} per level, projected depth {projected_depth}")
         super().__init__(
             f"shape did not stabilize within depth {max_depth}; "
-            f"recent shape distances: {tail}"
+            f"recent shape distances: {tail}; {projection}"
         )
 
 

@@ -14,6 +14,7 @@ H = G, H = {e} and anything in between are the three classification cases.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
@@ -47,6 +48,7 @@ DEFAULT_MAX_DEPTH = 4096
 DEFAULT_K_MIN = -8
 DEFAULT_CONFIRM_SPAN = 25
 DEFAULT_STABILIZER_TOL = 1e-6
+PROJECTION_WINDOW = 256
 SUPPORT_TOL = 1e-12
 
 GAUGE_MAX_WEIGHT = "max-weight"
@@ -65,15 +67,10 @@ class NoiseLaw:
     group: FiniteGroup
     prefix: tuple[Measure, ...]
     tail: tuple[Measure, ...]
-    tail_kind: str = "constant"
 
     def __post_init__(self):
         if not self.tail:
             raise InvalidSpec("noise tail must be non-empty")
-        if self.tail_kind not in ("constant", "periodic"):
-            raise InvalidSpec(f"unknown tail kind {self.tail_kind!r}")
-        if self.tail_kind == "constant" and len(self.tail) != 1:
-            raise InvalidSpec("constant tail must hold exactly one measure")
         for mu in (*self.prefix, *self.tail):
             if not same_group(mu.group, self.group):
                 raise InvalidSpec("all noise measures must live on the noise group")
@@ -88,7 +85,7 @@ class NoiseLaw:
 
 
 def constant_noise(mu: Measure) -> NoiseLaw:
-    return NoiseLaw(group=mu.group, prefix=(), tail=(mu,), tail_kind="constant")
+    return NoiseLaw(group=mu.group, prefix=(), tail=(mu,))
 
 
 def noise_from_spec(obj: dict) -> NoiseLaw:
@@ -107,20 +104,16 @@ def noise_from_spec(obj: dict) -> NoiseLaw:
     tail_obj = obj["tail"]
     if not isinstance(tail_obj, dict) or "kind" not in tail_obj:
         raise InvalidSpec("noise tail spec must be an object with a 'kind' field")
-    if tail_obj["kind"] == "constant":
-        if "mu" not in tail_obj:
-            raise InvalidSpec("constant tail spec requires a 'mu' field")
-        tail = (measure_from_spec(group, tail_obj["mu"]),)
-        kind = "constant"
-    elif tail_obj["kind"] == "periodic":
-        mus = tail_obj.get("mus")
-        if not isinstance(mus, list) or not mus:
-            raise InvalidSpec("periodic tail spec requires a non-empty 'mus' list")
-        tail = tuple(measure_from_spec(group, m) for m in mus)
-        kind = "periodic"
-    else:
-        raise InvalidSpec(f"unknown tail kind {tail_obj['kind']!r}")
-    return NoiseLaw(group=group, prefix=prefix, tail=tail, tail_kind=kind)
+    kind = tail_obj["kind"]
+    if kind not in ("constant", "periodic"):
+        raise InvalidSpec(f"unknown tail kind {kind!r}")
+    if kind == "constant" and "mu" not in tail_obj:
+        raise InvalidSpec("constant tail spec requires a 'mu' field")
+    # a constant tail is the periodic tail of period 1
+    mus = [tail_obj["mu"]] if kind == "constant" else tail_obj.get("mus")
+    if not isinstance(mus, list) or not mus:
+        raise InvalidSpec("periodic tail spec requires a non-empty 'mus' list")
+    return NoiseLaw(group, prefix, tuple(measure_from_spec(group, m) for m in mus))
 
 
 @dataclass(frozen=True)
@@ -192,6 +185,11 @@ def shape_distance(mu: Measure, nu: Measure) -> tuple[float, int]:
     return float(dists[g]), g
 
 
+def _check_gauge(gauge: str) -> None:
+    if gauge not in (GAUGE_MAX_WEIGHT, GAUGE_MIN_SUPPORT):
+        raise InvalidSpec(f"unknown gauge {gauge!r}")
+
+
 def _gauge_align(nu: Measure, gauge: str) -> tuple[Measure, int]:
     """Deterministic representative of nu's right-translation class.
 
@@ -200,8 +198,7 @@ def _gauge_align(nu: Measure, gauge: str) -> tuple[Measure, int]:
     Ties break by lexicographic weight vector, then by the translation index:
     one ``lexsort`` whose last key is the primary one.
     """
-    if gauge not in (GAUGE_MAX_WEIGHT, GAUGE_MIN_SUPPORT):
-        raise InvalidSpec(f"unknown gauge {gauge!r}")
+    _check_gauge(gauge)
     translates = all_right_translates(nu)  # column g holds nu delta_g
     if gauge == GAUGE_MAX_WEIGHT:
         primary = np.argmax(translates, axis=0)
@@ -229,7 +226,8 @@ def _deepen_products(
     while True:
         l -= 1
         if -l > max_depth:
-            raise NoConvergenceAtDepth(max_depth, history)
+            raise NoConvergenceAtDepth(max_depth, history,
+                                       *_projection(history, eps_shape, confirm_span))
         nxt = convolve(nus[-1], noise.measure_at(l))
         sd, _ = shape_distance(nxt, nus[-1])
         nus.append(nxt)
@@ -237,6 +235,23 @@ def _deepen_products(
         streak = streak + 1 if sd < eps_shape else 0
         if streak >= confirm_span:
             return nus, l, history
+
+
+def _projection(history, eps_shape: float, confirm_span: int) -> tuple[float | None, int | None]:
+    """Contraction per level and projected certifying depth, from the recent shape distances.
+
+    A least-squares line through log(distance) against depth over the last PROJECTION_WINDOW
+    positive distances; the depth is its eps_shape crossing plus confirm_span. (None, None)
+    when the line does not decrease or fewer than two distances are positive.
+    """
+    points = [(-l, d) for l, d in history if d > 0][-PROJECTION_WINDOW:]
+    if len(points) < 2:
+        return None, None
+    depths, dists = np.array(points).T
+    slope, intercept = np.polyfit(depths, np.log(dists), 1)
+    if not slope < 0:
+        return None, None
+    return float(np.exp(slope)), math.ceil((math.log(eps_shape) - intercept) / slope) + confirm_span
 
 
 def _extend_products(noise: NoiseLaw, nus: list[Measure], depth: int) -> None:
@@ -261,6 +276,7 @@ def compute_limit(
     """
     if eps_shape <= 0:
         raise InvalidSpec("eps_shape must be positive")
+    _check_gauge(gauge)
 
     nus, l_cert, history = _deepen_products(noise, eps_shape, max_depth, confirm_span)
     depth_used = -l_cert

@@ -1,12 +1,14 @@
 """Fourier analysis of noise laws on the circle [0, 1).
 
 Membership of a frequency p in the detected lattice is decided from the
-infinite product of characteristic-function moduli. Partial products give
-an upper bound; constant tails and summable Gaussian schedules admit exact
-analytic tail bounds, computed in log space so nothing underflows. The
-nonnegative generator of the detected lattice drives the same A/B/C
-classification as the finite-group engine, and rational-atom noises can be
-pushed onto a cyclic grid to cross-validate the two.
+infinite product of characteristic-function moduli. A noise law is a
+prefix followed by a periodic tail (a constant tail has period 1) or by the
+Gaussian formula sd_k = c * r^|k|. Partial products give an upper bound;
+both tails admit exact analytic tail bounds, computed in log space so
+nothing underflows. The nonnegative generator of the detected lattice
+drives the same A/B/C classification as the finite-group engine, and
+rational-atom noises can be pushed onto a cyclic grid to cross-validate
+the two.
 """
 
 from __future__ import annotations
@@ -111,11 +113,6 @@ def char_fn(spec: TorusMeasureSpec, p: int) -> complex:
 
 
 @dataclass(frozen=True)
-class ConstantTail:
-    mu: TorusMeasureSpec
-
-
-@dataclass(frozen=True)
 class PeriodicTail:
     mus: tuple[TorusMeasureSpec, ...]
 
@@ -126,9 +123,8 @@ class PeriodicTail:
 
 @dataclass(frozen=True)
 class GaussianSchedule:
-    """Zero-mean wrapped Gaussians with sd_k = coeff * ratio^{|k|} past the head list."""
+    """Zero-mean wrapped Gaussians with sd_k = coeff * ratio^{|k|} past the prefix."""
 
-    head: tuple[float, ...] = ()
     coeff: float = 0.1
     ratio: float = 1.0
 
@@ -137,20 +133,17 @@ class GaussianSchedule:
             raise InvalidSpec(f"coeff must be positive, got {self.coeff}")
         if not 0.0 < self.ratio <= 1.0:
             raise InvalidSpec(f"ratio must lie in (0, 1], got {self.ratio}")
-        for s in self.head:
-            if not s > 0:
-                raise InvalidSpec(f"head sd must be positive, got {s}")
 
 
-TorusTail = Union[ConstantTail, PeriodicTail, GaussianSchedule]
+TorusTail = Union[PeriodicTail, GaussianSchedule]
 
 
 @dataclass(frozen=True)
 class TorusNoiseLaw:
-    """A torus noise sequence: explicit prefix measures plus a tail rule."""
+    """A torus noise sequence: prefix measures, then a periodic tail or the Gaussian formula."""
 
     prefix: tuple[TorusMeasureSpec, ...] = ()
-    tail: TorusTail = field(default_factory=lambda: ConstantTail(DiracSpec(0.0)))
+    tail: TorusTail = field(default_factory=lambda: PeriodicTail((DiracSpec(0.0),)))
 
     def spec_at(self, k: int) -> TorusMeasureSpec:
         if k > 0:
@@ -159,16 +152,9 @@ class TorusNoiseLaw:
         m = len(self.prefix)
         if i < m:
             return self.prefix[i]
-        if isinstance(self.tail, ConstantTail):
-            return self.tail.mu
         if isinstance(self.tail, PeriodicTail):
             return self.tail.mus[(i - m) % len(self.tail.mus)]
-        j = i - m
-        if j < len(self.tail.head):
-            sd = self.tail.head[j]
-        else:
-            sd = self.tail.coeff * self.tail.ratio ** i
-        return WrappedGaussianSpec(0.0, sd)
+        return WrappedGaussianSpec(0.0, self.tail.coeff * self.tail.ratio ** i)
 
 
 def _log_abs_char(spec: TorusMeasureSpec, p: int) -> float:
@@ -201,27 +187,22 @@ class PiBounds:
     log_upper: float = -math.inf
 
 
-def _formula_start_depth(noise: TorusNoiseLaw) -> int:
-    """First |k| from which a GaussianSchedule tail is pure formula."""
-    assert isinstance(noise.tail, GaussianSchedule)
-    return len(noise.prefix) + len(noise.tail.head)
+def _window(noise: TorusNoiseLaw, depth: int) -> tuple[list, np.ndarray, np.ndarray]:
+    """Distinct explicit measures, each explicit level's index into them, and formula sd**2.
 
-
-def _window(noise: TorusNoiseLaw, depth: int) -> tuple[list[TorusMeasureSpec], np.ndarray]:
-    """The distinct measures of the computed window and, per level i = -k, its index into them.
-
-    The analytic tail rules of :func:`pi_mu_bounds` describe the region
-    beyond the window, so the window covers at least the prefix (and any
-    schedule head).
+    A GaussianSchedule's levels past the prefix give sd**2; the others are
+    explicit. The window covers the prefix and one level more, since the
+    tail rules of :func:`pi_mu_bounds` describe what lies beyond it.
     """
     if depth < 1:
         raise InvalidSpec(f"depth must be >= 1, got {depth}")
     eff_depth = max(depth, len(noise.prefix) + 1)
-    if isinstance(noise.tail, GaussianSchedule):
-        eff_depth = max(eff_depth, _formula_start_depth(noise) + 1)
+    explicit = eff_depth if isinstance(noise.tail, PeriodicTail) else len(noise.prefix)
     index: dict[TorusMeasureSpec, int] = {}
-    levels = [index.setdefault(noise.spec_at(-i), len(index)) for i in range(eff_depth)]
-    return list(index), np.array(levels)
+    levels = [index.setdefault(noise.spec_at(-i), len(index)) for i in range(explicit)]
+    # empty on a periodic tail, where every level is explicit
+    sd2 = [(noise.tail.coeff * noise.tail.ratio ** i) ** 2 for i in range(explicit, eff_depth)]
+    return list(index), np.array(levels, dtype=np.intp), np.array(sd2, dtype=float)
 
 
 def pi_mu_bounds(
@@ -239,17 +220,18 @@ def pi_mu_bounds(
     """
     window = _window(noise, depth)
     if p == 0:
-        curve = (1.0,) * depth
         return PiBounds(p=0, lower=1.0, upper=1.0, decision="member", depth=depth,
-                        curve=curve, log_lower=0.0, log_upper=0.0)
+                        curve=(1.0,) * depth, log_lower=0.0, log_upper=0.0)
     return _pi_bounds(noise, p, *window, floor)
 
 
 def _pi_bounds(noise: TorusNoiseLaw, p: int, measures: list[TorusMeasureSpec],
-               levels: np.ndarray, floor: float) -> PiBounds:
-    """:func:`pi_mu_bounds` at p != 0, with one |char| per distinct measure of the window."""
-    eff_depth = levels.size
-    logs = np.array([_log_abs_char(m, p) for m in measures])[levels]
+               levels: np.ndarray, sd2: np.ndarray, floor: float) -> PiBounds:
+    """:func:`pi_mu_bounds` at p != 0, with one |char| per distinct explicit measure."""
+    explicit = np.array([_log_abs_char(m, p) for m in measures], dtype=float)[levels]
+    # formula levels: _log_abs_char's Gaussian rule, same order of operations, one array product
+    logs = np.concatenate((explicit, -2.0 * math.pi**2 * p**2 * sd2))
+    eff_depth = logs.size
     zero = logs == -math.inf
     hit_zero = bool(zero.any())
     # the log partial products in level order from 0.0; a zero factor adds 0.0
@@ -263,30 +245,22 @@ def _pi_bounds(noise: TorusNoiseLaw, p: int, measures: list[TorusMeasureSpec],
     decision = "undetermined"
     log_lower = -math.inf
 
-    if isinstance(noise.tail, ConstantTail):
-        f_tail = min(abs(char_fn(noise.tail.mu, p)), 1.0)
-        if f_tail >= 1.0 - ONE_MINUS_EXACT:
-            log_lower = -math.inf if hit_zero else log_upper
-        elif f_tail <= 1.0 - ONE_MINUS_DECAY:
-            decision = "null"
-    elif isinstance(noise.tail, PeriodicTail):
+    if isinstance(noise.tail, PeriodicTail):
         fs = [min(abs(char_fn(m, p)), 1.0) for m in noise.tail.mus]
         if all(f >= 1.0 - ONE_MINUS_EXACT for f in fs):
             log_lower = -math.inf if hit_zero else log_upper
         elif any(f <= 1.0 - ONE_MINUS_DECAY for f in fs):
             decision = "null"
+    elif noise.tail.ratio >= 1.0:
+        # constant positive sd forever: the exponent sum diverges
+        decision = "null"
     else:
-        sched = noise.tail
-        if sched.ratio >= 1.0:
-            # constant positive sd forever: the exponent sum diverges
-            decision = "null"
-        else:
-            # remaining factors from |k| = eff_depth on follow the formula;
-            # sum of sd^2 is geometric, so the log tail bound is exact
-            r2 = sched.ratio ** 2
-            rem = sched.coeff**2 * r2**eff_depth / (1.0 - r2)
-            penalty = 2.0 * math.pi**2 * p**2 * rem
-            log_lower = -math.inf if hit_zero else (log_upper - penalty)
+        # remaining factors from |k| = eff_depth on follow the formula;
+        # sum of sd^2 is geometric, so the log tail bound is exact
+        r2 = noise.tail.ratio ** 2
+        rem = noise.tail.coeff**2 * r2**eff_depth / (1.0 - r2)
+        penalty = 2.0 * math.pi**2 * p**2 * rem
+        log_lower = -math.inf if hit_zero else (log_upper - penalty)
 
     if decision == "undetermined":
         if math.isfinite(log_lower):
@@ -489,7 +463,9 @@ def torus_noise_from_spec(obj: dict) -> TorusNoiseLaw:
     """Build a torus noise law from its JSON spec.
 
     Tail kinds: {"kind":"constant","mu":...} | {"kind":"periodic","mus":[...]} |
-    {"kind":"gauss_schedule","head":[...],"c":...,"r":...}.
+    {"kind":"gauss_schedule","head":[...],"c":...,"r":...}. A constant tail is
+    a periodic one of period 1; the head's sds are zero-mean Gaussians
+    appended to the prefix.
     """
     if not isinstance(obj, dict) or "tail" not in obj:
         raise InvalidSpec("torus noise spec must be an object with a 'tail' field")
@@ -501,19 +477,16 @@ def torus_noise_from_spec(obj: dict) -> TorusNoiseLaw:
     if not isinstance(t, dict) or "kind" not in t:
         raise InvalidSpec("torus tail spec must be an object with a 'kind' field")
     try:
-        if t["kind"] == "constant":
-            tail: TorusTail = ConstantTail(torus_measure_from_spec(t["mu"]))
-        elif t["kind"] == "periodic":
-            mus = t.get("mus")
+        if t["kind"] in ("constant", "periodic"):
+            # a constant tail is the periodic tail of period 1
+            mus = [t["mu"]] if t["kind"] == "constant" else t.get("mus")
             if not mus:
                 raise InvalidSpec("periodic tail spec requires a non-empty 'mus' list")
-            tail = PeriodicTail(tuple(torus_measure_from_spec(m) for m in mus))
+            tail: TorusTail = PeriodicTail(tuple(torus_measure_from_spec(m) for m in mus))
         elif t["kind"] == "gauss_schedule":
-            tail = GaussianSchedule(
-                head=tuple(_number(s) for s in t.get("head", [])),
-                coeff=_number(t.get("c", 0.1)),
-                ratio=_number(t.get("r", 1.0)),
-            )
+            head = tuple(_number(s) for s in t.get("head", []))
+            tail = GaussianSchedule(coeff=_number(t.get("c", 0.1)), ratio=_number(t.get("r", 1.0)))
+            prefix += tuple(WrappedGaussianSpec(0.0, s) for s in head)
         else:
             raise InvalidSpec(f"unknown torus tail kind {t['kind']!r}")
     except KeyError as exc:

@@ -27,11 +27,8 @@ from convlimit.torus import (
     DEFAULT_FLOOR,
     ONE_MINUS_DECAY,
     ONE_MINUS_EXACT,
-    ConstantTail,
-    GaussianSchedule,
     PeriodicTail,
     PiBounds,
-    _formula_start_depth,
     _log_abs_char,
     char_fn,
 )
@@ -391,8 +388,6 @@ def pi_mu_bounds_per_level(noise, p, depth=DEFAULT_DEPTH, floor=DEFAULT_FLOOR):
                         curve=curve, log_lower=0.0, log_upper=0.0)
 
     eff_depth = max(depth, len(noise.prefix) + 1)
-    if isinstance(noise.tail, GaussianSchedule):
-        eff_depth = max(eff_depth, _formula_start_depth(noise) + 1)
 
     log_upper = 0.0
     hit_zero = False
@@ -409,13 +404,7 @@ def pi_mu_bounds_per_level(noise, p, depth=DEFAULT_DEPTH, floor=DEFAULT_FLOOR):
     decision = "undetermined"
     log_lower = -math.inf
 
-    if isinstance(noise.tail, ConstantTail):
-        f_tail = min(abs(char_fn(noise.tail.mu, p)), 1.0)
-        if f_tail >= 1.0 - ONE_MINUS_EXACT:
-            log_lower = -math.inf if hit_zero else log_upper
-        elif f_tail <= 1.0 - ONE_MINUS_DECAY:
-            decision = "null"
-    elif isinstance(noise.tail, PeriodicTail):
+    if isinstance(noise.tail, PeriodicTail):
         fs = [min(abs(char_fn(m, p)), 1.0) for m in noise.tail.mus]
         if all(f >= 1.0 - ONE_MINUS_EXACT for f in fs):
             log_lower = -math.inf if hit_zero else log_upper

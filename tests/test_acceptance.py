@@ -47,9 +47,9 @@ from convlimit.stats import (
 )
 from convlimit.torus import (
     AtomsSpec,
-    ConstantTail,
     DiracSpec,
     GaussianSchedule,
+    PeriodicTail,
     TorusNoiseLaw,
     WrappedGaussianSpec,
     compute_p_mu,
@@ -138,13 +138,13 @@ def test_criterion_03_conjugacy_uniqueness(corpus):
 
 
 def test_criterion_04_torus_fourier_criterion():
-    dirac = compute_p_mu(TorusNoiseLaw(tail=ConstantTail(DiracSpec(0.3))))
+    dirac = compute_p_mu(TorusNoiseLaw(tail=PeriodicTail((DiracSpec(0.3),))))
     assert dirac.p_mu == 1 and dirac.case == "B" and dirac.undetermined == ()
     atoms = compute_p_mu(
-        TorusNoiseLaw(tail=ConstantTail(AtomsSpec(((0.0, 0.5), (0.5, 0.5)))))
+        TorusNoiseLaw(tail=PeriodicTail((AtomsSpec(((0.0, 0.5), (0.5, 0.5))),)))
     )
     assert atoms.p_mu == 2 and atoms.case == "C" and atoms.undetermined == ()
-    gauss = compute_p_mu(TorusNoiseLaw(tail=ConstantTail(WrappedGaussianSpec(0.0, 0.1))))
+    gauss = compute_p_mu(TorusNoiseLaw(tail=PeriodicTail((WrappedGaussianSpec(0.0, 0.1),))))
     assert gauss.p_mu == 0 and gauss.case == "A" and gauss.undetermined == ()
     sched = compute_p_mu(TorusNoiseLaw(tail=GaussianSchedule(coeff=0.1, ratio=0.5)))
     assert sched.p_mu == 1 and sched.case == "B"
@@ -155,7 +155,7 @@ def test_criterion_04_torus_fourier_criterion():
 
 
 def test_criterion_05_cross_engine_bridge():
-    torus_noise = TorusNoiseLaw(tail=ConstantTail(AtomsSpec(((0.0, 0.5), (0.5, 0.5)))))
+    torus_noise = TorusNoiseLaw(tail=PeriodicTail((AtomsSpec(((0.0, 0.5), (0.5, 0.5))),)))
     cls = compute_p_mu(torus_noise)
     mu4 = discretize_to_cyclic(AtomsSpec(((0.0, 0.5), (0.5, 0.5))), 4)
     res = compute_limit(constant_noise(mu4))

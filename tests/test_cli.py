@@ -306,6 +306,52 @@ class TestDeterminism:
             assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", out
 
 
+def _as_period_one(spec):
+    """The spec with its constant tail written as a periodic tail of one measure."""
+    return {**spec, "tail": {"kind": "periodic", "mus": [spec["tail"]["mu"]]}}
+
+
+class TestOneNoiseModel:
+    """A constant tail is a periodic tail of period 1, and a schedule head is prefix Gaussians."""
+
+    @staticmethod
+    def _run(tmp_path, capsys, spec, argv):
+        """Exit code, stdout/stderr and every output file (timestamps removed) of one run."""
+        path = write_spec(tmp_path, spec)
+        out = tmp_path / "out"
+        rc = main([*argv, "--input", str(path), "--out", str(out)])
+        files = {f.name: strip_timestamp(f.read_text()) for f in sorted(out.iterdir())}
+        return rc, capsys.readouterr(), files
+
+    @pytest.mark.parametrize("argv", [
+        ["classify"],
+        ["limit"],
+        ["simulate", "--kind", "mixture", "--seed", "3", "--paths", "40"],
+        ["verify", "--seed", "21", "--paths", "2000"],
+    ], ids=lambda argv: argv[0])
+    def test_finite_constant_tail_is_period_one(self, tmp_path, capsys, argv):
+        want = self._run(tmp_path, capsys, Z4_CASE_C_SPEC, argv)
+        assert want[0] == 0
+        assert self._run(tmp_path, capsys, _as_period_one(Z4_CASE_C_SPEC), argv) == want
+
+    def test_torus_constant_tail_is_period_one(self, tmp_path, capsys):
+        want = self._run(tmp_path, capsys, TORUS_HALF_ATOMS_SPEC, ["classify", "--torus"])
+        assert want[0] == 0
+        got = self._run(tmp_path, capsys, _as_period_one(TORUS_HALF_ATOMS_SPEC), ["classify", "--torus"])
+        assert got == want
+
+    def test_schedule_head_is_prefix_gaussians(self, tmp_path, capsys):
+        dirac = {"kind": "dirac", "x": 0.3}
+        head = {"prefix": [dirac],
+                "tail": {"kind": "gauss_schedule", "head": [0.5, 0.3], "c": 0.1, "r": 0.5}}
+        prefix = {"prefix": [dirac, {"kind": "gauss", "m": 0.0, "sd": 0.5},
+                             {"kind": "gauss", "m": 0.0, "sd": 0.3}],
+                  "tail": {"kind": "gauss_schedule", "c": 0.1, "r": 0.5}}
+        want = self._run(tmp_path, capsys, prefix, ["classify", "--torus"])
+        assert want[0] == 0
+        assert self._run(tmp_path, capsys, head, ["classify", "--torus"]) == want
+
+
 Z4_TABLE = [[(a + b) % 4 for b in range(4)] for a in range(4)]
 
 
@@ -423,6 +469,8 @@ MALFORMED_INPUTS = {
                              "'depth' must be an integer"),
     "ensemble-float-k_min": (lambda t, p: _decompose_file(t, {**p, "k_min": p["k_min"] - 0.2}),
                              "'k_min' must be an integer"),
+    "ensemble-kind-not-a-kind": (lambda t, p: _decompose_file(t, {**p, "kind": "bogus"}),
+                                 "ensemble file kind"),
     "ensemble-float-seed": (lambda t, p: _decompose_file(t, {**p, "seed": p["seed"] + 0.9}),
                             "'seed' must be an integer"),
     "eps-nan": (lambda t, p: _command(t, "classify", Z4_CASE_C_SPEC, "--eps", "nan"), "--eps"),

@@ -61,7 +61,7 @@ class TestNoiseLaw:
     def test_index_mapping(self):
         p0, p1 = delta(Z4, 0), delta(Z4, 1)
         t0, t1, t2 = delta(Z4, 2), delta(Z4, 3), haar(Z4)
-        noise = NoiseLaw(Z4, prefix=(p0, p1), tail=(t0, t1, t2), tail_kind="periodic")
+        noise = NoiseLaw(Z4, prefix=(p0, p1), tail=(t0, t1, t2))
         assert noise.measure_at(0) is p0
         assert noise.measure_at(-1) is p1
         # tail position k maps to tail[(-k - m) % period] with m = 2
@@ -76,11 +76,11 @@ class TestNoiseLaw:
 
     def test_empty_tail_rejected(self):
         with pytest.raises(InvalidSpec):
-            NoiseLaw(Z4, prefix=(), tail=(), tail_kind="constant")
+            NoiseLaw(Z4, prefix=(), tail=())
 
     def test_wrong_group_rejected(self):
         with pytest.raises(InvalidSpec):
-            NoiseLaw(Z4, prefix=(), tail=(haar(S3),), tail_kind="constant")
+            NoiseLaw(Z4, prefix=(), tail=(haar(S3),))
 
     def test_from_spec(self):
         noise = noise_from_spec(
@@ -104,7 +104,7 @@ class TestNoiseLaw:
                 },
             }
         )
-        assert noise.tail_kind == "periodic"
+        assert len(noise.tail) == 2
         assert np.array_equal(noise.measure_at(-1).weights, [0, 0, 1, 0])
 
     def test_bad_specs(self):
@@ -146,7 +146,6 @@ class TestPartialProduct:
             Z4,
             prefix=(Measure(Z4, w1 / w1.sum()),),
             tail=(Measure(Z4, w2 / w2.sum()),),
-            tail_kind="constant",
         )
         for k, j, l in [(0, -2, -5), (0, -1, -3), (-1, -2, -6)]:
             whole = partial_product(noise, k, l)
@@ -218,7 +217,7 @@ class TestComputeLimit:
 
     def test_prefix_shifts_window_laws(self):
         noise = NoiseLaw(
-            Z4, prefix=(delta(Z4, 2),), tail=(delta(Z4, 1),), tail_kind="constant"
+            Z4, prefix=(delta(Z4, 2),), tail=(delta(Z4, 1),)
         )
         res = compute_limit(noise)
         assert res.case == "B"
@@ -230,7 +229,6 @@ class TestComputeLimit:
             Z4,
             prefix=(),
             tail=(delta(Z4, 1), delta(Z4, 2)),
-            tail_kind="periodic",
         )
         res = compute_limit(noise)
         assert res.case == "B"
@@ -248,6 +246,26 @@ class TestComputeLimit:
             compute_limit(z4_noise_case_a(), max_depth=10)
         assert exc.value.max_depth == 10
         assert len(exc.value.history) == 10
+
+    def test_no_convergence_projects_the_depth_it_needs(self):
+        # the lazy walk on Z30 certifies at depth_used 3303; the fit over the
+        # last 256 distances before depth 1024 must land within 1% of it
+        z30 = cyclic_group(30)
+        noise = constant_noise(Measure(z30, [0.5, 0.5] + [0.0] * 28))
+        needed = compute_limit(noise).depth_used
+        with pytest.raises(NoConvergenceAtDepth) as exc:
+            compute_limit(noise, max_depth=1024)
+        assert 0 < exc.value.rate < 1
+        assert abs(exc.value.projected_depth - needed) <= 0.01 * needed
+        assert str(exc.value).startswith("shape did not stabilize within depth 1024; ")
+        assert f"projected depth {exc.value.projected_depth}" in str(exc.value)
+
+    def test_no_projection_without_a_decreasing_tail(self):
+        # Haar noise: every shape distance is exactly 0, so nothing to fit
+        with pytest.raises(NoConvergenceAtDepth) as exc:
+            compute_limit(z4_noise_case_a(), max_depth=10)
+        assert exc.value.rate is None and exc.value.projected_depth is None
+        assert "no contraction, no projected depth" in str(exc.value)
 
     def test_h_stabilizes_every_window_law(self):
         for make in CORPUS:
@@ -370,7 +388,7 @@ def _fuzz_corpus():
         for h in enumerate_subgroups(g):
             corpus.append(constant_noise(haar_subgroup(g, h)))
         corpus.append(
-            NoiseLaw(g, prefix=(delta(g, 1), full), tail=(full,), tail_kind="constant")
+            NoiseLaw(g, prefix=(delta(g, 1), full), tail=(full,))
         )
         w2 = rng.random(g.order) + 0.05
         corpus.append(
@@ -378,7 +396,6 @@ def _fuzz_corpus():
                 g,
                 prefix=(),
                 tail=(full, Measure(g, w2 / w2.sum())),
-                tail_kind="periodic",
             )
         )
     # coset-supported tail: uniform on the reflections, the nontrivial coset
@@ -521,3 +538,17 @@ class TestGaugeAlign:
         monkeypatch.setattr(limits, "all_right_translates", no_work)
         with pytest.raises(InvalidSpec, match="unknown gauge"):
             _gauge_align(haar(Z4), "bogus")
+
+    def test_compute_limit_refuses_unknown_gauge_before_deepening(self, monkeypatch):
+        from convlimit import limits
+
+        calls = []
+
+        def counted(mu, nu):
+            calls.append(1)
+            return convolve(mu, nu)
+
+        monkeypatch.setattr(limits, "convolve", counted)
+        with pytest.raises(InvalidSpec, match="unknown gauge"):
+            compute_limit(z4_noise_case_c(), gauge="bogus")
+        assert calls == []

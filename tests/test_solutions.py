@@ -112,7 +112,7 @@ class TestSampleNoise:
     def test_one_inversion_per_measure_and_level_block(self, monkeypatch):
         prefix = [delta(S3, 2), Measure(S3, [0.5, 0, 0, 0.5, 0, 0])]
         tail = [haar(S3), delta(S3, 1), Measure(S3, [0, 0.25, 0.25, 0.5, 0, 0])]
-        noise = NoiseLaw(group=S3, prefix=tuple(prefix), tail=tuple(tail), tail_kind="periodic")
+        noise = NoiseLaw(group=S3, prefix=tuple(prefix), tail=tuple(tail))
         depth = 4 * LEVEL_BLOCK + 9
         blocks = []
 

@@ -14,7 +14,6 @@ from convlimit.errors import (
 )
 from convlimit.torus import (
     AtomsSpec,
-    ConstantTail,
     DiracSpec,
     GaussianSchedule,
     PeriodicTail,
@@ -121,7 +120,7 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpec):
             GaussianSchedule(coeff=float("nan"))
         with pytest.raises(InvalidSpec):
-            GaussianSchedule(head=(float("nan"),))
+            torus_noise_from_spec({"tail": {"kind": "gauss_schedule", "head": [float("nan")]}})
 
 
 class TestNoiseIndexing:
@@ -143,21 +142,22 @@ class TestNoiseIndexing:
             assert spec.sd == pytest.approx(0.1 * 0.5 ** abs(k))
 
     def test_gaussian_schedule_head(self):
-        noise = TorusNoiseLaw(tail=GaussianSchedule(head=(0.7,), coeff=0.1, ratio=0.5))
+        noise = TorusNoiseLaw(prefix=(WrappedGaussianSpec(0.0, 0.7),),
+                              tail=GaussianSchedule(coeff=0.1, ratio=0.5))
         assert noise.spec_at(0).sd == pytest.approx(0.7)
         assert noise.spec_at(-1).sd == pytest.approx(0.1 * 0.5)
 
 
 class TestPiBounds:
     def test_dirac_tail_all_one(self):
-        noise = TorusNoiseLaw(tail=ConstantTail(DiracSpec(0.3)))
+        noise = TorusNoiseLaw(tail=PeriodicTail((DiracSpec(0.3),)))
         for p in (1, 2, 7):
             b = pi_mu_bounds(noise, p, depth=32)
             assert b.lower == b.upper == pytest.approx(1.0, abs=1e-12)
             assert b.decision == "member"
 
     def test_half_atoms_tail(self):
-        noise = TorusNoiseLaw(tail=ConstantTail(HALF_ATOMS))
+        noise = TorusNoiseLaw(tail=PeriodicTail((HALF_ATOMS,)))
         even = pi_mu_bounds(noise, 2, depth=32)
         assert even.decision == "member"
         assert even.lower == pytest.approx(1.0, abs=1e-12)
@@ -166,7 +166,7 @@ class TestPiBounds:
         assert odd.upper == 0.0
 
     def test_constant_gaussian_tail_decays(self):
-        noise = TorusNoiseLaw(tail=ConstantTail(WrappedGaussianSpec(0.0, 0.1)))
+        noise = TorusNoiseLaw(tail=PeriodicTail((WrappedGaussianSpec(0.0, 0.1),)))
         b = pi_mu_bounds(noise, 1, depth=64)
         assert b.decision == "null"
         assert b.lower == 0.0
@@ -186,8 +186,8 @@ class TestPiBounds:
 
     def test_curve_monotone_nonincreasing(self):
         noises = [
-            TorusNoiseLaw(tail=ConstantTail(WrappedGaussianSpec(0.0, 0.1))),
-            TorusNoiseLaw(tail=ConstantTail(HALF_ATOMS)),
+            TorusNoiseLaw(tail=PeriodicTail((WrappedGaussianSpec(0.0, 0.1),))),
+            TorusNoiseLaw(tail=PeriodicTail((HALF_ATOMS,))),
             TorusNoiseLaw(
                 prefix=(UniformIntervalSpec(0.0, 0.3),),
                 tail=GaussianSchedule(coeff=0.2, ratio=0.7),
@@ -200,7 +200,7 @@ class TestPiBounds:
                 assert (diffs <= 1e-15).all()
 
     def test_upper_is_partial_product(self):
-        noise = TorusNoiseLaw(tail=ConstantTail(WrappedGaussianSpec(0.0, 0.1)))
+        noise = TorusNoiseLaw(tail=PeriodicTail((WrappedGaussianSpec(0.0, 0.1),)))
         b = pi_mu_bounds(noise, 1, depth=16)
         factor = math.exp(-2 * math.pi**2 * 0.1**2)
         assert b.upper == pytest.approx(factor**16, rel=1e-9)
@@ -208,23 +208,29 @@ class TestPiBounds:
 
 class TestComputePMu:
     def test_dirac_tail_is_case_b(self):
-        cls = compute_p_mu(TorusNoiseLaw(tail=ConstantTail(DiracSpec(0.3))))
+        cls = compute_p_mu(TorusNoiseLaw(tail=PeriodicTail((DiracSpec(0.3),))))
         assert cls.p_mu == 1 and cls.case == "B"
         assert cls.undetermined == ()
 
     def test_half_atoms_tail_is_case_c(self):
-        cls = compute_p_mu(TorusNoiseLaw(tail=ConstantTail(HALF_ATOMS)))
+        cls = compute_p_mu(TorusNoiseLaw(tail=PeriodicTail((HALF_ATOMS,))))
         assert cls.p_mu == 2 and cls.case == "C"
         assert cls.subgroup_points() == (0.0, 0.5)
         assert cls.to_json_dict()["subgroup_points"] == [0.0, 0.5]
 
     def test_case_a_has_no_finite_point_list(self):
-        cls = compute_p_mu(TorusNoiseLaw(tail=ConstantTail(WrappedGaussianSpec(0.0, 0.1))))
+        cls = compute_p_mu(TorusNoiseLaw(tail=PeriodicTail((WrappedGaussianSpec(0.0, 0.1),))))
         assert cls.subgroup_points() is None
         assert cls.to_json_dict()["subgroup_points"] is None
 
+    def test_schedule_whose_sd_underflows_still_decides(self):
+        # 0.1 * 0.05^i is 0.0 in floating point from i = 248 on, inside the default window
+        cls = compute_p_mu(TorusNoiseLaw(tail=GaussianSchedule(coeff=0.1, ratio=0.05)), p_max=8)
+        assert cls.p_mu == 1 and cls.undetermined == ()
+
     def test_schedule_with_head_still_decides(self):
-        noise = TorusNoiseLaw(tail=GaussianSchedule(head=(0.5, 0.3), coeff=0.1, ratio=0.5))
+        noise = TorusNoiseLaw(prefix=(WrappedGaussianSpec(0.0, 0.5), WrappedGaussianSpec(0.0, 0.3)),
+                              tail=GaussianSchedule(coeff=0.1, ratio=0.5))
         cls = compute_p_mu(noise, p_max=8)
         assert cls.p_mu == 1 and cls.undetermined == ()
         # head factors are inside the computed window, formula covers the rest
@@ -233,7 +239,7 @@ class TestComputePMu:
         assert b.decision == "member"
 
     def test_gaussian_tail_is_case_a(self):
-        cls = compute_p_mu(TorusNoiseLaw(tail=ConstantTail(WrappedGaussianSpec(0.0, 0.1))))
+        cls = compute_p_mu(TorusNoiseLaw(tail=PeriodicTail((WrappedGaussianSpec(0.0, 0.1),))))
         assert cls.p_mu == 0 and cls.case == "A"
 
     def test_summable_schedule_is_case_b(self):
@@ -244,7 +250,7 @@ class TestComputePMu:
         assert all(math.isfinite(b.log_lower) for b in cls.bounds.values())
 
     def test_members_closed_under_gcd(self):
-        cls = compute_p_mu(TorusNoiseLaw(tail=ConstantTail(HALF_ATOMS)), p_max=16)
+        cls = compute_p_mu(TorusNoiseLaw(tail=PeriodicTail((HALF_ATOMS,))), p_max=16)
         members = [p for p, b in cls.bounds.items() if b.decision == "member"]
         assert members == [p for p in range(1, 17) if p % 2 == 0]
         g = 0
@@ -258,7 +264,7 @@ class TestComputePMu:
         a = 1e-10
         spec = AtomsSpec(((0.0, 1.0 - a), (0.5, a)))
         with pytest.raises(Indeterminate) as exc:
-            compute_p_mu(TorusNoiseLaw(tail=ConstantTail(spec)), p_max=8)
+            compute_p_mu(TorusNoiseLaw(tail=PeriodicTail((spec,))), p_max=8)
         assert all(p % 2 == 1 for p in exc.value.undecided)
 
     def test_undetermined_multiple_of_gcd_is_tolerated(self):
@@ -275,11 +281,11 @@ class TestComputePMu:
         a = 1e-10
         tail = AtomsSpec(((0.0, 0.5 + a), (0.5, 0.5 - a)))
         # odd p: |char| = 2a (certain null); even p: exactly 1 (member)
-        cls = compute_p_mu(TorusNoiseLaw(tail=ConstantTail(tail)), p_max=8)
+        cls = compute_p_mu(TorusNoiseLaw(tail=PeriodicTail((tail,))), p_max=8)
         assert cls.p_mu == 2
 
     def test_depth_override(self):
-        cls = compute_p_mu(TorusNoiseLaw(tail=ConstantTail(DiracSpec(0.1))), depth=8, p_max=4)
+        cls = compute_p_mu(TorusNoiseLaw(tail=PeriodicTail((DiracSpec(0.1),))), depth=8, p_max=4)
         assert cls.depth_used == 8
 
 
@@ -295,22 +301,23 @@ def _benchmark_torus_noises(seeds):
 
 # (noise, p_max): the laws the tests above classify and four edge cases
 ORACLE_NOISES = {
-    "dirac": (TorusNoiseLaw(tail=ConstantTail(DiracSpec(0.3))), 64),
-    "half-atoms": (TorusNoiseLaw(tail=ConstantTail(HALF_ATOMS)), 64),
-    "gauss": (TorusNoiseLaw(tail=ConstantTail(WrappedGaussianSpec(0.0, 0.1))), 64),
+    "dirac": (TorusNoiseLaw(tail=PeriodicTail((DiracSpec(0.3),))), 64),
+    "half-atoms": (TorusNoiseLaw(tail=PeriodicTail((HALF_ATOMS,))), 64),
+    "gauss": (TorusNoiseLaw(tail=PeriodicTail((WrappedGaussianSpec(0.0, 0.1),))), 64),
     "schedule": (TorusNoiseLaw(tail=GaussianSchedule(coeff=0.1, ratio=0.5)), 64),
     "interval-schedule": (TorusNoiseLaw(prefix=(UniformIntervalSpec(0.0, 0.3),),
                                         tail=GaussianSchedule(coeff=0.2, ratio=0.7)), 64),
-    "near-half-atoms": (TorusNoiseLaw(tail=ConstantTail(AtomsSpec(((0.0, 0.5 + 1e-10),
-                                                                   (0.5, 0.5 - 1e-10))))), 8),
+    "near-half-atoms": (TorusNoiseLaw(tail=PeriodicTail((AtomsSpec(((0.0, 0.5 + 1e-10),
+                                                                   (0.5, 0.5 - 1e-10))),))), 8),
     "periodic-dirac": (TorusNoiseLaw(prefix=(DiracSpec(0.1),),
                                      tail=PeriodicTail((DiracSpec(0.2), DiracSpec(0.3)))), 64),
     # |char| is exactly 0 at p = 13, 26, 33, ...: the two ends round to one angle
     "zero-factor-interval": (TorusNoiseLaw(prefix=(UniformIntervalSpec(0.1, math.nextafter(0.1, 1)),),
-                                           tail=ConstantTail(HALF_ATOMS)), 64),
+                                           tail=PeriodicTail((HALF_ATOMS,))), 64),
     "periodic-atoms-gauss": (TorusNoiseLaw(tail=PeriodicTail((HALF_ATOMS,
                                                               WrappedGaussianSpec(0.2, 0.05)))), 64),
-    "schedule-head": (TorusNoiseLaw(tail=GaussianSchedule(head=(0.5, 0.3), coeff=0.1, ratio=0.5)), 64),
+    "schedule-head": (TorusNoiseLaw(prefix=(WrappedGaussianSpec(0.0, 0.5), WrappedGaussianSpec(0.0, 0.3)),
+                                    tail=GaussianSchedule(coeff=0.1, ratio=0.5)), 64),
     # sd^2 underflows, so every log factor is -0.0
     "schedule-sd-1e-200": (TorusNoiseLaw(tail=GaussianSchedule(coeff=1e-200, ratio=0.5)), 64),
 }
@@ -387,7 +394,7 @@ class TestBridge:
     def test_rational_atoms_agree_with_finite_engine(self):
         from convlimit.limits import compute_limit, constant_noise
 
-        torus_noise = TorusNoiseLaw(tail=ConstantTail(HALF_ATOMS))
+        torus_noise = TorusNoiseLaw(tail=PeriodicTail((HALF_ATOMS,)))
         cls = compute_p_mu(torus_noise)
         mu4 = discretize_to_cyclic(HALF_ATOMS, 4)
         res = compute_limit(constant_noise(mu4))
@@ -408,7 +415,7 @@ class TestSpecParsing:
             }
         )
         assert len(noise.prefix) == 4
-        assert isinstance(noise.tail, ConstantTail)
+        assert noise.tail == PeriodicTail((DiracSpec(0.0),))
 
     def test_schedule_tail(self):
         noise = torus_noise_from_spec(
