@@ -92,9 +92,14 @@ SPECS = {
 
 # (spec, paths): every spec at a few paths, and one run that spans two chunks.
 RUNS = [(name, 6) for name in SPECS] + [("z4-case-c-prefix", CHUNK_SIZE + 3)]
-# (spec, paths, depth): a window deeper than the limit's deepest_depth (164),
-# whose centering at -depth lies past the chain that compute_limit keeps
-DEEP_RUNS = [("q8-case-c", 6, 201)]
+# (spec, paths, depth): every spec at a fixed depth, twice its depth_used of
+# the deepening engine (so these bytes hold while the certified depth moves),
+# and one window deeper than that engine's deepest_depth (164)
+DEEP_RUNS = [
+    ("z4-case-c-prefix", 6, 54), ("z4-case-b", 6, 50), ("s3", 6, 52), ("d4-periodic", 6, 56),
+    ("q8", 6, 192), ("z6-identity-3", 6, 108), ("q8-case-c", 6, 164), ("zn130", 6, 50),
+    ("zn500", 6, 50), ("q8-case-c", 6, 201),
+]
 
 GOLDEN = {
     "z4-case-c-prefix/6": {
@@ -166,6 +171,69 @@ GOLDEN = {
         "simulate-uniform": "b5eba0613828c31158144d84e1c8be4d256442e69745c6936312065ff9c2e45f",
         "decompose-fresh": "b35dd8fc320841fcaa927922ca1e6ed5e0d28f22db6c739e704164cfeeef479f",
         "decompose-file": "b35dd8fc320841fcaa927922ca1e6ed5e0d28f22db6c739e704164cfeeef479f",
+    },
+    "z4-case-c-prefix/6/54": {
+        "simulate-extremal": "72d9d0020021523a4a9c705e2b780dc177117d437806da0e8edfff9543d0d291",
+        "simulate-mixture": "8caa23de5b322afe58d4c6ca3f744800c885964d766155f02766d441b7f9f40f",
+        "simulate-uniform": "c8f5f60551394736891136f6da8027f43f8390e976127d6575e12dd55c94bf8f",
+        "decompose-fresh": "01b6325b8aa19b5566774a55ec67464155394d6c00fd56d5098879d50bd0262e",
+        "decompose-file": "01b6325b8aa19b5566774a55ec67464155394d6c00fd56d5098879d50bd0262e",
+    },
+    "z4-case-b/6/50": {
+        "simulate-extremal": "921aaf85ce9db5b6f8ce3974d25e23ecc4f76129439ba4dbab0fef7f88da527a",
+        "simulate-mixture": "77c41212554a003c43e4367757a06db9f45217b7245df2bd6af54cd29be74e5f",
+        "simulate-uniform": "0fe0d270d276d5b812d1183821c53489f6f003988f9fde7ff91e242b494978af",
+        "decompose-fresh": "541f34ccd90f66beb662d974a7098d01186fd11498aeec4cc879183ac66547d8",
+        "decompose-file": "541f34ccd90f66beb662d974a7098d01186fd11498aeec4cc879183ac66547d8",
+    },
+    "s3/6/52": {
+        "simulate-extremal": "52e6e97908e60507159ff3723d4713bda9101d109021440adde1d51c5e200f49",
+        "simulate-mixture": "c0d62a5a2138ecff5738e904ceb872a08326d9c22495ce7acb9a51a99c456dec",
+        "simulate-uniform": "e72c58eb754d7ff7e4842ff22537b485008af3c32cb984b853e54112d7e1ef80",
+        "decompose-fresh": "36de098e92591c896d80237e3a2a8e3e671033129d605d4bffc037a59a4b30e8",
+        "decompose-file": "36de098e92591c896d80237e3a2a8e3e671033129d605d4bffc037a59a4b30e8",
+    },
+    "d4-periodic/6/56": {
+        "simulate-extremal": "f7ebfc8cd9baa7566c561d976b0bacc444698ef621f33a5f296326ef38273704",
+        "simulate-mixture": "9515efc04c71767b0bc195a92698c84f9b1ab61ea731b0c35e094432b9f4be64",
+        "simulate-uniform": "f01f1b6264f0c2820034afb87f0dc6e6dcc95ef66f2b16a16ae3c20f6df78cf5",
+        "decompose-fresh": "e7f8b7e804f30b383283d007e8a798a9ef0f6de9bf3b1feed6cfc0719f558cf8",
+        "decompose-file": "e7f8b7e804f30b383283d007e8a798a9ef0f6de9bf3b1feed6cfc0719f558cf8",
+    },
+    "q8/6/192": {
+        "simulate-extremal": "911039d8d8de427c8a44aeee80781a7d3f614da033c1d6d2d0e1b5f570318963",
+        "simulate-mixture": "f5f3bd154365e855810fd8715202c680ae8be2743b9ef309e4b91d7d6b33c152",
+        "simulate-uniform": "1a679e26ec0575f3dbb599d1a0565d8afc2b14da2d86883fbee207bf9d0eea22",
+        "decompose-fresh": "0155063c87e8b6760f2d07e596b18a00ff422ef336f4cd7c20fa3e645f25a9ae",
+        "decompose-file": "0155063c87e8b6760f2d07e596b18a00ff422ef336f4cd7c20fa3e645f25a9ae",
+    },
+    "z6-identity-3/6/108": {
+        "simulate-extremal": "ca2b3b757b8066a4736d084366233ab391606154d830096bce83661ca2cdcbf5",
+        "simulate-mixture": "d774f08623ea75be3bd5958039c90c08eeb39bec2b92d4dabe9373916bd18a32",
+        "simulate-uniform": "9e5af0156920d077e2ddd5dce67b796b2d12a28aa753a687023af7540c0fb41e",
+        "decompose-fresh": "05aeae2bf230bb4ef9e3af08e9a7cf4748b28cf72719329fb53831c37e723785",
+        "decompose-file": "05aeae2bf230bb4ef9e3af08e9a7cf4748b28cf72719329fb53831c37e723785",
+    },
+    "q8-case-c/6/164": {
+        "simulate-extremal": "08f7b8b6ec67da69ce53b730bb7e9c030437a6aef6ee02b6154184757d63f89f",
+        "simulate-mixture": "77ad0a5b27a0c6b72eedd2b9612208c2d405bd35b357b8956be8dcc894075d06",
+        "simulate-uniform": "8fd189e805d7dfc9fc781792b701fb486c257bba6397c9c25dfa436b9e17e13f",
+        "decompose-fresh": "ee6db4174f4da1d719fb1cfc74cb1d094505857a30ae1c9dd7c1452f61d20287",
+        "decompose-file": "ee6db4174f4da1d719fb1cfc74cb1d094505857a30ae1c9dd7c1452f61d20287",
+    },
+    "zn130/6/50": {
+        "simulate-extremal": "47f6fc89a65df4ca03e2556a637e5a95fdacdaa30c7b380e4b1bd53d8399956b",
+        "simulate-mixture": "94e536fcb6a504fc760b46a1e9f69a4cbc67dc5c20eea4d355cee5ec6a245c16",
+        "simulate-uniform": "06b860c4e63470910804d6dc1d9cf3ce3bac5bcc47325afd10a232d74c365e7c",
+        "decompose-fresh": "3af550acf42e9c00121bf3efa9581d15e883aa551e788de06cfb0bdcf1af506a",
+        "decompose-file": "3af550acf42e9c00121bf3efa9581d15e883aa551e788de06cfb0bdcf1af506a",
+    },
+    "zn500/6/50": {
+        "simulate-extremal": "ae7cb3653e839da870b64fc8c15499d6be3c0276473d864fcfe3628cdf5b132c",
+        "simulate-mixture": "1b00b6be99ca14f179ecff9ad17cdc8807a92da404daf8b6ed87c3124a074a86",
+        "simulate-uniform": "1b4aead2fe7dd9c8ed0e828387225fc8a64d69a49a1892bb78180c8f75caa183",
+        "decompose-fresh": "0be199529ef1b6f96ac698b97ecda92a2bd8f0b6c8325f977e80d74d930c56e1",
+        "decompose-file": "0be199529ef1b6f96ac698b97ecda92a2bd8f0b6c8325f977e80d74d930c56e1",
     },
     "q8-case-c/6/201": {
         "simulate-extremal": "b0ddecc8c31b9b80f0b4daf58141f485adc5f41e44fdecb4a749c43c090a8dbb",
