@@ -64,8 +64,10 @@ class BadRange(ConvLimitError):
 class NoConvergenceAtDepth(ConvLimitError):
     """Shape of the backward products did not certify within max_depth.
 
-    ``rate`` (contraction per level) and ``projected_depth`` come from a fit to
-    the recent shape distances; both are None when those do not decrease.
+    ``projected_depth`` is the exact depth the law certifies at, and ``rate``
+    the contraction per level between the last two rungs of the squaring
+    ladder (0.0 when a rung is exact); both are None when the ladder stalls at
+    the float floor. ``history`` holds the rungs as (-depth, shape distance).
     """
 
     def __init__(self, max_depth: int, history: list[tuple[int, float]],

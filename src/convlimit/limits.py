@@ -1,22 +1,19 @@
 """Limits of backward convolution products and the trichotomy classifier.
 
-The engine deepens the product nu_l = mu_0 * mu_-1 * ... * mu_l one factor
-at a time and watches the *shape* of nu_l, i.e. its equivalence class under
-right translation. Shapes always converge on a finite group; once they hold
-still for a confirmation span the product is certified and deepened on to
-an anchor depth M, and a deterministic gauge picks alpha_M, turning nu_M
-into nu_M delta_{alpha_M}. The result keeps the chain nu_0 .. nu_M; the
-centering element alpha_l at any level is read from it on request, by
-:func:`extend_centerings`, as the translation that aligns nu_l best with
-nu_M delta_{alpha_M}. The subgroup H is the right stabilizer of that law;
-H = G, H = {e} and anything in between are the three classification cases.
+A noise law is a prefix, then a periodic tail of period P. The right-centred
+powers of the tail block B (one period's product) converge to omega_K, Haar
+measure on the normal closure K of S^-1 S inside <S>, S the support of B
+(Kawada-Ito 1940; Csiszar 1966). So the window's limit laws are omega_K at a
+tail period boundary with the noise above it convolved on top, aligned by a
+deterministic gauge with anchor a, and H = a^-1 K a; H = G, H = {e} and
+anything in between are the three cases. The certified depth comes from a
+squaring ladder over the powers of B, and every centering is a closed form.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, reduce
 from typing import Iterable
 
 import numpy as np
@@ -25,7 +22,9 @@ from .errors import BadRange, InvalidSpec, NoConvergenceAtDepth
 from .groups import (
     FiniteGroup,
     Subgroup,
+    _conjugates,
     conjugate_subgroup,
+    generated_subgroup,
     group_from_spec,
     normal_closure,
     same_group,
@@ -34,10 +33,9 @@ from .measures import (
     Measure,
     all_right_translates,
     convolve,
+    delta,
     haar_subgroup,
     measure_from_spec,
-    right_stabilizer,
-    translate_left,
     translate_right,
     tv_distance,
     tv_to_right_translates,
@@ -46,9 +44,6 @@ from .measures import (
 DEFAULT_EPS_SHAPE = 1e-9
 DEFAULT_MAX_DEPTH = 4096
 DEFAULT_K_MIN = -8
-DEFAULT_CONFIRM_SPAN = 25
-DEFAULT_STABILIZER_TOL = 1e-6
-PROJECTION_WINDOW = 256
 SUPPORT_TOL = 1e-12
 
 GAUGE_MAX_WEIGHT = "max-weight"
@@ -120,11 +115,11 @@ def noise_from_spec(obj: dict) -> NoiseLaw:
 class LimitResult:
     """Output of :func:`compute_limit`.
 
-    ``lambdas`` maps k in [k_min, 0] to the limit law at k. ``products`` is
-    the chain nu_0 .. nu_M (index i holds depth -i), M = -deepest_depth, and
-    ``anchor`` the gauge's alpha_M. Centerings align to nu_M delta_{alpha_M},
-    which can differ from ``lambdas[0]`` in the last bits. ``case`` is 'A'
-    iff the subgroup is everything, 'B' iff it is trivial, 'C' otherwise.
+    ``lambdas`` maps k in [k_min, 0] to the limit law at k, ``anchor`` is the
+    gauge's translation and ``shape_history`` the ladder's rungs as (-depth,
+    shape distance), by depth. ``prefix_len``, ``picks`` and ``top`` are the
+    centering data of :func:`extend_centerings`. ``case`` is 'A' iff the
+    subgroup is everything, 'B' iff it is trivial, 'C' otherwise.
     """
 
     group: FiniteGroup
@@ -137,7 +132,9 @@ class LimitResult:
     residuals: dict[str, float]
     shape_history: tuple[tuple[int, float], ...]
     anchor: int
-    products: tuple[Measure, ...] = field(repr=False)
+    prefix_len: int
+    picks: tuple[int, ...]
+    top: int
 
     @property
     def lambda0(self) -> Measure:
@@ -145,8 +142,8 @@ class LimitResult:
 
     @cached_property
     def alphas(self) -> dict[int, int]:
-        """alpha_l at every level l in [-deepest_depth, 0]; the kept chain needs no noise."""
-        return extend_centerings(None, self, range(0, -self.deepest_depth - 1, -1))
+        """alpha_l at the levels a default-depth ensemble reads, -depth_used and -deepest_depth."""
+        return extend_centerings(None, self, (-self.depth_used, -self.deepest_depth))
 
     def to_json_dict(self) -> dict:
         return {
@@ -208,57 +205,58 @@ def _gauge_align(nu: Measure, gauge: str) -> tuple[Measure, int]:
     return translate_right(nu, g), g
 
 
-def _deepen_products(
-    noise: NoiseLaw,
-    eps_shape: float,
-    max_depth: int,
-    confirm_span: int,
-) -> tuple[list[Measure], int, list[tuple[int, float]]]:
-    """Deepen nu_l until the shape holds still for confirm_span steps.
+def _tail_block(noise: NoiseLaw) -> tuple[Measure, Subgroup, tuple[int, ...]]:
+    """The tail block B, the subgroup K its right-centred powers tend to, and the picks.
 
-    Returns the products nu_0..nu_L (index i holds depth -i), the certified
-    depth L (< 0) and the (l, shape distance) history.
+    The support S of B is the product of the factors' supports (weight > 0, no
+    tolerance), and the conjugates of s_0^-1 S by <S> generate K. ``picks[r]``
+    = t_r multiplies the first support point of each of the first r factors,
+    so t_0 = e and b = t_P lies in S.
     """
-    nus = [noise.measure_at(0)]
-    history: list[tuple[int, float]] = []
-    streak = 0
-    l = 0
+    group = noise.group
+    block = reduce(convolve, noise.tail)
+    support = np.array([group.identity])
+    picks = [group.identity]
+    for mu in noise.tail:
+        factor = np.flatnonzero(mu.weights > 0)
+        support = np.unique(group.mul[np.ix_(support, factor)])
+        picks.append(int(group.mul[picks[-1], factor[0]]))
+    quotients = group.mul[group.inv[support[0]], support]
+    ambient = generated_subgroup(group, support).members
+    K = generated_subgroup(group, np.unique(_conjugates(group, quotients, ambient)))
+    return block, K, tuple(picks)
+
+
+def _ladder(block: Measure, omega: Measure, eps_shape: float) -> tuple[int | None, dict]:
+    """Least m >= 0 with shape_distance(block^m, omega) < eps_shape, and the distances seen.
+
+    Squares the block, then bisects over the stored powers block^(2^i): the
+    distance does not increase with m, as the block contracts and maps omega_K
+    to a translate. m is None when a squaring fails to shrink the distance
+    above eps_shape: the ladder stalled at the float floor.
+    """
+    group = block.group
+    dist = {0: shape_distance(delta(group, group.identity), omega)[0]}
+    if dist[0] < eps_shape:
+        return 0, dist
+    powers, hi = [block], 1  # powers[i] = block^(2^i)
     while True:
-        l -= 1
-        if -l > max_depth:
-            raise NoConvergenceAtDepth(max_depth, history,
-                                       *_projection(history, eps_shape, confirm_span))
-        nxt = convolve(nus[-1], noise.measure_at(l))
-        sd, _ = shape_distance(nxt, nus[-1])
-        nus.append(nxt)
-        history.append((l, sd))
-        streak = streak + 1 if sd < eps_shape else 0
-        if streak >= confirm_span:
-            return nus, l, history
-
-
-def _projection(history, eps_shape: float, confirm_span: int) -> tuple[float | None, int | None]:
-    """Contraction per level and projected certifying depth, from the recent shape distances.
-
-    A least-squares line through log(distance) against depth over the last PROJECTION_WINDOW
-    positive distances; the depth is its eps_shape crossing plus confirm_span. (None, None)
-    when the line does not decrease or fewer than two distances are positive.
-    """
-    points = [(-l, d) for l, d in history if d > 0][-PROJECTION_WINDOW:]
-    if len(points) < 2:
-        return None, None
-    depths, dists = np.array(points).T
-    slope, intercept = np.polyfit(depths, np.log(dists), 1)
-    if not slope < 0:
-        return None, None
-    return float(np.exp(slope)), math.ceil((math.log(eps_shape) - intercept) / slope) + confirm_span
-
-
-def _extend_products(noise: NoiseLaw, nus: list[Measure], depth: int) -> None:
-    """Grow the nu_l list in place until it reaches the given (positive) depth."""
-    while len(nus) - 1 < depth:
-        l = -len(nus)
-        nus.append(convolve(nus[-1], noise.measure_at(l)))
+        dist[hi] = shape_distance(powers[-1], omega)[0]
+        if dist[hi] < eps_shape:
+            break
+        if dist[hi] >= dist[hi // 2]:
+            return None, dist
+        powers.append(convolve(powers[-1], powers[-1]))
+        hi *= 2
+    # invariant: block^m fails; the least passing power lies in (m, m + 2^(i+1)]
+    m = hi // 2
+    acc = powers[-2] if m else None
+    for i in range(len(powers) - 3, -1, -1):
+        cand = convolve(acc, powers[i])
+        dist[m + 2 ** i] = shape_distance(cand, omega)[0]
+        if dist[m + 2 ** i] >= eps_shape:
+            m, acc = m + 2 ** i, cand
+    return m + 1, dist
 
 
 def compute_limit(
@@ -266,74 +264,66 @@ def compute_limit(
     *,
     eps_shape: float = DEFAULT_EPS_SHAPE,
     max_depth: int = DEFAULT_MAX_DEPTH,
-    confirm_span: int = DEFAULT_CONFIRM_SPAN,
     gauge: str = GAUGE_MAX_WEIGHT,
 ) -> LimitResult:
-    """Compute the limit laws, centering sequence, subgroup and case for a noise law.
+    """Compute the limit laws, centering data, subgroup and case for a noise law.
 
-    Raises :class:`NoConvergenceAtDepth` when the shape sequence does not
-    certify within max_depth; the error carries the oscillation diagnostics.
+    ``depth_used`` is max(len(prefix), -k_min) + (m + 1) P for the least m
+    with shape_distance(B^m, omega_K) < eps_shape: at that depth every window
+    level's product holds m whole blocks, so it lies within eps_shape of its
+    limit shape. Raises :class:`NoConvergenceAtDepth` when depth_used exceeds
+    max_depth, with that depth, or when the ladder stalls at the float floor.
     """
     if eps_shape <= 0:
         raise InvalidSpec("eps_shape must be positive")
     _check_gauge(gauge)
+    group, k_min = noise.group, DEFAULT_K_MIN
+    p, period = len(noise.prefix), len(noise.tail)
 
-    nus, l_cert, history = _deepen_products(noise, eps_shape, max_depth, confirm_span)
-    depth_used = -l_cert
+    block, K, picks = _tail_block(noise)
+    omega = haar_subgroup(group, K)
+    m, dist = _ladder(block, omega, eps_shape)
+    head = max(p, -k_min)
+    history = tuple((-(head + (e + 1) * period), d) for e, d in sorted(dist.items()))
+    if m is None:
+        raise NoConvergenceAtDepth(max_depth, history, None, None)
+    depth_used = head + (m + 1) * period
+    if depth_used > max_depth:
+        (l1, d1), (l2, d2) = history[-2:] if m else (history[0], history[0])
+        rate = (d2 / d1) ** (1 / (l1 - l2)) if min(d1, d2) > 0 else 0.0  # 0: an exact rung
+        raise NoConvergenceAtDepth(max_depth, history, rate, depth_used)
 
-    # The reported quantities come from a deeper anchor depth M so that the
-    # haar-check below can estimate lambda_{L-1} from a much deeper restart.
-    deepest = max(2 * depth_used, depth_used + 2 * confirm_span, -DEFAULT_K_MIN + confirm_span)
-    _extend_products(noise, nus, deepest)
-    m_idx = -deepest  # anchor depth M as a (negative) noise index
-
-    lambda0, alpha_m = _gauge_align(nus[deepest], gauge)
-
-    # sigma_j = mu_{j,M}; lambdas over the window are its alpha_M-translates.
-    sigma: dict[int, Measure] = {m_idx: noise.measure_at(m_idx)}
-    for j in range(m_idx + 1, 1):
-        sigma[j] = convolve(noise.measure_at(j), sigma[j - 1])
-    lambdas = {k: translate_right(sigma[k], alpha_m) for k in range(DEFAULT_K_MIN, 1)}
-
-    H = right_stabilizer(lambda0, DEFAULT_STABILIZER_TOL)
-    case = _case_of(noise.group, H)
+    # omega_K at the first tail period boundary below the window, the noise above it
+    blocks = max(0, -((p - 1 + k_min) // period))
+    base = -(p + blocks * period)
+    sigma = {base: omega}
+    for k in range(base + 1, 1):
+        sigma[k] = convolve(noise.measure_at(k), sigma[k - 1])
+    _, anchor = _gauge_align(sigma[0], gauge)
+    lambdas = {k: translate_right(sigma[k], anchor) for k in range(k_min, 1)}
+    H = conjugate_subgroup(K, anchor)
 
     conv_eq = max(tv_distance(lambdas[k], convolve(noise.measure_at(k),
-                                                   translate_right(sigma[k - 1], alpha_m)))
-                  for k in range(DEFAULT_K_MIN, 1))
+                                                   translate_right(sigma[k - 1], anchor)))
+                  for k in range(k_min, 1))
+    b = picks[-1]
+    haar_check = tv_distance(convolve(block, omega), translate_right(omega, b))
+    top = anchor
+    for _ in range(blocks):  # lambda at the top tail level is B^blocks omega_K delta_anchor
+        top = int(group.mul[b, top])
 
-    shape_stab = max(d for _, d in history[-confirm_span:])
-
-    lam_deep_prev = translate_right(sigma[l_cert - 1], alpha_m)
-    _, alpha_l = shape_distance(nus[depth_used], lambda0)
-    haar_check = tv_distance(translate_left(int(noise.group.inv[alpha_l]), lam_deep_prev),
-                             haar_subgroup(noise.group, H))
-
+    residuals = {"shape_stabilization": float(dist[m]), "conv_eq": float(conv_eq),
+                 "haar_check": float(haar_check)}
     return LimitResult(
-        group=noise.group,
-        lambdas=lambdas,
-        subgroup=H,
-        case=case,
-        depth_used=depth_used,
-        deepest_depth=deepest,
-        k_min=DEFAULT_K_MIN,
-        residuals={
-            "shape_stabilization": float(shape_stab),
-            "conv_eq": float(conv_eq),
-            "haar_check": float(haar_check),
-        },
-        shape_history=tuple(history),
-        anchor=alpha_m,
-        products=tuple(nus),
+        group=group, lambdas=lambdas, subgroup=H, case=_case_of(group, H),
+        depth_used=depth_used, deepest_depth=2 * depth_used, k_min=k_min,
+        residuals=residuals, shape_history=history, anchor=anchor,
+        prefix_len=p, picks=picks, top=top,
     )
 
 
 def _case_of(group: FiniteGroup, H: Subgroup) -> str:
-    if H.order == group.order:
-        return "A"
-    if H.order == 1:
-        return "B"
-    return "C"
+    return "A" if H.order == group.order else "B" if H.order == 1 else "C"
 
 
 def strong_subgroup(group: FiniteGroup, H_mu: Subgroup) -> Subgroup:
@@ -345,19 +335,25 @@ def extend_centerings(noise: NoiseLaw, result: LimitResult,
                       levels: Iterable[int]) -> dict[int, int]:
     """Centering elements alpha_l at the requested levels l <= 0, as {l: alpha_l}.
 
-    alpha_l is the smallest g aligning nu_l delta_g best with nu_M delta_{alpha_M}
-    (M = -deepest_depth; alpha_M is the gauge's own), a law that can differ
-    from ``result.lambda0`` in the last bits. Levels past M continue
-    ``result.products`` from nu_M, one convolution each; only they read ``noise``.
+    nu_l is the prefix, then q whole tail blocks and r more tail factors (none
+    inside the prefix), whose product tends to omega_K delta_(b^q t_r). Lambda
+    at the top tail level is omega_K delta_c, c = ``result.top``, so
+    alpha_l = (b^q t_r)^-1 c, exact modulo H. A closed form: ``noise`` is not
+    read and nothing is convolved, at any depth.
     """
     levels = sorted(set(levels), reverse=True)
     if levels and levels[0] > 0:
         raise BadRange(f"centering levels must be <= 0, got {levels[0]}")
-    nus = list(result.products)
-    _extend_products(noise, nus, -min(levels, default=0))
-    target = translate_right(result.products[-1], result.anchor)
-    return {l: result.anchor if l == -result.deepest_depth else shape_distance(nus[-l], target)[1]
-            for l in levels}
+    group, picks = result.group, result.picks
+    cycle = [group.identity]  # powers of b, up to its order
+    while (nxt := int(group.mul[cycle[-1], picks[-1]])) != group.identity:
+        cycle.append(nxt)
+    out = {}
+    for l in levels:
+        q, r = divmod(max(0, 1 - l - result.prefix_len), len(picks) - 1)
+        shift = group.mul[cycle[q % len(cycle)], picks[r]]
+        out[l] = int(group.mul[group.inv[shift], result.top])
+    return out
 
 
 @dataclass(frozen=True)
@@ -377,15 +373,12 @@ def verify_conjugacy_uniqueness(
 ) -> ConjugacyCheck:
     """Check that two independent gauge conventions agree up to conjugation.
 
-    ``result`` is the max-weight anchor run of :func:`compute_limit` at the
-    default confirmation span; the min-support anchor is run here with a
-    longer span. Finds g with tv(lambda~_0, lambda_0 * delta_g) <= 10 eps_shape
-    and g^{-1} H g = H~.
+    ``result`` is the max-weight anchor run of :func:`compute_limit`; the
+    min-support anchor is run here. Finds g with
+    tv(lambda~_0, lambda_0 * delta_g) <= 10 eps_shape and g^{-1} H g = H~.
     """
-    res2 = compute_limit(
-        noise, eps_shape=eps_shape, max_depth=max_depth,
-        gauge=GAUGE_MIN_SUPPORT, confirm_span=40,
-    )
+    res2 = compute_limit(noise, eps_shape=eps_shape, max_depth=max_depth,
+                         gauge=GAUGE_MIN_SUPPORT)
     gap, witness = shape_distance(result.lambda0, res2.lambda0)
     conj = conjugate_subgroup(result.subgroup, witness)
     match = conj.members == res2.subgroup.members

@@ -154,7 +154,8 @@ class TorusNoiseLaw:
             return self.prefix[i]
         if isinstance(self.tail, PeriodicTail):
             return self.tail.mus[(i - m) % len(self.tail.mus)]
-        return WrappedGaussianSpec(0.0, self.tail.coeff * self.tail.ratio ** i)
+        sd = self.tail.coeff * self.tail.ratio ** i
+        return WrappedGaussianSpec(0.0, sd) if sd > 0 else DiracSpec(0.0)  # sd underflowed
 
 
 def _log_abs_char(spec: TorusMeasureSpec, p: int) -> float:

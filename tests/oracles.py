@@ -7,19 +7,21 @@ loops over one path at a time.
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
-from convlimit.errors import CosetNotStabilized, GridMismatch, InvalidSpec
+from convlimit.errors import CosetNotStabilized, GridMismatch, InvalidSpec, NoConvergenceAtDepth
 from convlimit.groups import full_subgroup, generated_subgroup, left_cosets, trivial_subgroup
 from convlimit.limits import (
     GAUGE_MAX_WEIGHT,
     GAUGE_MIN_SUPPORT,
     SUPPORT_TOL,
+    _gauge_align,
     extend_centerings,
     shape_distance,
 )
-from convlimit.measures import all_right_translates, convolve, translate_right
+from convlimit.measures import all_right_translates, convolve, right_stabilizer, translate_right
 from convlimit.solutions import _PURPOSE_XI, _stream, centered_window, recursion_break, sample_noise
 from convlimit.stats import DepthRecord
 from convlimit.torus import (
@@ -231,33 +233,71 @@ def ensemble_records(ens):
 def all_centerings(noise, result, depth):
     """Centering elements alpha_l for every l in [-depth, 0].
 
-    The whole product chain is rebuilt from nu_0, down to depth or to the
-    anchor depth M = -deepest_depth if that is deeper, and every level is
-    aligned by ``shape_distance`` to nu_M delta_{alpha_M}, where alpha_M is
-    the result's gauge-pinned anchor; the anchor level keeps alpha_M itself.
+    The whole product chain is built from nu_0 down to depth, and every level
+    is aligned by ``shape_distance`` to the result's lambda_0.
     """
-    m = result.deepest_depth
-    nus = [noise.measure_at(0)]
-    for l in range(-1, -max(depth, m) - 1, -1):
-        nus.append(convolve(nus[-1], noise.measure_at(l)))
-    target = translate_right(nus[m], result.anchor)
-    out = {-i: shape_distance(nus[i], target)[1] for i in range(depth + 1)}
-    if m <= depth:
-        out[-m] = result.anchor
+    nu = noise.measure_at(0)
+    out = {0: shape_distance(nu, result.lambda0)[1]}
+    for l in range(-1, -depth - 1, -1):
+        nu = convolve(nu, noise.measure_at(l))
+        out[l] = shape_distance(nu, result.lambda0)[1]
     return out
+
+
+def deepening_limit(noise, levels=(), *, eps_shape=1e-9, max_depth=20000, confirm_span=25,
+                    gauge=GAUGE_MAX_WEIGHT):
+    """Limit laws, H, case and centerings by deepening one convolution per level.
+
+    The tail's own chain tau_l = mu_-p * ... * mu_l (p = len(prefix)) is
+    deepened from level -p until its shape distance to the previous level
+    stays below eps_shape for confirm_span levels in a row (the streak
+    rule), then on to M = -max(2 L, L + 2 confirm_span, 8 + confirm_span)
+    for the certified level L. The gauge aligns nu_M = mu_0 * ... * mu_M
+    with anchor alpha_M; lambda_k = mu_k * ... * mu_M delta_alpha_M over the
+    window [-8, 0]. H is the right stabilizer (at 1e-6) of lambda at the top
+    tail level, tau_M delta_alpha_M, which a symmetric prefix cannot enlarge.
+    ``alphas`` maps each of the given tail levels l to the smallest g
+    aligning tau_l delta_g with that law. Returns a namespace.
+    """
+    p = len(noise.prefix)
+    taus = [noise.measure_at(-p)]
+    streak, depth = 0, p
+    while streak < confirm_span:
+        depth += 1
+        if depth > max_depth:
+            raise NoConvergenceAtDepth(max_depth, [], None, None)
+        taus.append(convolve(taus[-1], noise.measure_at(-depth)))
+        streak = streak + 1 if shape_distance(taus[-1], taus[-2])[0] < eps_shape else 0
+    deepest = max(2 * depth, depth + 2 * confirm_span, 8 + confirm_span)
+    levels = sorted(levels)
+    while len(taus) < max(deepest, -min(levels, default=0)) - p + 1:
+        taus.append(convolve(taus[-1], noise.measure_at(-p - len(taus))))
+    sigma = {-deepest: noise.measure_at(-deepest)}
+    for k in range(-deepest + 1, 1):
+        sigma[k] = convolve(noise.measure_at(k), sigma[k - 1])
+    _, anchor = _gauge_align(sigma[0], gauge)
+    top = translate_right(taus[deepest - p], anchor)
+    H = right_stabilizer(top, 1e-6)
+    case = "A" if H.order == noise.group.order else "B" if H.order == 1 else "C"
+    return SimpleNamespace(
+        lambdas={k: translate_right(sigma[k], anchor) for k in range(-8, 1)},
+        subgroup=H, case=case, depth_used=depth, deepest_depth=deepest,
+        alphas={l: shape_distance(taus[-l - p], top)[1] for l in levels},
+    )
 
 
 def case_b_diagnostic(noise, limitres, depths, n_paths=1000, seed=0):
     """The depth-L against depth-2L disagreement records, one product loop per depth.
 
-    Centerings come from :func:`all_centerings` at depth 2 max(L), and the
-    depth-L product is accumulated from the truncated stream on its own
-    instead of being divided out of the depth-2L one.
+    Centerings come from the library's ``extend_centerings``: the element-level
+    disagreement depends on which member of alpha_l H they pick. The depth-L
+    product is accumulated from the truncated stream on its own instead of
+    being divided out of the depth-2L one.
     """
     group = noise.group
     mul = group.mul
     space = left_cosets(group, limitres.subgroup)
-    alphas = all_centerings(noise, limitres, 2 * max(depths))
+    alphas = extend_centerings(noise, limitres, [l for L in depths for l in (-L, -2 * L)])
     out = []
     for L in depths:
         xi = sample_noise(noise, 2 * L, n_paths, seed, chunk=L).T  # cols: k = -2L..0

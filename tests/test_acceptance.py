@@ -130,7 +130,7 @@ def test_criterion_03_conjugacy_uniqueness(corpus):
         res1 = results[key]
         check = verify_conjugacy_uniqueness(noise, res1)
         assert check.ok, key
-        res2 = compute_limit(noise, gauge="min-support", confirm_span=40)
+        res2 = compute_limit(noise, gauge="min-support")
         moved = translate_right(res1.lambda0, check.witness)
         assert tv_distance(moved, res2.lambda0) <= 10 * 1e-9
         assert conjugate_subgroup(res1.subgroup, check.witness).members == res2.subgroup.members

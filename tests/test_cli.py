@@ -111,7 +111,8 @@ class TestLimit:
         assert payload["conjugacy_uniqueness"]["ok"] is True
         shape = (out / "shape_curve.csv").read_text().splitlines()
         assert shape[0] == "depth,shape_distance"
-        assert len(shape) > 10
+        assert len(shape) >= 2
+        assert float(shape[-1].split(",")[1]) < 1e-9
         resid = (out / "conv_residuals.csv").read_text().splitlines()
         assert resid[0] == "k,conv_eq_residual"
         assert all(float(line.split(",")[1]) <= 1e-8 for line in resid[1:])
@@ -263,6 +264,21 @@ class TestVerify:
         assert rc == 1
         payload = json.loads((out / "report.json").read_text())
         assert payload["passed"] is False
+
+
+    def test_symmetric_prefix_checks_the_symmetries_of_lambda_0(self, tmp_path):
+        # H is trivial (the tail is deterministic), but the Haar prefix makes
+        # every translate fix lambda_0, and the sample sees all of them
+        spec = write_spec(tmp_path, {
+            "group": {"kind": "builtin", "name": "Z4"},
+            "prefix": [{"kind": "haar"}],
+            "tail": {"kind": "constant", "mu": {"kind": "delta", "at": 1}},
+        })
+        rc = main(["verify", "--input", str(spec), "--out", str(tmp_path / "out"),
+                   "--seed", "1", "--paths", "5000"])
+        assert rc == 0
+        payload = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert (payload["case"], payload["hiso_detected"]) == ("B", [0, 1, 2, 3])
 
 
 class TestDeterminism:

@@ -1,8 +1,20 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from convlimit.errors import BadRange, InvalidSpec, NoConvergenceAtDepth
-from convlimit.groups import builtin_group, cyclic_group, generated_subgroup, subgroup, symmetric_group
+from convlimit.groups import (
+    builtin_group,
+    conjugate_subgroup,
+    cyclic_group,
+    generated_subgroup,
+    quaternion_group,
+    subgroup,
+    symmetric_group,
+)
 from convlimit.limits import (
     GAUGE_MAX_WEIGHT,
     GAUGE_MIN_SUPPORT,
@@ -32,6 +44,7 @@ from convlimit.measures import (
 
 Z4 = cyclic_group(4)
 S3 = symmetric_group(3)
+Q8 = quaternion_group()
 
 
 def z4_noise_case_a():
@@ -242,30 +255,36 @@ class TestComputeLimit:
         assert res.depth_used > 25
 
     def test_no_convergence_at_tiny_depth(self):
+        # Haar noise certifies at depth 10: the window, then two tail periods
         with pytest.raises(NoConvergenceAtDepth) as exc:
-            compute_limit(z4_noise_case_a(), max_depth=10)
-        assert exc.value.max_depth == 10
-        assert len(exc.value.history) == 10
+            compute_limit(z4_noise_case_a(), max_depth=9)
+        assert exc.value.max_depth == 9
+        assert (exc.value.rate, exc.value.projected_depth) == (0.0, 10)
+        assert exc.value.history == compute_limit(z4_noise_case_a()).shape_history
 
     def test_no_convergence_projects_the_depth_it_needs(self):
-        # the lazy walk on Z30 certifies at depth_used 3303; the fit over the
-        # last 256 distances before depth 1024 must land within 1% of it
+        # the lazy walk on Z30 certifies at depth_used 3700; the ladder does
+        # not depend on max_depth, so exit 3 states that depth exactly
         z30 = cyclic_group(30)
         noise = constant_noise(Measure(z30, [0.5, 0.5] + [0.0] * 28))
         needed = compute_limit(noise).depth_used
         with pytest.raises(NoConvergenceAtDepth) as exc:
             compute_limit(noise, max_depth=1024)
         assert 0 < exc.value.rate < 1
-        assert abs(exc.value.projected_depth - needed) <= 0.01 * needed
+        assert exc.value.projected_depth == needed
         assert str(exc.value).startswith("shape did not stabilize within depth 1024; ")
         assert f"projected depth {exc.value.projected_depth}" in str(exc.value)
 
     def test_no_projection_without_a_decreasing_tail(self):
-        # Haar noise: every shape distance is exactly 0, so nothing to fit
+        # a squaring that fails to shrink the distance before it falls below
+        # eps_shape: the ladder stalled at the float floor, at any max_depth
+        noise = constant_noise(Measure(Z4, [0.7, 0.3, 0.0, 0.0]))
         with pytest.raises(NoConvergenceAtDepth) as exc:
-            compute_limit(z4_noise_case_a(), max_depth=10)
+            compute_limit(noise, eps_shape=1e-300, max_depth=10**9)
         assert exc.value.rate is None and exc.value.projected_depth is None
         assert "no contraction, no projected depth" in str(exc.value)
+        (_, before), (_, after) = exc.value.history[-2:]
+        assert 0 < before <= after < 1e-12
 
     def test_h_stabilizes_every_window_law(self):
         for make in CORPUS:
@@ -289,9 +308,11 @@ class TestComputeLimit:
         for make in CORPUS:
             noise = make()
             res = compute_limit(noise)
-            for l in (-res.depth_used, -res.depth_used + 1):
+            levels = (-res.depth_used, -res.depth_used - 1)
+            alphas = extend_centerings(noise, res, levels)
+            for l in levels:
                 prod = partial_product(noise, 0, l)
-                aligned = translate_right(prod, res.alphas[l])
+                aligned = translate_right(prod, alphas[l])
                 assert tv_distance(aligned, res.lambda0) <= 10 * 1e-9
 
     def test_one_step_fixed_point_for_idempotent_tail(self):
@@ -304,16 +325,30 @@ class TestComputeLimit:
         assert set(h_tail.members) <= set(res.subgroup.members)
         assert res.subgroup.members == h_tail.members
 
-    def test_aligns_only_the_level_haar_check_reads(self, monkeypatch):
+    def test_one_shape_distance_per_ladder_rung(self, monkeypatch):
         from convlimit import limits
 
         calls = []
         monkeypatch.setattr(limits, "shape_distance",
                             lambda *a: calls.append(1) or shape_distance(*a))
-        for make in CORPUS:
+        for make in [*CORPUS, lazy_walk_z12]:
             calls.clear()
             res = compute_limit(make())
-            assert len(calls) == res.depth_used + 1  # one per deepening step, one for haar_check
+            assert len(calls) == len(res.shape_history)
+
+    def test_convolutions_grow_with_log_depth(self, monkeypatch):
+        # the lazy walk on Z100 certifies at depth 41081 with 2^16 as its top rung
+        from convlimit import limits
+
+        noise = constant_noise(Measure(cyclic_group(100), [0.5, 0.5] + [0.0] * 98))
+        calls = []
+        monkeypatch.setattr(limits, "convolve", lambda *a: calls.append(1) or convolve(*a))
+        res = compute_limit(noise, max_depth=10**6)
+        m = (res.depth_used - 8) // len(noise.tail) - 1
+        bound = (2 * (len(noise.prefix) + len(noise.tail) - res.k_min)
+                 + 3 * math.ceil(math.log2(m)) + 8)
+        assert (res.depth_used, bound) == (41081, 74)
+        assert len(calls) <= bound
 
     def test_determinism(self):
         a = compute_limit(z4_noise_case_c())
@@ -342,9 +377,6 @@ class TestClassifyAndStrongSubgroup:
         assert strong_subgroup(Z4, res.subgroup).order == 1
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "compute_limit reads H from lambda_0 alone and certifies on the shape at level 0, "
-    "so a Haar mu_0 hides a deterministic tail: it reports case A with H = G"))
 def test_symmetric_prefix_does_not_hide_the_tail():
     # eta_k = k + 1 for k <= -1 and eta_0 = xi_0 is a function of the noise that
     # solves the recursion, and so is every constant shift of it: case B.
@@ -352,6 +384,17 @@ def test_symmetric_prefix_does_not_hide_the_tail():
     res = compute_limit(noise)
     assert res.case == "B"
     assert res.subgroup.order == 1
+
+
+def test_periodic_prefix_does_not_enlarge_h():
+    # zn130: the ramp prefix repeats with period 5, so lambda_0 is invariant
+    # under the 26 multiples of 5; the tail, uniform on a coset of the multiples
+    # of 10, fixes only those 13
+    from test_golden_records import SPECS
+
+    res = compute_limit(noise_from_spec(SPECS["zn130"]))
+    assert (res.case, res.subgroup.members) == ("C", tuple(range(0, 130, 10)))
+    assert right_stabilizer(res.lambda0, 1e-6).order == 26
 
 
 class TestConjugacyUniqueness:
@@ -362,7 +405,7 @@ class TestConjugacyUniqueness:
         check = verify_conjugacy_uniqueness(noise, res1)
         assert check.ok
         # witness validity by the exact identities
-        res2 = compute_limit(noise, gauge="min-support", confirm_span=40)
+        res2 = compute_limit(noise, gauge="min-support")
         moved = translate_right(res1.lambda0, check.witness)
         assert tv_distance(moved, res2.lambda0) <= 10 * 1e-9
         from convlimit.groups import conjugate_subgroup
@@ -434,14 +477,35 @@ def lazy_walk_z12():
     return constant_noise(Measure(g, w))
 
 
+def _cosets(res, alphas):
+    """{l: alpha_l H}, each coset as a frozenset."""
+    members = list(res.subgroup.members)
+    return {l: frozenset(res.group.mul[a, members].tolist()) for l, a in alphas.items()}
+
+
 class TestExtendCenterings:
+    """Centerings are compared with the oracle modulo H, as the cosets alpha_l H.
+
+    That is all the record files read of them. Put alpha'_l = alpha_l h with
+    h in H. The centred product becomes full'_k = full_k h, and it lies in
+    the same coset full_k H, so phi_k, the section's representative of that
+    coset, and the half-depth coset check are unchanged. An extremal path is
+    eta_k = full'_k h' with h' = full'_0^-1 phi_0 U_0 = h^-1 full_0^-1 phi_0 U_0,
+    so eta_k = full_k h h^-1 full_0^-1 phi_0 U_0 is unchanged, and so is
+    U_k = phi_k^-1 eta_k. A decomposition reads Z' = full'_0^-1 eta_0 = h^-1 Z
+    and V = rep(Z'^-1 H)^-1 = rep(Z^-1 h H)^-1 = rep(Z^-1 H)^-1, unchanged,
+    and then U_k = phi_k^-1 eta_k V^-1 as before. ``test_golden_records``
+    pins these bytes at fixed depths.
+    """
+
     def test_agrees_with_result_alphas(self):
         noise = z4_noise_case_c()
         res = compute_limit(noise)
         levels = range(0, -res.deepest_depth - 41, -1)
         ext = extend_centerings(noise, res, levels)
         for l, a in res.alphas.items():
-            assert ext[l] == a  # the gauge-pinned anchor included
+            assert ext[l] == a
+        assert set(res.alphas) == {-res.depth_used, -res.deepest_depth}
         assert set(ext) == set(levels)
 
     def test_shallow_request_subsets(self):
@@ -457,16 +521,14 @@ class TestExtendCenterings:
 
         noise = make()
         res = compute_limit(noise)
-        depth = 2 * res.deepest_depth + 1  # past deepest_depth + 40, as deepest_depth >= 50
+        depth = 2 * res.deepest_depth + 41
+        levels = range(-res.depth_used, -depth - 1, -1)
         ref = all_centerings(noise, res, depth)
-        anchor = -res.deepest_depth
-        every = extend_centerings(noise, res, range(0, -depth - 1, -1))
-        assert every[anchor] == res.anchor
-        assert every == ref
+        every = extend_centerings(noise, res, levels)
+        assert _cosets(res, every) == _cosets(res, {l: ref[l] for l in levels})
         # the two levels the half-depth check reads, at depths on both sides
-        # of the deepest computed one
-        for d in (2 * res.depth_used, res.deepest_depth, res.deepest_depth + 1,
-                  res.deepest_depth + 40, 2 * res.deepest_depth, depth):
+        # of the deepest_depth
+        for d in (2 * res.depth_used, res.deepest_depth + 1, res.deepest_depth + 40, depth):
             pair = extend_centerings(noise, res, (-d, -(d // 2)))
             assert pair == {l: every[l] for l in (-d, -(d // 2))}
 
@@ -475,30 +537,30 @@ class TestExtendCenterings:
         with pytest.raises(BadRange):
             extend_centerings(noise, compute_limit(noise), [0, 1])
 
-    def test_past_deepest_continues_the_chain(self, monkeypatch):
+    def test_no_convolution_at_any_depth(self, monkeypatch):
         from convlimit import limits
 
         noise = lazy_walk_z12()
         res = compute_limit(noise)
         calls = []
         monkeypatch.setattr(limits, "convolve", lambda *a: calls.append(1) or convolve(*a))
-        depth = res.deepest_depth + 40
-        extend_centerings(noise, res, (-depth, -(depth // 2)))
-        assert len(calls) == depth - res.deepest_depth
+        for depth in (res.deepest_depth + 40, 10**9):
+            extend_centerings(noise, res, (-depth, -(depth // 2)))
+        assert calls == []
 
     def test_past_deepest_matches_oracle_on_q8(self):
-        # case C with ties inside each coset of H, so the alignment target
-        # decides which member of alpha_l H is returned
+        # case C with ties inside each coset of H, and a prefix
         from oracles import all_centerings
         from test_golden_records import SPECS
 
         noise = noise_from_spec(SPECS["q8-case-c"])
         res = compute_limit(noise)
-        assert (res.case, res.deepest_depth) == ("C", 164)
+        assert (res.case, res.deepest_depth) == ("C", 134)
         depth = res.deepest_depth + 40
-        levels = range(-res.deepest_depth - 1, -depth - 1, -1)
+        levels = range(-res.depth_used, -depth - 1, -1)
         ref = all_centerings(noise, res, depth)
-        assert extend_centerings(noise, res, levels) == {l: ref[l] for l in levels}
+        assert (_cosets(res, extend_centerings(noise, res, levels))
+                == _cosets(res, {l: ref[l] for l in levels}))
 
 
 def _gauge_corpus():
@@ -511,7 +573,8 @@ def _gauge_corpus():
         noise = noise_from_spec(spec)
         res = compute_limit(noise)
         laws += [*noise.prefix, *noise.tail, *res.lambdas.values(),
-                 *(res.products[i] for i in (0, 1, res.depth_used, -1))]
+                 *(partial_product(noise, 0, -i)
+                   for i in (0, 1, res.depth_used, res.deepest_depth))]
     for name in ("Z4", "S3", "D4", "Q8", "S4", "Zn:500"):
         group = builtin_group(name)
         laws += [haar(group), haar_subgroup(group, generated_subgroup(group, (1,)))]
@@ -552,3 +615,56 @@ class TestGaugeAlign:
         with pytest.raises(InvalidSpec, match="unknown gauge"):
             compute_limit(z4_noise_case_c(), gauge="bogus")
         assert calls == []
+
+
+def _property_groups():
+    from convlimit.groups import dihedral_group_4
+
+    return [*(cyclic_group(n) for n in range(2, 13)), S3, dihedral_group_4(), Q8,
+            symmetric_group(4)]
+
+
+@st.composite
+def sparse_noise_laws(draw):
+    """A prefix of 0-3 measures and a tail of period 1-3, each on 1-3 points with weights 1-4."""
+    group = draw(st.sampled_from(_property_groups()))
+
+    def measure():
+        support = draw(st.lists(st.integers(0, group.order - 1), min_size=1, max_size=3,
+                                unique=True))
+        w = np.zeros(group.order)
+        for g in support:
+            w[g] = draw(st.integers(1, 4))
+        return Measure(group, w / w.sum())
+
+    prefix = tuple(measure() for _ in range(draw(st.integers(0, 3))))
+    tail = tuple(measure() for _ in range(draw(st.integers(1, 3))))
+    return NoiseLaw(group, prefix, tail)
+
+
+@given(sparse_noise_laws())
+@example(NoiseLaw(Z4, prefix=(Measure(Z4, [0.5, 0.0, 0.5, 0.0]),), tail=(delta(Z4, 1),)))
+@example(NoiseLaw(Q8, prefix=(delta(Q8, 2), delta(Q8, 0)), tail=(delta(Q8, 1),)))  # -k, -i
+@settings(max_examples=60, deadline=None)
+def test_exact_limit_matches_the_deepening_oracle(noise):
+    # The gauge picks one translate among those that tie, so when lambda_0 has
+    # more symmetry than the window the two engines may pick different ones:
+    # the oracle's laws are the library's moved by one g that fixes lambda_0,
+    # and H and the centerings move with it.
+    from oracles import deepening_limit
+
+    res = compute_limit(noise, max_depth=10**6)
+    d = res.depth_used
+    levels = (-d, -d - 1, -d - len(noise.tail), -2 * d, -2 * d - 1)
+    ref = deepening_limit(noise, levels)
+    group = noise.group
+    g = next(g for g in range(group.order)
+             if all(tv_distance(translate_right(res.lambdas[k], g), ref.lambdas[k]) <= 1e-9
+                    for k in ref.lambdas))
+    assert res.case == ref.case
+    assert conjugate_subgroup(res.subgroup, g) == ref.subgroup
+    alphas = extend_centerings(noise, res, levels)
+    members = list(ref.subgroup.members)
+    for l in levels:
+        moved = int(group.mul[alphas[l], g])
+        assert set(group.mul[moved, members]) == set(group.mul[ref.alphas[l], members]), l

@@ -141,6 +141,11 @@ class TestNoiseIndexing:
             assert isinstance(spec, WrappedGaussianSpec)
             assert spec.sd == pytest.approx(0.1 * 0.5 ** abs(k))
 
+    def test_gaussian_schedule_sd_underflow_is_a_point_mass(self):
+        noise = TorusNoiseLaw(tail=GaussianSchedule(0.1, 0.05))
+        assert noise.spec_at(-247).sd > 0
+        assert noise.spec_at(-248) == DiracSpec(0.0)
+
     def test_gaussian_schedule_head(self):
         noise = TorusNoiseLaw(prefix=(WrappedGaussianSpec(0.0, 0.7),),
                               tail=GaussianSchedule(coeff=0.1, ratio=0.5))
