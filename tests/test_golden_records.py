@@ -1,9 +1,10 @@
-"""Pinned SHA-256 digests of the record files that ``simulate`` and ``decompose`` write.
+"""Pinned SHA-256 digests of the files that ``simulate``, ``decompose`` and ``classify --torus`` write.
 
-A refactor of the sampling or decomposition kernels must leave these bytes
-alone. Each digest covers one ``ensemble.json`` or ``decomposition.json``
-with its ``generated_at`` line removed. The files hold only integer ids and
-fixed strings, so floating-point summation order cannot move a digest. The
+A refactor of the sampling or decomposition kernels, or of the writers and
+readers of these files, must leave these bytes alone. Each digest covers one
+``ensemble.json`` or ``decomposition.json`` with its ``generated_at`` line
+removed. The record files hold only integer ids and fixed strings, so
+floating-point summation order cannot move a digest. The
 Z500 digests at depth 50 and the Z130 uniform one equal those taken while ids
 were still int64, so they guard the narrow id dtypes against overflow.
 
@@ -88,6 +89,14 @@ SPECS = {
         "prefix": [{"kind": "weights", "w": _ramp(500)}],
         "tail": {"kind": "constant", "mu": {"kind": "weights", "w": _coset(500, 3, 5)}},
     },
+}
+
+# Two circle specs, as in the torus acceptance criterion: half atoms on
+# {0, 1/2} (case C) and the Gaussian schedule sd_k = 0.1 * 0.5^|k| (case B).
+TORUS_SPECS = {
+    "half-atoms": {"prefix": [], "tail": {"kind": "constant", "mu": {
+        "kind": "atoms", "points": [[0.0, 0.5], [0.5, 0.5]]}}},
+    "gauss-schedule": {"prefix": [], "tail": {"kind": "gauss_schedule", "c": 0.1, "r": 0.5}},
 }
 
 # (spec, paths): every spec at a few paths, and one run that spans two chunks.
@@ -244,6 +253,27 @@ GOLDEN = {
     },
 }
 
+# ``decompose --ensemble`` of the extremal (V null) and the uniform (no U or
+# phi) files of this run, which span two chunks
+FILE_KINDS_RUN = ("z4-case-c-prefix", CHUNK_SIZE + 3)
+GOLDEN_FILE_KINDS = {
+    "decompose-extremal-file": "0791bd565158339950503aca6eef80cb1e56fdf07696db40e2ac78bf1e4dc8d4",
+    "decompose-uniform-file": "81c088368fb28de9fd5148b8e29253a2af0d6ca59020701af10a389f6448edb1",
+}
+
+GOLDEN_TORUS = {
+    "half-atoms": {
+        "classification.json": "be27c4e96f8799ae373ff9811152471d93ed83a3e2ebf3be8e0fc19deb8f2936",
+        "pi_table.csv": "29619fd02ed083a1c5a6a6b5fd4cb2663dec201c998d2f6259510aa87edcc59d",
+        "pi_curves.csv": "ab5d1f381bc3991b570f70a008a752995c9923b2a990db5f5e0ace45aa38317a",
+    },
+    "gauss-schedule": {
+        "classification.json": "f588d0c605d53876ebedfca1e3c88887140f7bc39febc2a49c31562d476c117c",
+        "pi_table.csv": "dd4f8f1c01289612c7a940a45f0f813ac90e032e31754ee62c0e742847a5595c",
+        "pi_curves.csv": "8941cd8243b103b6496051a2014299d325a221b246b0b15f8d9f7f89fb9cd62d",
+    },
+}
+
 _GENERATED_AT = re.compile(rb'\n  "generated_at": "[^"]*",')
 
 
@@ -273,6 +303,32 @@ def record_digests(tmp_path, name: str, n_paths: int, depth=None) -> dict[str, s
     return out
 
 
+def file_kind_digests(tmp_path) -> dict[str, str]:
+    """Digests of ``decompose --ensemble`` run on an extremal and on a uniform file."""
+    name, n_paths = FILE_KINDS_RUN
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(SPECS[name]))
+    common = ["--input", str(spec), "--seed", "7", "--paths", str(n_paths)]
+    out = {}
+    for kind in ("extremal", "uniform"):
+        sim = tmp_path / f"simulate-{kind}"
+        assert main(["simulate", *common, "--out", str(sim), "--kind", kind]) == 0
+        target = tmp_path / f"decompose-{kind}-file"
+        assert main(["decompose", *common, "--out", str(target),
+                     "--ensemble", str(sim / "ensemble.json")]) == 0
+        out[f"decompose-{kind}-file"] = _digest(target / "decomposition.json")
+    return out
+
+
+def torus_digests(tmp_path, name: str) -> dict[str, str]:
+    """Digests of the three files of ``classify --torus`` on one circle spec."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(TORUS_SPECS[name]))
+    out = tmp_path / "out"
+    assert main(["classify", "--torus", "--input", str(spec), "--out", str(out)]) == 0
+    return {f: _digest(out / f) for f in ("classification.json", "pi_table.csv", "pi_curves.csv")}
+
+
 @pytest.mark.parametrize("name, n_paths", RUNS)
 def test_record_files_match_pinned_digests(name, n_paths, tmp_path):
     assert record_digests(tmp_path, name, n_paths) == GOLDEN[f"{name}/{n_paths}"]
@@ -281,6 +337,15 @@ def test_record_files_match_pinned_digests(name, n_paths, tmp_path):
 @pytest.mark.parametrize("name, n_paths, depth", DEEP_RUNS)
 def test_deep_record_files_match_pinned_digests(name, n_paths, depth, tmp_path):
     assert record_digests(tmp_path, name, n_paths, depth) == GOLDEN[f"{name}/{n_paths}/{depth}"]
+
+
+def test_decompose_of_extremal_and_uniform_files_matches_pinned_digests(tmp_path):
+    assert file_kind_digests(tmp_path) == GOLDEN_FILE_KINDS
+
+
+@pytest.mark.parametrize("name", sorted(TORUS_SPECS))
+def test_torus_classify_files_match_pinned_digests(name, tmp_path):
+    assert torus_digests(tmp_path, name) == GOLDEN_TORUS[name]
 
 
 if __name__ == "__main__":
@@ -294,10 +359,25 @@ if __name__ == "__main__":
     for name, n_paths, depth in DEEP_RUNS:
         with tempfile.TemporaryDirectory() as tmp:
             table[f"{name}/{n_paths}/{depth}"] = record_digests(Path(tmp), name, n_paths, depth)
-    print("GOLDEN = {")
-    for run, digests in table.items():
-        print(f'    "{run}": {{')
-        for key, value in digests.items():
-            print(f'        "{key}": "{value}",')
-        print("    },")
+    with tempfile.TemporaryDirectory() as tmp:
+        file_kinds = file_kind_digests(Path(tmp))
+    torus = {}
+    for name in TORUS_SPECS:
+        with tempfile.TemporaryDirectory() as tmp:
+            torus[name] = torus_digests(Path(tmp), name)
+
+    def show(title, rows):
+        print(f"{title} = {{")
+        for run, digests in rows.items():
+            print(f'    "{run}": {{')
+            for key, value in digests.items():
+                print(f'        "{key}": "{value}",')
+            print("    },")
+        print("}")
+
+    show("GOLDEN", table)
+    print("GOLDEN_FILE_KINDS = {")
+    for key, value in file_kinds.items():
+        print(f'    "{key}": "{value}",')
     print("}")
+    show("GOLDEN_TORUS", torus)
