@@ -14,6 +14,7 @@ import csv
 import datetime
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -66,23 +67,41 @@ def _timestamp() -> str:
 # Stands in for the "paths" text while the rest of the body is dumped.
 _PATHS_MARK = "\x00paths"
 
+# Paths rendered by one Ensemble.to_records call, when a record file is
+# written and when one read back is checked.
+RENDER_CHUNK = 1024
+
+# Bytes read at a time from a record file.
+READ_BLOCK = 1 << 20
+
+
+def _json_parts(body: dict) -> tuple[str, str]:
+    """The text of ``json.dumps(body, indent=2, sort_keys=True) + "\\n"`` before and after
+    the value of ``body["paths"]``."""
+    text = json.dumps({**body, "paths": _PATHS_MARK}, indent=2, sort_keys=True) + "\n"
+    head, _, tail = text.partition(json.dumps(_PATHS_MARK))
+    return head, tail
+
 
 def _write_json(path: Path, payload: dict) -> None:
     """Write the payload as indented, key-sorted JSON.
 
-    A ``"paths"`` value is the JSON text rendered by :meth:`Ensemble.to_records`;
-    it is spliced in where ``json.dumps`` would have written the records.
+    A ``"paths"`` value is an :class:`Ensemble`. Its records are written
+    where ``json.dumps`` would have written them, ``RENDER_CHUNK`` paths per
+    :meth:`Ensemble.to_records` call, so the file's text is never held whole.
     """
     body = {"schema_version": SCHEMA_VERSION, "generated_at": _timestamp(), **payload}
-    paths = body.get("paths")
-    if paths is not None:
-        body["paths"] = _PATHS_MARK
-    text = json.dumps(body, indent=2, sort_keys=True)
-    head, _, tail = text.partition(json.dumps(_PATHS_MARK))
+    ens = body.get("paths")
     with path.open("w", encoding="utf-8") as f:
-        # three writes, so the paths text is not copied into one string
-        for part in (head, paths or "", tail, "\n"):
-            f.write(part)
+        if ens is None:
+            f.write(json.dumps(body, indent=2, sort_keys=True) + "\n")
+            return
+        head, tail = _json_parts(body)
+        f.write(head)
+        # one call even for no paths, which writes "[]"
+        for start in range(0, max(ens.n_paths, 1), RENDER_CHUNK):
+            f.write(ens.to_records(start, min(start + RENDER_CHUNK, ens.n_paths)))
+        f.write(tail)
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -133,14 +152,14 @@ def cmd_classify(args) -> int:
             [p, b.upper, b.lower, b.decision]
             for p, b in sorted(cls.bounds.items())
         ]
-        curves = [
-            [p, i + 1, v]
-            for p, b in sorted(cls.bounds.items())
-            for i, v in enumerate(b.curve)
-        ]
         _write_json(out / "classification.json", payload)
         _write_csv(out / "pi_table.csv", ["p", "upper", "lower", "decision"], table)
-        _write_csv(out / "pi_curves.csv", ["p", "depth", "partial_product"], curves)
+        # the bytes csv.writer writes for these rows (it writes a float's repr),
+        # one string per frequency in place of one list per row
+        with (out / "pi_curves.csv").open("w", newline="", encoding="utf-8") as f:
+            f.write("p,depth,partial_product\r\n")
+            for p, b in sorted(cls.bounds.items()):
+                f.write("".join(f"{p},{i},{v!r}\r\n" for i, v in enumerate(b.curve, 1)))
         print(f"case {cls.case}  p_mu = {cls.p_mu}")
         return EXIT_OK
     noise = noise_from_spec(spec)
@@ -225,49 +244,200 @@ def cmd_simulate(args) -> int:
         "depth": ens.depth,
         "k_min": ens.k_min,
         "case": result.case,
-        "paths": ens.to_records(),
+        "paths": ens,
     }
     _write_json(out / "ensemble.json", payload)
     print(f"simulated {ens.n_paths} {ens.kind} paths at depth {ens.depth}")
     return EXIT_OK
 
 
-def _ensemble_from_file(path: str, group) -> Ensemble:
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise InvalidSpec(f"ensemble file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise InvalidSpec(f"ensemble file is not valid JSON: {exc}") from None
-    records = payload.get("paths") if isinstance(payload, dict) else None
-    if not records:
-        raise InvalidSpec("ensemble file holds no paths")
+def _checked_header(payload: dict) -> tuple[str, int, int, int]:
+    """The kind, seed, depth and k_min of an ensemble file, refused if malformed.
+
+    A ``schema_version`` other than this program's is refused first, so that
+    a file of another layout is never read as this one.
+    """
+    version = payload.get("schema_version", SCHEMA_VERSION)
+    if not is_integer(version) or version != SCHEMA_VERSION:
+        raise InvalidSpec(f"ensemble file has schema_version {version!r}; "
+                          f"this program reads version {SCHEMA_VERSION}")
     try:
         k_min, depth = payload["k_min"], payload["depth"]
-        seed = payload.get("seed", 0)
-        xi = np.array([r["xi"] for r in records])
-        eta = np.array([r["eta"] for r in records])
     except KeyError as exc:
         raise InvalidSpec(f"ensemble file lacks the field {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise InvalidSpec(f"ensemble file arrays are malformed: {exc}") from None
+    seed = payload.get("seed", 0)
     kind = payload.get("kind", "mixture")
     if kind not in ENSEMBLE_KINDS:
         raise InvalidSpec(f"ensemble file kind must be one of {list(ENSEMBLE_KINDS)}, got {kind!r}")
     for name, value in (("k_min", k_min), ("depth", depth), ("seed", seed)):
         if not is_integer(value):
             raise InvalidSpec(f"ensemble file field {name!r} must be an integer, got {value!r}")
+    if not 0 <= -k_min <= depth:
+        raise InvalidSpec(f"ensemble window k_min={k_min} does not fit in depth {depth}")
+    return kind, seed, depth, k_min
+
+
+def _read_json_records(path: str, group):
+    """Header fields and level-major xi and eta of an ensemble file in any JSON layout."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise InvalidSpec(f"ensemble file is not valid JSON: {exc}") from None
+    records = payload.get("paths") if isinstance(payload, dict) else None
+    if not records:
+        raise InvalidSpec("ensemble file holds no paths")
+    header = _checked_header(payload)
+    _, _, depth, k_min = header
+    try:
+        xi = np.array([r["xi"] for r in records])
+        eta = np.array([r["eta"] for r in records])
+    except KeyError as exc:
+        raise InvalidSpec(f"ensemble file lacks the field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise InvalidSpec(f"ensemble file arrays are malformed: {exc}") from None
     if xi.dtype.kind not in "iu" or eta.dtype.kind not in "iu":
         raise InvalidSpec(f"ensemble file element ids must be integers, "
                           f"got {xi.dtype} and {eta.dtype}")
-    if not 0 <= -k_min <= depth:
-        raise InvalidSpec(f"ensemble window k_min={k_min} does not fit in depth {depth}")
     if xi.shape != (len(records), depth + 1) or eta.shape != (len(records), -k_min + 1):
         raise InvalidSpec("ensemble file arrays do not match its window fields")
+    n_paths = payload.get("n_paths", len(records))
+    if not is_integer(n_paths) or n_paths != len(records):
+        raise InvalidSpec(f"ensemble file field 'n_paths' is {n_paths!r}, "
+                          f"but the file holds {len(records)} paths")
     if min(xi.min(), eta.min()) < 0 or max(xi.max(), eta.max()) >= group.order:
         raise InvalidSpec(f"ensemble file holds element ids outside [0, {group.order})")
     # one row per level from here on, as in every Ensemble
-    xi, eta = (a.T.astype(group.id_dtype, order="C") for a in (xi, eta))
+    return header, *(a.T.astype(group.id_dtype, order="C") for a in (xi, eta))
+
+
+# Where the records of a file that _write_json wrote begin: after this, "[".
+_RECORDS_KEY = b'\n  "paths": '
+# Maps each byte but a digit to a space, which np.fromstring reads as a separator.
+_DIGITS_ONLY = bytes(c if 0x30 <= c <= 0x39 else 0x20 for c in range(256))
+# Each id of a record takes at least this many bytes: a newline, eight
+# spaces and a digit.
+_MIN_ID_BYTES = 10
+
+
+def _records_end(buf: bytes, count: int) -> int:
+    """The offset just past the first ``count`` records of ``buf``, or -1 if it holds fewer.
+
+    A record is the only thing in the records text that ends with a "}".
+    """
+    closes = np.flatnonzero(np.frombuffer(buf, np.uint8) == ord("}"))
+    return int(closes[count - 1]) + 1 if closes.size >= count else -1
+
+
+def _empty_ensemble(first: bytes, group, n: int, header) -> Ensemble:
+    """An ensemble of n paths to parse ids into, holding U, phi and V where ``first``, the
+    text of the first record, does."""
+    kind, seed, depth, k_min = header
+    dtype, width = group.id_dtype, -k_min + 1
+    factored = first.startswith(b'[\n    {\n      "U": ')
+    return Ensemble(
+        group=group, kind=kind, seed=seed, depth=depth, k_min=k_min,
+        xi=np.empty((depth + 1, n), dtype), eta=np.empty((width, n), dtype),
+        phi=np.empty((width, n), dtype) if factored else None,
+        U=np.empty((width, n), dtype) if factored else None,
+        V=None if b'"V": null' in first else np.empty(n, dtype))
+
+
+def _read_canonical(f, group):
+    """Header fields and level-major xi and eta of a file laid out as _write_json writes it.
+
+    Reads ``READ_BLOCK`` bytes at a time and parses the ids of each
+    ``RENDER_CHUNK`` records with numpy, straight into arrays of the group's
+    id dtype. The parse counts only if :meth:`Ensemble.to_records` renders
+    the chunk back to exactly the bytes read, and if the text around the
+    records is what ``json.dumps`` writes for what ``json.loads`` reads from
+    it. So a file read here gives what the ``json.loads`` reader gives. Any
+    other file, valid JSON or not, gives None.
+    """
+    buf = f.read(READ_BLOCK)
+    cut = buf.find(_RECORDS_KEY) + len(_RECORDS_KEY)
+    if cut < len(_RECORDS_KEY) or buf[cut:cut + 1] != b"[":
+        return None
+    head, buf = buf[:cut], buf[cut:]
+    try:
+        head = head.decode("utf-8")
+        fields = json.loads(head + "null}")
+        n = fields["n_paths"]
+        kind, seed, depth, k_min = _checked_header(fields)
+    except (ValueError, KeyError, TypeError, InvalidSpec):
+        return None
+    width = -k_min + 1
+    # too short to hold the records its header promises
+    if not (is_integer(n) and n >= 1) or (
+            os.fstat(f.fileno()).st_size < _MIN_ID_BYTES * n * (depth + 1 + width)):
+        return None
+
+    def block_read() -> bool:
+        nonlocal buf
+        more = f.read(READ_BLOCK)
+        buf += more
+        return bool(more)
+
+    ens = None
+    for start in range(0, n, RENDER_CHUNK):
+        stop = min(start + RENDER_CHUNK, n)
+        while (end := _records_end(buf, stop - start)) < 0:
+            if not block_read():
+                return None
+        if ens is None:
+            ens = _empty_ensemble(buf[:_records_end(buf, 1)], group, n, (kind, seed, depth, k_min))
+            # (array, numbers per record) in record order; a name stands for
+            # numbers that are only checked by the re-rendering
+            layout = [(a, c) for a, c in ((ens.U, width), (ens.V, 1), (ens.eta, width),
+                                          ("k_min, path_id", 2), (ens.phi, width),
+                                          (ens.xi, depth + 1), ("xi_k_min", 1))
+                      if a is not None]
+        ids = np.fromstring(buf[:end].translate(_DIGITS_ONLY), dtype=np.int32, sep=" ")
+        if ids.size != (stop - start) * sum(c for _, c in layout):
+            return None
+        ids = ids.reshape(stop - start, -1)
+        col = 0
+        for a, c in layout:
+            part = ids[:, col:col + c]
+            col += c
+            if isinstance(a, str):
+                continue
+            if part.min() < 0 or part.max() >= group.order:
+                return None
+            if a.ndim == 1:
+                a[start:stop] = part[:, 0]
+            else:
+                a[:, start:stop] = part.T
+        text = ens.to_records(start, stop).encode("ascii")
+        while len(buf) < len(text):
+            if not block_read():
+                return None
+        if not buf.startswith(text):
+            return None
+        buf = buf[len(text):]
+    try:
+        tail = (buf + f.read()).decode("utf-8")
+        payload = json.loads(head + "null" + tail)
+        if _json_parts(payload) != (head, tail):
+            return None
+        header = _checked_header(payload)
+    except (ValueError, TypeError, InvalidSpec):
+        return None
+    return header, ens.xi, ens.eta
+
+
+def _ensemble_from_file(path: str, group) -> Ensemble:
+    """Read an ensemble file back: streamed when laid out as written, else via json.loads.
+
+    The streamed reader refuses nothing. It declines every file it cannot
+    show it reads as json.loads would, and the json.loads reader then reads
+    or refuses that file.
+    """
+    try:
+        with open(path, "rb") as f:
+            read = _read_canonical(f, group)
+    except FileNotFoundError:
+        raise InvalidSpec(f"ensemble file not found: {path}") from None
+    (kind, seed, depth, k_min), xi, eta = read or _read_json_records(path, group)
     broken = recursion_break(group, xi, eta, depth, k_min)
     if broken is not None:
         raise InvalidSpec(
@@ -294,7 +464,7 @@ def cmd_decompose(args) -> int:
         "seed": ens.seed,
         "n_paths": ens.n_paths,
         "audit": audit,
-        "paths": dec.to_records(),
+        "paths": dec,
     }
     _write_json(out / "decomposition.json", payload)
     print(

@@ -127,40 +127,52 @@ class Ensemble:
         assert self.U is not None
         return self.U[k - self.k_min]
 
-    def to_records(self) -> str:
-        """The JSON text of the ``"paths"`` array, one record per path.
+    def to_records(self, start: int = 0, stop: Optional[int] = None) -> str:
+        """The JSON text of records ``start`` to ``stop`` of the ``"paths"`` array.
 
-        The text is what ``json.dumps(body, indent=2, sort_keys=True)``
-        writes for ``body["paths"]`` at the top level of a body, byte for
-        byte. Each record holds ``U``, ``V``, ``eta``, ``k_min``,
-        ``path_id``, ``phi``, ``xi`` and ``xi_k_min``, in that order; ``U``
-        and ``phi`` are left out when absent and ``V`` is null when absent.
-        The text is rendered from the path columns: each id goes through
-        one table of digit strings, and each path through one ``str.join``.
+        Joined in path order, the texts of consecutive ranges that cover every
+        path are what ``json.dumps(body, indent=2, sort_keys=True)`` writes for
+        ``body["paths"]`` at the top level of a body, byte for byte; the whole
+        range (the default) is that text alone. So a range that starts at path
+        0 opens the array, any other opens with the separator after the record
+        before it, and the range that ends at the last path closes the array.
+        Each record holds ``U``, ``V``, ``eta``, ``k_min``, ``path_id``,
+        ``phi``, ``xi`` and ``xi_k_min``, in that order; ``U`` and ``phi`` are
+        left out when absent and ``V`` is null when absent. The text is
+        rendered from the path columns: each id goes through one table of
+        digit strings, and each path through one ``str.join``.
         """
-        if self.n_paths == 0:
+        n = self.n_paths
+        stop = n if stop is None else stop
+        if not 0 <= start <= stop <= n:
+            raise ValueError(f"record range [{start}, {stop}) outside [0, {n}]")
+        if n == 0:
             return "[]"
+        if start == stop:
+            return ""
         digits = np.array([str(g) for g in range(self.group.order)], dtype=object)
 
         def rows(a: np.ndarray) -> list[str]:
             return ["[\n        " + ",\n        ".join(r) + "\n      ]"
-                    for r in digits[a.T].tolist()]
+                    for r in digits[a[:, start:stop].T].tolist()]
 
         eta, xi = rows(self.eta), rows(self.xi)
         phi = rows(self.phi) if self.phi is not None else None
         U = rows(self.U) if self.U is not None else None
-        V = digits[self.V].tolist() if self.V is not None else ["null"] * self.n_paths
+        V = (digits[self.V[start:stop]].tolist() if self.V is not None
+             else ["null"] * (stop - start))
         k_min, xi_k_min = f'"k_min": {self.k_min}', f'"xi_k_min": {-self.depth}'
-        out = ["[\n    "]
-        for i in range(self.n_paths):
+        out = ["[\n    " if start == 0 else ",\n    "]
+        for i in range(stop - start):
             head = f'"U": {U[i]},\n      ' if U is not None else ""
             mid = f'"phi": {phi[i]},\n      ' if phi is not None else ""
             out.append(
                 f'{{\n      {head}"V": {V[i]},\n      "eta": {eta[i]},\n      {k_min},\n'
-                f'      "path_id": {i},\n      {mid}"xi": {xi[i]},\n      {xi_k_min}\n    }}'
+                f'      "path_id": {start + i},\n      {mid}"xi": {xi[i]},\n      {xi_k_min}\n    }}'
             )
             out.append(",\n    ")
-        out[-1] = "\n  ]"  # the last separator closes the array; one join builds the text
+        # the last separator closes the array, or is the next range's to write
+        out[-1] = "\n  ]" if stop == n else ""
         return "".join(out)
 
 

@@ -489,6 +489,12 @@ MALFORMED_INPUTS = {
                                  "ensemble file kind"),
     "ensemble-float-seed": (lambda t, p: _decompose_file(t, {**p, "seed": p["seed"] + 0.9}),
                             "'seed' must be an integer"),
+    "ensemble-n_paths-disagrees": (lambda t, p: _decompose_file(t, {**p, "n_paths": 4}),
+                                   "'n_paths' is 4, but the file holds 3 paths"),
+    "ensemble-n_paths-string": (lambda t, p: _decompose_file(t, {**p, "n_paths": "3"}),
+                                "'n_paths' is '3'"),
+    "ensemble-schema-version-2": (lambda t, p: _decompose_file(t, {**p, "schema_version": 2}),
+                                  "schema_version 2"),
     "eps-nan": (lambda t, p: _command(t, "classify", Z4_CASE_C_SPEC, "--eps", "nan"), "--eps"),
     "eps-inf": (lambda t, p: _command(t, "classify", Z4_CASE_C_SPEC, "--eps", "inf"), "--eps"),
     "max-depth-zero": (lambda t, p: _command(t, "classify", Z4_CASE_C_SPEC, "--max-depth", "0"),
@@ -542,6 +548,22 @@ def test_malformed_input_exits_2_with_named_error(case, tmp_path, capsys, ensemb
     assert rc == 2, err
     assert "error:" in err and fragment in err, err
     assert "Traceback" not in err
+    out = tmp_path / "out"
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("case", sorted(c for c in MALFORMED_INPUTS if c.startswith("ensemble-")))
+def test_malformed_ensemble_file_refused_alike_when_indented(case, tmp_path, capsys,
+                                                             ensemble_payload):
+    """The ensemble-file cases above again, with the file laid out as ``simulate`` writes
+    it, so the streamed reader sees it first: each is refused with the same error."""
+    build, fragment = MALFORMED_INPUTS[case]
+    argv = build(tmp_path, json.loads(ensemble_payload))
+    ens = tmp_path / "ensemble.json"
+    ens.write_text(json.dumps(json.loads(ens.read_text()), indent=2, sort_keys=True) + "\n")
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2 and "error:" in err and fragment in err, err
     out = tmp_path / "out"
     assert not out.exists() or not any(out.iterdir())
 

@@ -553,7 +553,7 @@ def test_every_array_is_level_major(name, tmp_path):
     ensembles = _ensembles_of_every_kind(name, 5)
     cli._write_json(tmp_path / "mixture.json", {"kind": "mixture", "depth": ensembles["mixture"].depth,
                                                 "k_min": ensembles["mixture"].k_min,
-                                                "paths": ensembles["mixture"].to_records()})
+                                                "paths": ensembles["mixture"]})
     ensembles["file"] = cli._ensemble_from_file(str(tmp_path / "mixture.json"), builtin_group(name))
     for kind, ens in ensembles.items():
         window = (-ens.k_min + 1, 5)
@@ -595,7 +595,7 @@ def test_records_text_is_byte_identical_to_json_dumps(name, n_paths, tmp_path, m
     monkeypatch.setattr(cli, "_timestamp", lambda: "fixed")
     for kind, ens in _ensembles_of_every_kind(name, n_paths).items():
         payload = {"kind": ens.kind, "n_paths": ens.n_paths}
-        cli._write_json(tmp_path / "out.json", {**payload, "paths": ens.to_records()})
+        cli._write_json(tmp_path / "out.json", {**payload, "paths": ens})
         body = {"schema_version": cli.SCHEMA_VERSION, "generated_at": "fixed", **payload,
                 "paths": ensemble_records(ens)}
         expected = json.dumps(body, indent=2, sort_keys=True) + "\n"
