@@ -346,8 +346,8 @@ def _read_canonical(f, group):
     """Header fields and level-major xi and eta of a file laid out as _write_json writes it.
 
     Reads ``READ_BLOCK`` bytes at a time and parses the ids of each
-    ``RENDER_CHUNK`` records with numpy, straight into arrays of the group's
-    id dtype. The parse counts only if :meth:`Ensemble.to_records` renders
+    ``RENDER_CHUNK`` records with numpy into arrays of the group's id dtype,
+    U, phi and V included. The parse counts only if :meth:`Ensemble.to_records` renders
     the chunk back to exactly the bytes read, and if the text around the
     records is what ``json.dumps`` writes for what ``json.loads`` reads from
     it. So a file read here gives what the ``json.loads`` reader gives. Any
@@ -362,9 +362,10 @@ def _read_canonical(f, group):
         head = head.decode("utf-8")
         fields = json.loads(head + "null}")
         n = fields["n_paths"]
-        kind, seed, depth, k_min = _checked_header(fields)
+        header = _checked_header(fields)
     except (ValueError, KeyError, TypeError, InvalidSpec):
         return None
+    _, _, depth, k_min = header
     width = -k_min + 1
     # too short to hold the records its header promises
     if not (is_integer(n) and n >= 1) or (
@@ -384,7 +385,7 @@ def _read_canonical(f, group):
             if not block_read():
                 return None
         if ens is None:
-            ens = _empty_ensemble(buf[:_records_end(buf, 1)], group, n, (kind, seed, depth, k_min))
+            ens = _empty_ensemble(buf[:_records_end(buf, 1)], group, n, header)
             # (array, numbers per record) in record order; a name stands for
             # numbers that are only checked by the re-rendering
             layout = [(a, c) for a, c in ((ens.U, width), (ens.V, 1), (ens.eta, width),

@@ -493,6 +493,8 @@ MALFORMED_INPUTS = {
                                    "'n_paths' is 4, but the file holds 3 paths"),
     "ensemble-n_paths-string": (lambda t, p: _decompose_file(t, {**p, "n_paths": "3"}),
                                 "'n_paths' is '3'"),
+    "ensemble-n_paths-huge": (lambda t, p: _decompose_file(t, {**p, "n_paths": 10**12}),
+                              "'n_paths' is 1000000000000"),
     "ensemble-schema-version-2": (lambda t, p: _decompose_file(t, {**p, "schema_version": 2}),
                                   "schema_version 2"),
     "eps-nan": (lambda t, p: _command(t, "classify", Z4_CASE_C_SPEC, "--eps", "nan"), "--eps"),
