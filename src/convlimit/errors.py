@@ -105,7 +105,7 @@ class GridMismatch(ConvLimitError):
 
 
 class CosetNotStabilized(ConvLimitError):
-    """A finite-depth coset limit did not stabilize; increase the window depth."""
+    """A path cannot be factored: it breaks the recursion or draws noise off its law's support."""
 
 
 class OutOfSupport(ConvLimitError):

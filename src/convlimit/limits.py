@@ -142,7 +142,7 @@ class LimitResult:
 
     @cached_property
     def alphas(self) -> dict[int, int]:
-        """alpha_l at the levels a default-depth ensemble reads, -depth_used and -deepest_depth."""
+        """alpha_l at -depth_used and -deepest_depth; a default-depth ensemble reads the latter."""
         return extend_centerings(None, self, (-self.depth_used, -self.deepest_depth))
 
     def to_json_dict(self) -> dict:

@@ -58,7 +58,7 @@ class Measure:
     def _guide(self) -> tuple[np.ndarray, np.ndarray]:
         """(cum, guide) for :func:`inverse_cdf`, built on the first draw and kept."""
         cum = np.cumsum(self.weights)
-        cum[-1] = max(cum[-1], 1.0)
+        cum[np.flatnonzero(self.weights)[-1]:] = 1.0
         m = 1 << (GUIDE_BUCKETS_PER_ELEMENT * self.group.order - 1).bit_length()
         edges = np.arange(m + 1) / m  # exact: m is a power of two
         lo = np.searchsorted(cum, edges[:-1], side="right")
@@ -171,9 +171,10 @@ def is_haar_idempotent(mu: Measure, tol: float = STABILIZER_TOL) -> Optional[Sub
 def inverse_cdf(mu: Measure, u: np.ndarray) -> np.ndarray:
     """The ids ``np.searchsorted(cum, u, side="right")`` of uniforms u in [0, 1), exactly.
 
-    ``cum`` is the cumulative sum of the weights in element index order,
-    with its last entry raised to 1 if it drifted below, so every id lies in
-    [0, n). The ids come in the group's ``id_dtype``, shaped like ``u``.
+    ``cum`` is the cumulative sum of the weights in element index order, set
+    to 1 from the last positive weight on, so every id has positive weight,
+    even where rounding left the sum below 1. The ids come in the group's
+    ``id_dtype``, shaped like ``u``.
 
     Table-guided inversion (Chen & Asau 1974; Devroye 1986, III.2.4): [0, 1)
     is cut into m = 2^j >= 64 n buckets. As m is a power of two, u * m is

@@ -7,9 +7,10 @@ an independent V. All of them rest on one identity: with the centred product
 full_k = xi_k ... xi_{-depth} alpha_{-depth}, every solution over the window
 is eta_k = full_k Z for one group element Z. An extremal path takes Z in H,
 and a decomposition reads Z off k = 0, so any path factors back into
-(phi_k, U_k, V) exactly. Almost-sure coset limits are replaced by a
-finite-depth stabilization check that compares the full window depth against
-half depth and refuses rather than guessing.
+(phi_k, U_k, V) exactly. As alpha_l is exact modulo H from the last prefix
+level down, every depth from len(prefix) - 1 on gives the almost-sure coset
+phi_k H for noise inside its laws' supports; a decomposition refuses a
+shallower depth or noise off those supports rather than guessing.
 
 Ensembles are generated in fixed-size chunks, each chunk on its own RNG
 stream keyed by (seed, purpose, chunk), so results are identical for any
@@ -191,6 +192,23 @@ def recursion_break(group: FiniteGroup, xi: np.ndarray, eta: np.ndarray,
     return None
 
 
+def support_break(noise: NoiseLaw, xi: np.ndarray) -> Optional[tuple[int, int, int]]:
+    """A (path, k, xi_k) with mu_k(xi_k) = 0, or None when every draw lies in its support.
+
+    ``xi`` holds k = -depth..0 as in :class:`Ensemble`. As :func:`sample_noise`
+    groups its draws, the levels of one prefix position or one tail phase go
+    through one gather of that law's zero-weight mask.
+    """
+    by_depth, n_prefix = xi[::-1], len(noise.prefix)  # row j holds k = -j
+    for j, mu in enumerate((*noise.prefix, *noise.tail)):
+        step = len(noise.tail) if j >= n_prefix else len(xi)  # a prefix position is one level
+        off = np.argwhere((mu.weights == 0).take(by_depth[j::step]))
+        if off.size:
+            level, path = j + int(off[0, 0]) * step, int(off[0, 1])
+            return path, -level, int(by_depth[level, path])
+    return None
+
+
 def _flat_index(group: FiniteGroup, a: np.ndarray) -> np.ndarray:
     """``a * order`` in C order and in the narrowest dtype that holds order^2.
 
@@ -273,38 +291,24 @@ def uniform_ensemble(noise: NoiseLaw, depth: int, n_paths: int, seed: int) -> En
                     k_min=-depth, xi=xi, eta=eta)
 
 
-def centered_window(
-    group: FiniteGroup,
-    xi: np.ndarray,
-    depth: int,
-    k_min: int,
-    alpha_full: int,
-    alpha_half: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Centered backward products over the window, at full and at half depth.
+def centered_window(group: FiniteGroup, xi: np.ndarray, depth: int, k_min: int,
+                    alpha: int) -> np.ndarray:
+    """Centered backward products xi_{k,-depth} alpha over the window.
 
-    ``xi`` holds k = -depth..0 as in :class:`Ensemble`. Row k - k_min of the two
-    returned (window, paths) arrays holds xi_{k,-depth} alpha_full and
-    xi_{k,-half} alpha_half for k in [k_min, 0], where half = depth // 2 must
-    lie below the window. The walk runs on the level rows of ``n * xi``, built
-    once in C order, and both results are C-contiguous and in the id dtype.
+    ``xi`` holds k = -depth..0 as in :class:`Ensemble`, and the window must
+    lie above -depth. Row k - k_min of the returned (window, paths) array
+    holds xi_k ... xi_{-depth} alpha for k in [k_min, 0]. The walk runs on
+    the level rows of ``n * xi``, built once in C order, and the result is
+    C-contiguous and in the id dtype.
     """
-    half = depth // 2
-    if half < -k_min + 1:
-        raise InvalidSpec(
-            f"depth {depth} too shallow for window k_min={k_min}; "
-            "the half-depth check needs depth/2 below the window"
-        )
+    if depth < 1 - k_min:
+        raise InvalidSpec(f"depth {depth} too shallow for window k_min={k_min}; "
+                          f"the window needs depth >= {1 - k_min}")
     rows = _flat_index(group, xi)
-    mark = _walk(group, rows[1:depth - half], xi[0])  # xi_{-half-1,-depth}
-    prod = _walk(group, rows[depth - half:depth + k_min], mark)  # xi_{k_min-1,-depth}
+    prod = _walk(group, rows[1:depth + k_min], xi[0])  # xi_{k_min-1,-depth}
     window = np.empty((-k_min + 1, xi.shape[1]), dtype=group.id_dtype)
     _walk(group, rows[depth + k_min:], prod, out=window)  # row k - k_min: xi_{k,-depth}
-    flat, n = group.flat_mul, group.order
-    full = flat[alpha_full::n].take(window)  # right multiplication by alpha_full
-    # xi_{k,-half} = xi_{k,-depth} * (xi_{-half-1,-depth})^{-1}
-    at_half = flat[alpha_half::n].take(_product(group, window, group.inv[mark]))
-    return full, at_half
+    return group.flat_mul[alpha::group.order].take(window)  # right multiplication by alpha
 
 
 def _centered_phi(
@@ -314,33 +318,19 @@ def _centered_phi(
     depth: int,
     k_min: int,
 ) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """The kernel xi -> (full, phi) of one window; its two centerings are fetched once.
+    """The kernel xi -> (full, phi) of one window; its centering is fetched once.
 
     ``full[k - k_min]`` is full_k = xi_k ... xi_{-depth} alpha_{-depth}, a
     (window, paths) row of :func:`centered_window`, and ``phi`` maps it to
-    the section's representative of full_k H. Each coset is checked against
-    the half-depth product's: one that differs means the finite depth has
-    not reached the almost-sure limit, and raises :class:`CosetNotStabilized`.
+    the section's representative of full_k H.
     """
-    group, half = noise.group, depth // 2
-    alphas = extend_centerings(noise, limitres, (-depth, -half))
+    group = noise.group
+    alpha = extend_centerings(noise, limitres, (-depth,))[-depth]
     reps, coset_of = np.array(section.representative, dtype=group.id_dtype), section.space.coset_of
 
     def kernel(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        full, at_half = centered_window(group, xi, depth, k_min, alphas[-depth], alphas[-half])
-        cos_full, cos_half = coset_of[full], coset_of[at_half]
-        disagree = cos_full != cos_half
-        if disagree.any():
-            bad_paths = np.flatnonzero(disagree.any(axis=0))
-            i = int(bad_paths[0])
-            j = int(np.flatnonzero(disagree[:, i])[0])
-            raise CosetNotStabilized(
-                f"coset of the centered product at k={k_min + j} differs between "
-                f"depth {depth} (coset {int(cos_full[j, i])}) and depth {half} "
-                f"(coset {int(cos_half[j, i])}) on path {i} "
-                f"({int(bad_paths.size)} of {xi.shape[1]} paths affected); increase the depth"
-            )
-        return full, reps[cos_full]
+        full = centered_window(group, xi, depth, k_min, alpha)
+        return full, reps[coset_of[full]]
 
     return kernel
 
@@ -433,11 +423,13 @@ def decompose_ensemble(
 
     ``k_min`` restricts the factorization to a shallower report window; the
     default uses the ensemble's full window, which for uniform-solution
-    ensembles is too deep for the half-depth stabilization check.
+    ensembles has no level below it and is refused.
 
-    A path that breaks eta_k = xi_k eta_{k-1} on the report window is refused
-    with :class:`CosetNotStabilized`, naming the path and k. On the others
-    the factors follow from the recursion, with no further check. Because
+    A depth below max(len(prefix) - 1, 1 - k_min) is refused with
+    :class:`InvalidSpec`, and a path that breaks eta_k = xi_k eta_{k-1} on the
+    report window or has some xi_k off the support of mu_k with
+    :class:`CosetNotStabilized`, naming the path and k. On the others the
+    factors follow from the recursion, with no further check. Because
     full_k = xi_k full_{k-1} too, Z = full_k^{-1} eta_k is the same element
     at every k, read at k = 0. Write full_k = phi_k h_k and
     rep(Z^{-1} H) = Z^{-1} h' with h_k, h' in H. Then V = rep(Z^{-1} H)^{-1}
@@ -457,12 +449,22 @@ def decompose_ensemble(
     if not ens.k_min <= k_min <= 0:
         raise InvalidSpec(f"report window k_min={k_min} must lie in the ensemble window "
                           f"[{ens.k_min}, 0]")
+    need = max(len(noise.prefix) - 1, 1 - k_min)
+    if ens.depth < need:
+        raise InvalidSpec(f"depth {ens.depth} too shallow for the window k_min={k_min} behind "
+                          f"a {len(noise.prefix)}-level prefix; it needs depth >= {need}")
     eta = ens.eta[k_min - ens.k_min:]
     broken = recursion_break(group, ens.xi, eta, ens.depth, k_min)
     if broken is not None:
         raise CosetNotStabilized(
             f"path {broken[0]} breaks eta_k = xi_k eta_(k-1) at k={broken[1]}; "
             "only solutions of the recursion factor"
+        )
+    off = support_break(noise, ens.xi)
+    if off is not None:
+        raise CosetNotStabilized(
+            f"path {off[0]} has xi_k = {off[2]} at k={off[1]}, outside the support of mu_k; "
+            "only noise the law can draw factors"
         )
     full, phi = _centered_phi(noise, limitres, section, ens.depth, k_min)(ens.xi)
     mul, inv = group.mul, group.inv

@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 from scipy.special import gammaincc
 
-from .errors import CosetNotStabilized, EmptySample, InsufficientSamples, InvalidSpec, OutOfSupport
+from .errors import EmptySample, InsufficientSamples, InvalidSpec, OutOfSupport
 from .groups import FiniteGroup, Subgroup, left_cosets
 from .limits import LimitResult, NoiseLaw, extend_centerings
 from .measures import Measure, haar, right_stabilizer, tv_distance, tv_to_right_translates
@@ -177,7 +177,8 @@ def case_b_convergence_diagnostic(
     out = []
     for L in depths:
         xi = sample_noise(noise, 2 * L, n_paths, seed, chunk=L)  # rows: k = -2L..0
-        at_2l, at_l = centered_window(noise.group, xi, 2 * L, 0, alphas[-2 * L], alphas[-L])
+        at_2l = centered_window(noise.group, xi, 2 * L, 0, alphas[-2 * L])
+        at_l = centered_window(noise.group, xi[L:], L, 0, alphas[-L])  # the stream cut at -L
         elem = float((at_l != at_2l).mean())
         coset = float((space.coset_of[at_l] != space.coset_of[at_2l]).mean())
         out.append(DepthRecord(depth=L, element_disagreement=elem, coset_disagreement=coset))
@@ -330,15 +331,10 @@ def verify_theorems(
     # from the same noise stream must reproduce the paths exactly
     strong_det: Optional[bool] = None
     if limitres.case == "B":
-        try:
-            rebuilt = extremal_ensemble(noise, limitres, ensemble.depth,
-                                        ensemble.n_paths, ensemble.seed,
-                                        k_min=ensemble.k_min, u0=group.identity)
-            base = ensemble.phi  # with H trivial, eta0 = phi
-            strong_det = bool(np.array_equal(rebuilt.eta, base))
-        except CosetNotStabilized as exc:
-            strong_det = False
-            failures.append(f"strong-solution rebuild did not stabilize: {exc}")
+        rebuilt = extremal_ensemble(noise, limitres, ensemble.depth,
+                                    ensemble.n_paths, ensemble.seed,
+                                    k_min=ensemble.k_min, u0=group.identity)
+        strong_det = bool(np.array_equal(rebuilt.eta, ensemble.phi))  # H trivial: eta0 = phi
         if not strong_det:
             failures.append("strong-solution determinism check failed")
 

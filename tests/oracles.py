@@ -320,11 +320,10 @@ def case_b_diagnostic(noise, limitres, depths, n_paths=1000, seed=0):
 def phi_cosets(group, space, alphas, xi, depth, k_min):
     """Coset ids of the full-depth centred window, required to match the half-depth ones."""
     half = depth // 2
-    full, at_half = (a.T for a in centered_window(
-        group, xi.T, depth, k_min, int(alphas[-depth]), int(alphas[-half])
-    ))
-    cos_full = space.coset_of[full]
-    if not np.array_equal(cos_full, space.coset_of[at_half]):
+    full = centered_window(group, xi.T, depth, k_min, int(alphas[-depth]))
+    at_half = centered_window(group, xi.T[depth - half:], half, k_min, int(alphas[-half]))
+    cos_full = space.coset_of[full.T]
+    if not np.array_equal(cos_full, space.coset_of[at_half.T]):
         raise CosetNotStabilized(f"coset differs between depth {depth} and depth {half}")
     return cos_full
 

@@ -1,16 +1,26 @@
 import json
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convlimit.cli import main
+from convlimit.groups import builtin_group
 
 Z4_CASE_C_SPEC = {
     "group": {"kind": "builtin", "name": "Z4"},
     "prefix": [],
     "tail": {"kind": "constant", "mu": {"kind": "weights", "w": [0.5, 0.0, 0.5, 0.0]}},
+}
+
+# tail 1/2 e + 1/2 (23) behind 30 levels of Haar noise: alpha_l is exact
+# modulo H = {e, (23)} from the last prefix level, depth 29, down
+S3_LONG_PREFIX_SPEC = {
+    "group": {"kind": "builtin", "name": "S3"},
+    "prefix": [{"kind": "haar"}] * 30,
+    "tail": {"kind": "constant", "mu": {"kind": "weights", "w": [0.5, 0.5, 0, 0, 0, 0]}},
 }
 
 TORUS_HALF_ATOMS_SPEC = {
@@ -203,8 +213,8 @@ class TestDecompose:
         assert payload["audit"]["exact_reconstruction"] == 40
 
     def test_decompose_uniform_ensemble_file(self, tmp_path):
-        # a uniform file's window is its whole depth, too deep for the
-        # half-depth check; it is factored on the limit's window instead
+        # a uniform file's window is its whole depth, with no level below it
+        # to centre at; it is factored on the limit's window instead
         spec = write_spec(tmp_path, Z4_CASE_C_SPEC)
         sim_out = tmp_path / "sim"
         assert main(["simulate", "--input", str(spec), "--out", str(sim_out),
@@ -220,6 +230,42 @@ class TestDecompose:
         for sim, dec in zip(simulated["paths"], payload["paths"]):
             assert dec["xi"] == sim["xi"]
             assert dec["eta"] == sim["eta"][k_min - sim["k_min"]:]
+
+    @pytest.mark.parametrize("depth", [29, 40])
+    def test_uniform_file_behind_a_long_prefix_factors_as_deeper_paths(self, tmp_path, depth):
+        # half of either depth lies inside the prefix, yet the cosets at the
+        # file's own depth are those of the same paths carried on to depth 80
+        spec = write_spec(tmp_path, S3_LONG_PREFIX_SPEC)
+        common = ["--input", str(spec), "--seed", "5"]
+        assert main(["simulate", "--out", str(tmp_path / "sim"), *common, "--paths", "40",
+                     "--kind", "uniform", "--depth", str(depth)]) == 0
+        simulated = json.loads((tmp_path / "sim" / "ensemble.json").read_text())
+        # below the file, xi_k in the tail's support {e, (23)}
+        deep = np.random.default_rng(0).integers(0, 2, size=(40, 80 - depth)).tolist()
+        s3 = builtin_group("S3")
+        for rec, extra in zip(simulated["paths"], deep):
+            eta = rec["eta"]
+            for x in rec["xi"][:1] + extra[:0:-1]:  # eta_(k-1) = xi_k^-1 eta_k, k = -depth..-79
+                eta = [int(s3.mul[s3.inv[x], eta[0]])] + eta
+            rec.update(xi=extra + rec["xi"], eta=eta, k_min=-80, xi_k_min=-80)
+        simulated.update(depth=80, k_min=-80)
+        write_spec(tmp_path, simulated, "deep.json")
+        decomposed = {}
+        for name, path in (("file", tmp_path / "sim" / "ensemble.json"), ("deep", tmp_path / "deep.json")):
+            assert main(["decompose", "--out", str(tmp_path / name), *common,
+                         "--ensemble", str(path)]) == 0
+            payload = json.loads((tmp_path / name / "decomposition.json").read_text())
+            decomposed[name] = [(r["phi"], r["U"], r["V"]) for r in payload["paths"]]
+        assert decomposed["file"] == decomposed["deep"]
+
+    def test_uniform_file_that_stops_in_the_prefix_is_refused(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, S3_LONG_PREFIX_SPEC)
+        common = ["--input", str(spec), "--seed", "5"]
+        assert main(["simulate", "--out", str(tmp_path / "sim"), *common, "--paths", "40",
+                     "--kind", "uniform", "--depth", "28"]) == 0
+        assert main(["decompose", "--out", str(tmp_path / "dec"), *common,
+                     "--ensemble", str(tmp_path / "sim" / "ensemble.json")]) == 2
+        assert "needs depth >= 29" in capsys.readouterr().err
 
     def test_kind_uniform_decomposes_uniform_paths(self, tmp_path):
         spec = write_spec(tmp_path, Z4_CASE_C_SPEC)

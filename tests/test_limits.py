@@ -11,6 +11,7 @@ from convlimit.groups import (
     conjugate_subgroup,
     cyclic_group,
     generated_subgroup,
+    left_cosets,
     quaternion_group,
     subgroup,
     symmetric_group,
@@ -489,7 +490,7 @@ class TestExtendCenterings:
     That is all the record files read of them. Put alpha'_l = alpha_l h with
     h in H. The centred product becomes full'_k = full_k h, and it lies in
     the same coset full_k H, so phi_k, the section's representative of that
-    coset, and the half-depth coset check are unchanged. An extremal path is
+    coset, is unchanged. An extremal path is
     eta_k = full'_k h' with h' = full'_0^-1 phi_0 U_0 = h^-1 full_0^-1 phi_0 U_0,
     so eta_k = full_k h h^-1 full_0^-1 phi_0 U_0 is unchanged, and so is
     U_k = phi_k^-1 eta_k. A decomposition reads Z' = full'_0^-1 eta_0 = h^-1 Z
@@ -526,7 +527,7 @@ class TestExtendCenterings:
         ref = all_centerings(noise, res, depth)
         every = extend_centerings(noise, res, levels)
         assert _cosets(res, every) == _cosets(res, {l: ref[l] for l in levels})
-        # the two levels the half-depth check reads, at depths on both sides
+        # a level and its half, asked for together, at depths on both sides
         # of the deepest_depth
         for d in (2 * res.depth_used, res.deepest_depth + 1, res.deepest_depth + 40, depth):
             pair = extend_centerings(noise, res, (-d, -(d // 2)))
@@ -561,6 +562,52 @@ class TestExtendCenterings:
         ref = all_centerings(noise, res, depth)
         assert (_cosets(res, extend_centerings(noise, res, levels))
                 == _cosets(res, {l: ref[l] for l in levels}))
+
+
+def _sparse_law(group, rng):
+    """Random positive weights on one to three random elements."""
+    support = rng.choice(group.order, size=rng.integers(1, 4), replace=False)
+    w = np.zeros(group.order)
+    w[support] = rng.random(support.size) + 0.1
+    return Measure(group, w / w.sum())
+
+
+def test_one_coset_at_every_depth_from_the_last_prefix_level():
+    """The centred products xi_k ... xi_{-d} alpha_{-d} of one path lie in one
+    coset of H at every depth d >= len(prefix) - 1, which is what lets a
+    decomposition read phi at the path's own depth, whatever it is.
+
+    For d' > d the product at d' is the one at d times
+    xi_{-d-1} ... xi_{-d'} alpha_{-d'}, so the claim is that the support
+    product S_{-d-1} ... S_{-d'} times alpha_{-d'} lies in alpha_{-d} H. It is
+    checked on the support sets, exhaustively, with nothing sampled, on random
+    sparse laws: prefixes of 0 to 3 levels, tail periods 1 to 3. One level
+    shallower, at d = len(prefix) - 2, some law disagrees, so the check can fail.
+    """
+    rng = np.random.default_rng(2024)
+    groups = [builtin_group(name) for name in ("S3", "D4", "Q8", "S4", "Zn:12", "product:S3xZn:2")]
+    pairs = shallow_disagreements = 0
+    for i in range(240):
+        group = groups[i % len(groups)]
+        prefix = tuple(_sparse_law(group, rng) for _ in range(rng.integers(0, 4)))
+        tail = tuple(_sparse_law(group, rng) for _ in range(rng.integers(1, 4)))
+        noise = NoiseLaw(group, prefix, tail)
+        res = compute_limit(noise, max_depth=10**9)
+        bottom = len(prefix) + 3 * len(tail) + 12
+        alphas = extend_centerings(noise, res, range(0, -bottom - 1, -1))
+        coset_of = left_cosets(group, res.subgroup).coset_of
+        supports = [np.flatnonzero(noise.measure_at(-j).weights) for j in range(bottom + 1)]
+        for d in range(max(len(prefix) - 2, 0), bottom):
+            prod = np.array([group.identity])  # S_{-d-1} ... S_{-d'}
+            for d2 in range(d + 1, bottom + 1):
+                prod = np.unique(group.mul[np.ix_(prod, supports[d2])])
+                one = set(coset_of[group.mul[prod, alphas[-d2]]].tolist()) == {coset_of[alphas[-d]]}
+                if d >= len(prefix) - 1:
+                    pairs += 1
+                    assert one, (i, d, d2)
+                else:
+                    shallow_disagreements += not one
+    assert pairs > 40_000 and shallow_disagreements > 0
 
 
 def _gauge_corpus():

@@ -329,13 +329,21 @@ class TestInverseCdf:
     def test_equals_binary_search(self, case):
         mu, u = case
         cum = np.cumsum(mu.weights)
-        cum[-1] = max(cum[-1], 1.0)
+        cum[np.flatnonzero(mu.weights)[-1]:] = 1.0
         got = inverse_cdf(mu, u)
         assert got.dtype == mu.group.id_dtype
+        assert (mu.weights[got] > 0).all()
         assert np.array_equal(got, np.searchsorted(cum, u, side="right"))
         # shape follows the uniforms, and a strided view inverts the same
         grid = np.resize(u, (4, u.size))[::2, ::3]
         assert np.array_equal(inverse_cdf(mu, grid), np.searchsorted(cum, grid, side="right"))
+
+    def test_weights_short_of_one_never_draw_a_zero_weight(self):
+        # the cumulative sum stops at the largest double below 1 at id 2, so
+        # that uniform lies past it
+        mu = Measure(Z4, [0.20381898702851367, 0.7463113329614236, 0.049869680010062596, 0.0])
+        assert np.cumsum(mu.weights)[2] == np.nextafter(1.0, 0.0)
+        assert inverse_cdf(mu, np.array([np.nextafter(1.0, 0.0)])).tolist() == [2]
 
     def test_sample_is_inverse_cdf_of_the_draws(self):
         mu = Measure(D4, [0.1, 0.0, 0.0, 0.3, 0.2, 0.0, 0.4, 0.0])

@@ -235,7 +235,7 @@ class TestExtremalSolution:
         monkeypatch.setattr(solutions, "extend_centerings", counted)
         depth = 2 * res.depth_used
         extremal_ensemble(noise, res, depth, CHUNK_SIZE + 1, seed=3)
-        assert calls == [(-depth, -(depth // 2))]
+        assert calls == [(-depth,)]
 
     def test_depth_validation(self, case_c):
         noise, res = case_c
@@ -366,34 +366,37 @@ class TestDecompose:
         with pytest.raises(CosetNotStabilized):
             decompose_ensemble(broken, res, noise=noise)
 
-    def test_wrong_centering_detected(self, case_c, monkeypatch):
-        noise, res = case_c
-        ens = extremal_ensemble(noise, res, 2 * res.depth_used, 50, seed=21)
-        half = -(ens.depth // 2)
-
-        def doctored(noise, result, levels):
-            alphas = extend_centerings(noise, result, levels)
-            alphas[half] = (alphas[half] + 1) % 4
-            return alphas
-
-        monkeypatch.setattr(solutions, "extend_centerings", doctored)
-        with pytest.raises(CosetNotStabilized):
-            decompose_ensemble(ens, res, noise=noise)
-
-
-    @pytest.mark.parametrize("path", [3, 10])
-    def test_unstabilized_coset_names_its_path_and_cosets(self, case_c, path):
-        # xi_{-depth} = 1 on one path moves the full-depth coset of every window
-        # level but not the half-depth one; path 10 lies past the window's 9 rows
+    @pytest.mark.parametrize("level, path", [("deepest", 3), ("deepest", 10), ("top", 3)])
+    def test_off_support_noise_names_its_path_and_level(self, case_c, level, path):
+        # the tail law sits on {0, 2}; xi_k = 1 on one path, at the deepest or
+        # the top level; path 10 lies past the window's 9 rows
         noise, res = case_c
         depth = 2 * res.depth_used
         xi = np.zeros((depth + 1, 12), dtype=Z4.id_dtype)
-        xi[0, path] = 1
-        section = default_section(left_cosets(Z4, res.subgroup))
-        with pytest.raises(CosetNotStabilized, match=rf"k=-8 differs between depth {depth} "
-                           rf"\(coset 1\) and depth {depth // 2} \(coset 0\) on path {path} "
-                           r"\(1 of 12 paths"):
-            solutions._centered_phi(noise, res, section, depth, res.k_min)(xi)
+        row, k = (0, -depth) if level == "deepest" else (depth, 0)
+        xi[row, path] = 1
+        eta = np.zeros((-res.k_min + 1, 12), dtype=Z4.id_dtype)
+        eta[-1] = xi[-1]  # eta_0 = xi_0 eta_(-1), and every other level stays at 0
+        ens = solutions.Ensemble(group=Z4, kind="mixture", seed=0, depth=depth,
+                                 k_min=res.k_min, xi=xi, eta=eta)
+        with pytest.raises(CosetNotStabilized, match=rf"path {path} has xi_k = 1 at k={k}, "
+                           "outside the support of mu_k"):
+            decompose_ensemble(ens, res, noise)
+
+    @pytest.mark.parametrize("depth", [1, 20])
+    def test_support_break_names_each_off_support_level(self, depth):
+        # a prefix and a period-3 tail, whose laws are gathered a level group at
+        # a time; depth 1 stops inside the prefix
+        prefix = (delta(S3, 2), Measure(S3, [0.5, 0, 0, 0.5, 0, 0]))
+        tail = (haar(S3), delta(S3, 1), Measure(S3, [0, 0.25, 0.25, 0.5, 0, 0]))
+        noise = NoiseLaw(group=S3, prefix=prefix, tail=tail)
+        xi = sample_noise(noise, depth, 4, seed=5, chunk=0)
+        assert solutions.support_break(noise, xi) is None
+        for k in range(-depth, 1):
+            for x in np.flatnonzero(noise.measure_at(k).weights == 0):
+                bad = xi.copy()
+                bad[k + depth, 2] = x
+                assert solutions.support_break(noise, bad) == (2, k, x)
 
 
 class TestTorusDecompose:
