@@ -1,9 +1,12 @@
 """Statistical verification: empirical laws, chi-square tests, diagnostics, reports.
 
-Chi-square tail probabilities come from the regularized upper incomplete
-gamma function. Contingency cells with expected counts below 5 are pooled
-by a deterministic rule before testing. The consolidated battery applies a
-Bonferroni correction across all p-valued checks.
+Chi-square tail probabilities use the closed form of the upper tail for an
+integer number of degrees of freedom (Abramowitz & Stegun 26.4.4-26.4.5):
+a Poisson sum for even df, and erfc plus a half-integer sum for odd df,
+evaluated in log space so that no term overflows. Contingency cells with
+expected counts below 5 are pooled by a deterministic rule before testing.
+The consolidated battery applies a Bonferroni correction across all
+p-valued checks.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .errors import EmptySample, InsufficientSamples, InvalidSpec, OutOfSupport
 from .groups import FiniteGroup, Subgroup, left_cosets
@@ -32,10 +34,32 @@ MARGINAL_TV_THRESHOLD = 0.05
 
 
 def chi2_sf(statistic: float, df: int) -> float:
-    """Upper tail of the chi-square distribution with df degrees of freedom."""
-    if df <= 0:
+    """Upper tail of the chi-square distribution with df degrees of freedom.
+
+    With y = statistic / 2, s = (df mod 2) / 2 and m = df // 2 terms,
+
+        P(chi2_df > statistic) = [s > 0] erfc(sqrt y) + sum_{k<m} e^-y y^(k+s) / Gamma(k+s+1),
+
+    the Poisson sum for even df and the half-integer sum for odd df. The
+    largest term is evaluated in log space and the others as products of
+    the term ratios (k+s)/y below it and y/(k+s+1) above it, each at most 1,
+    so nothing overflows and all terms are positive.
+    """
+    if df <= 0 or statistic <= 0:
         return 1.0
-    return float(gammaincc(df / 2.0, statistic / 2.0))
+    if not math.isfinite(statistic):
+        return 0.0 if statistic > 0 else math.nan
+    y = statistic / 2.0
+    s, m = 0.5 * (df % 2), df // 2
+    head = math.erfc(math.sqrt(y)) if s else 0.0
+    if m == 0:
+        return head
+    top = min(m - 1, max(0, math.floor(y - s)))  # the largest term
+    below = np.cumprod((np.arange(top, 0, -1) + s) / y)
+    above = np.cumprod(y / (np.arange(top + 1, m) + s))
+    log_top = (top + s) * math.log(y) - math.lgamma(top + s + 1) - y
+    tail = math.exp(log_top + math.log(1.0 + below.sum() + above.sum()))
+    return min(1.0, head + tail)
 
 
 def empirical_law(group: FiniteGroup, samples: Sequence[int] | np.ndarray) -> Measure:
@@ -327,12 +351,16 @@ def verify_theorems(
     if p_uni_indep < threshold:
         failures.append(f"uniform-solution independence fails (p={p_uni_indep:.2e})")
 
-    # strong-solution determinism in the trivial-subgroup case: rebuilding
-    # from the same noise stream must reproduce the paths exactly
+    # strong-solution determinism in the trivial-subgroup case: the path is a
+    # function of the noise above the certified cut alone. The rebuild draws
+    # the same stream only down to the cut and centres there (its rows are the
+    # top rows of the ensemble's noise, as sample_noise draws shallow-first),
+    # so equal paths mean that neither the levels below the cut nor the
+    # centering at the ensemble's depth changed any path
     strong_det: Optional[bool] = None
     if limitres.case == "B":
-        rebuilt = extremal_ensemble(noise, limitres, ensemble.depth,
-                                    ensemble.n_paths, ensemble.seed,
+        cut = min(ensemble.depth, max(2 * limitres.depth_used, 1 - ensemble.k_min))
+        rebuilt = extremal_ensemble(noise, limitres, cut, ensemble.n_paths, ensemble.seed,
                                     k_min=ensemble.k_min, u0=group.identity)
         strong_det = bool(np.array_equal(rebuilt.eta, ensemble.phi))  # H trivial: eta0 = phi
         if not strong_det:

@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import gamma
+from scipy.special import gamma, gammaincc
 
 from convlimit.errors import EmptySample, InsufficientSamples, InvalidSpec, OutOfSupport
 from convlimit.groups import cyclic_group, subgroup, trivial_subgroup
-from convlimit.limits import compute_limit, constant_noise
+from convlimit.limits import compute_limit, constant_noise, noise_from_spec
 from convlimit.measures import Measure, delta, haar, tv_distance
 from convlimit.solutions import extremal_ensemble, general_ensemble
 from convlimit.stats import (
@@ -67,6 +67,33 @@ class TestChiSquareTail:
 
     def test_zero_statistic(self):
         assert chi2_sf(0.0, 3) == 1.0
+
+    @pytest.mark.parametrize("dfs", [range(1, 151), range(151, 301), range(301, 451),
+                                     range(451, 601), (1000, 4999)])
+    def test_against_gammaincc(self, dfs):
+        # the regularized upper incomplete gamma function is the oracle:
+        # P(chi2_df > x) = Q(df / 2, x / 2)
+        for df in dfs:
+            sd = math.sqrt(2.0 * df)
+            stats = [1e-300, 1e-12, 1e-3, 0.5, 1.0, df / 4, df / 2, 2.0 * df, 4.0 * df,
+                     10.0 * df + 100, 1500.0, 3000.0]
+            stats += [df + z * sd for z in np.linspace(-6, 40, 24) if df + z * sd > 0]
+            for stat in stats:
+                want = float(gammaincc(df / 2.0, stat / 2.0))
+                got = chi2_sf(stat, df)
+                assert 0.0 <= got <= 1.0
+                if want >= 1e-300:
+                    assert abs(got - want) <= 1e-9 * want, (df, stat, got, want)
+
+    @pytest.mark.parametrize("df", [0, 1, 2, 3, 600, 4999])
+    def test_edges(self, df):
+        assert chi2_sf(0.0, df) == 1.0
+        assert chi2_sf(7.0, 0) == 1.0
+        huge = chi2_sf(1e6, df)  # warnings are errors: no overflow may be raised
+        assert math.isfinite(huge) and 0.0 <= huge <= 1.0
+        if df > 0:
+            assert chi2_sf(math.inf, df) == 0.0
+            assert math.isnan(chi2_sf(math.nan, df))
 
 
 class TestUniformity:
@@ -262,3 +289,72 @@ class TestVerifyTheorems:
         r1 = verify_theorems(noise, res, ens)
         r2 = verify_theorems(noise, res, ens)
         assert r1.to_json_dict() == r2.to_json_dict()
+
+
+# Case-B specs: the S3 and Q8 inputs of the benchmark's verify battery (the
+# Q8 prefix fixed here) and the point-mass tails of the test corpus.
+_Z4 = {"kind": "builtin", "name": "Z4"}
+CASE_B_SPECS = {
+    "q8-periodic-delta": {
+        "group": {"kind": "builtin", "name": "Q8"},
+        "prefix": [{"kind": "weights", "w": [0.3, 0.05, 0.2, 0.1, 0.15, 0.05, 0.1, 0.05]}],
+        "tail": {"kind": "periodic", "mus": [{"kind": "delta", "at": 3}, {"kind": "delta", "at": 6}]},
+    },
+    "s3-near-symmetry": {
+        "group": {"kind": "builtin", "name": "S3"},
+        "prefix": [
+            {"kind": "weights", "w": [0.4, 0.3, 0.2, 0.1, 0.0, 0.0]},
+            {"kind": "weights", "w": [0.5, 0.0, 0.0, 0.0, 0.3, 0.2]},
+        ],
+        "tail": {"kind": "constant", "mu": {"kind": "delta", "at": 1}},
+    },
+    "z4-dirac": {"group": _Z4, "prefix": [],
+                 "tail": {"kind": "constant", "mu": {"kind": "delta", "at": 1}}},
+    "z4-dirac-prefix": {"group": _Z4, "prefix": [{"kind": "delta", "at": 2}],
+                        "tail": {"kind": "constant", "mu": {"kind": "delta", "at": 1}}},
+    "z4-periodic-dirac": {"group": _Z4, "prefix": [],
+                          "tail": {"kind": "periodic", "mus": [{"kind": "delta", "at": 1},
+                                                               {"kind": "delta", "at": 2}]}},
+    "z4-haar-prefix": {"group": _Z4, "prefix": [{"kind": "haar"}],
+                       "tail": {"kind": "constant", "mu": {"kind": "delta", "at": 1}}},
+    "q8-haar-prefix": {"group": {"kind": "builtin", "name": "Q8"}, "prefix": [{"kind": "haar"}],
+                       "tail": {"kind": "constant", "mu": {"kind": "delta", "at": 4}}},
+}
+
+
+@pytest.fixture(scope="module", params=sorted(CASE_B_SPECS))
+def case_b_spec(request):
+    noise = noise_from_spec(CASE_B_SPECS[request.param])
+    res = compute_limit(noise)
+    assert res.case == "B"
+    return noise, res
+
+
+class TestStrongDeterminism:
+    """verify rebuilds a case-B ensemble from its noise down to the certified cut only."""
+
+    @pytest.mark.parametrize("depth", ["2*depth_used", 200, 400])
+    def test_paths_do_not_depend_on_the_noise_below_the_cut(self, case_b_spec, depth):
+        noise, res = case_b_spec
+        depth = 2 * res.depth_used if depth == "2*depth_used" else depth
+        ens = extremal_ensemble(noise, res, depth, 1000, seed=31)
+        report = verify_theorems(noise, res, ens)
+        assert report.case_checks["strong_determinism"] is True
+        assert "strong-solution determinism check failed" not in report.failures
+
+    @pytest.mark.parametrize("mutation", ["translated path", "one phi entry"])
+    def test_a_path_that_is_not_the_strong_solution_fails(self, mutation):
+        noise = noise_from_spec(CASE_B_SPECS["q8-periodic-delta"])
+        res = compute_limit(noise)
+        ens = extremal_ensemble(noise, res, 400, 1000, seed=32)
+        group = noise.group
+        phi, eta = ens.phi.copy(), ens.eta.copy()
+        if mutation == "translated path":
+            # eta_k g still solves eta_k = xi_k eta_(k-1), but is not a function of the noise
+            phi[:, 7] = eta[:, 7] = group.mul[eta[:, 7], 4]
+        else:
+            phi[-1, 7] = group.mul[phi[-1, 7], 4]
+        report = verify_theorems(noise, res, dataclasses.replace(ens, phi=phi, eta=eta))
+        assert report.case_checks["strong_determinism"] is False
+        assert report.passed is False
+        assert "strong-solution determinism check failed" in report.failures

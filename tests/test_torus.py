@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from oracles import pi_mu_bounds_per_level
 from scipy.integrate import quad
+from scipy.special import ndtr
 
 from convlimit.errors import (
     GridMismatch,
@@ -22,6 +23,7 @@ from convlimit.torus import (
     WrappedGaussianSpec,
     char_fn,
     DEFAULT_DEPTH,
+    GAUSS_TRUNCATION_SIGMAS,
     compute_p_mu,
     discretize_to_cyclic,
     pi_mu_bounds,
@@ -386,6 +388,19 @@ class TestDiscretize:
             oracle[j] = total
         oracle /= oracle.sum()
         assert 0.5 * np.abs(mu.weights - oracle).sum() < 1e-6
+
+    @pytest.mark.parametrize("sd", [1e-4, 1e-3, 0.01, 0.05, 0.1, 0.25, 0.5])
+    @pytest.mark.parametrize("m", [0.0, 1e-12, 1e-4, 0.5, 1 - 1e-4, 1 - 1e-12])
+    def test_wrapped_gaussian_matches_ndtr_bins(self, m, sd):
+        # the same truncated sum of wrap copies, with scipy's normal CDF
+        for n in (1, 3, 64, 256, 1000):
+            edges = (np.arange(n + 1) - 0.5) / n
+            oracle = np.zeros(n)
+            reach = GAUSS_TRUNCATION_SIGMAS * sd + 1
+            for shift in range(math.floor(m - reach), math.ceil(m + reach) + 1):
+                oracle += np.diff(ndtr((edges + shift - m) / sd))
+            mu = discretize_to_cyclic(WrappedGaussianSpec(m, sd), n, approx=True)
+            assert np.abs(mu.weights - oracle / oracle.sum()).max() <= 1e-15
 
     def test_predicted_cyclic_subgroup(self):
         assert predicted_cyclic_subgroup(4, 2) == (0, 2)
