@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Iterable
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -77,6 +77,21 @@ class NoiseLaw:
         if i < len(self.prefix):
             return self.prefix[i]
         return self.tail[(i - len(self.prefix)) % len(self.tail)]
+
+    def random_levels(self) -> Optional[int]:
+        """How many levels from k = 0 down reach the last law that is not a point mass.
+
+        None when some tail law has two or more support points: then no level
+        bounds the randomness. Otherwise it is 1 + i for the deepest prefix
+        position i whose law has two or more support points, or 0 if none has;
+        every level below is a point mass. Any positive weight counts as a
+        support point. As |supp(mu * nu)| >= max(|supp mu|, |supp nu|) and K
+        contains S^-1 S, a bound exists exactly when H is trivial (case B).
+        """
+        if any(np.count_nonzero(mu.weights) > 1 for mu in self.tail):
+            return None
+        return max((i + 1 for i, mu in enumerate(self.prefix)
+                    if np.count_nonzero(mu.weights) > 1), default=0)
 
 
 def constant_noise(mu: Measure) -> NoiseLaw:

@@ -12,6 +12,12 @@ level down, every depth from len(prefix) - 1 on gives the almost-sure coset
 phi_k H for noise inside its laws' supports; a decomposition refuses a
 shallower depth or noise off those supports rather than guessing.
 
+Randomness ends at the last level whose law is not a point mass
+(NoiseLaw.random_levels); in case B, where every tail law is a point mass,
+that is the random prefix. Uniforms are drawn only down to it, and the
+point-mass levels below the window's cut are folded into the centering
+once, so a case-B path costs its random prefix and window, not its depth.
+
 Ensembles are generated in fixed-size chunks, each chunk on its own RNG
 stream keyed by (seed, purpose, chunk), so results are identical for any
 thread count; CONV_LIMIT_THREADS caps the worker pool. Every array is
@@ -239,6 +245,20 @@ def _walk(group: FiniteGroup, rows: np.ndarray, prod: np.ndarray,
     return prod
 
 
+def _points(noise: NoiseLaw, first: int, stop: int) -> np.ndarray:
+    """The support points of the laws at k = -first down to -(stop - 1), one per level.
+
+    Meant for levels at or below ``noise.random_levels()``, whose laws are
+    point masses: each law's point is read once, and every level takes its
+    prefix position's or its tail phase's point.
+    """
+    n_prefix, period = len(noise.prefix), len(noise.tail)
+    points = np.array([mu.weights.argmax() for mu in (*noise.prefix, *noise.tail)],
+                      dtype=noise.group.id_dtype)
+    j = np.arange(first, stop)
+    return points[np.where(j < n_prefix, j, n_prefix + (j - n_prefix) % period)]
+
+
 def sample_noise(noise: NoiseLaw, depth: int, size: int, seed: int, chunk: int) -> np.ndarray:
     """Independent draws xi_k ~ mu_k; row i of the (depth + 1, size) array holds k = -depth + i.
 
@@ -248,14 +268,21 @@ def sample_noise(noise: NoiseLaw, depth: int, size: int, seed: int, chunk: int) 
     at a time: ``rng.random((levels, size))`` yields the same doubles as
     that many ``rng.random(size)`` calls. In each block, the levels of one
     prefix position or one tail phase go through :func:`inverse_cdf` in one
-    call. The array is C-contiguous and in the group's ``id_dtype``.
+    call. Uniforms are drawn only down to the last level whose law is not a
+    point mass (``noise.random_levels()``; in case B, the random prefix):
+    nothing reads the stream after the noise, and a point mass inverts every
+    u in [0, 1) to its point, so each level below is filled with its law's
+    point and the array is the same draw for draw. The array is C-contiguous
+    and in the group's ``id_dtype``.
     """
     rng = _stream(seed, _PURPOSE_XI, chunk)
     levels = np.empty((depth + 1, size), dtype=noise.group.id_dtype)
     by_depth = levels[::-1]  # row j holds k = -j, the j-th level drawn
     n_prefix, period = len(noise.prefix), len(noise.tail)
-    for top in range(0, depth + 1, LEVEL_BLOCK):
-        stop = min(top + LEVEL_BLOCK, depth + 1)
+    random = noise.random_levels()
+    drawn = depth + 1 if random is None else min(depth + 1, random)
+    for top in range(0, drawn, LEVEL_BLOCK):
+        stop = min(top + LEVEL_BLOCK, drawn)
         u = rng.random((stop - top, size))
         for j in range(top, min(stop, n_prefix)):
             by_depth[j] = inverse_cdf(noise.prefix[j], u[j - top])
@@ -263,6 +290,7 @@ def sample_noise(noise: NoiseLaw, depth: int, size: int, seed: int, chunk: int) 
         for j in range(first, min(first + period, stop)):
             mu = noise.tail[(j - n_prefix) % period]
             by_depth[j:stop:period] = inverse_cdf(mu, u[j - top::period])
+    by_depth[drawn:] = _points(noise, drawn, depth + 1)[:, None]
     return levels
 
 
@@ -322,14 +350,25 @@ def _centered_phi(
 
     ``full[k - k_min]`` is full_k = xi_k ... xi_{-depth} alpha_{-depth}, a
     (window, paths) row of :func:`centered_window`, and ``phi`` maps it to
-    the section's representative of full_k H.
+    the section's representative of full_k H. With
+    ``cut = min(depth, max(noise.random_levels(), 1 - k_min))``, every law
+    below k = -cut is a point mass, so the levels from -cut - 1 down to
+    -depth are folded into the centering once,
+    c = xi_{-cut-1} ... xi_{-depth} alpha_{-depth} from the laws' points,
+    and the paths walk only from -cut up. Without a bound
+    (a tail law that is not a point mass) the cut is the depth and c is
+    alpha_{-depth}. The kernel reads only the top cut + 1 rows of ``xi``.
     """
     group = noise.group
-    alpha = extend_centerings(noise, limitres, (-depth,))[-depth]
+    c = extend_centerings(noise, limitres, (-depth,))[-depth]
+    random = noise.random_levels()
+    cut = depth if random is None else min(depth, max(random, 1 - k_min))
+    for x in _points(noise, cut + 1, depth + 1)[::-1]:  # xi_{-depth} first
+        c = int(group.mul[x, c])
     reps, coset_of = np.array(section.representative, dtype=group.id_dtype), section.space.coset_of
 
     def kernel(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        full = centered_window(group, xi, depth, k_min, alpha)
+        full = centered_window(group, xi[depth - cut:], cut, k_min, c)
         return full, reps[coset_of[full]]
 
     return kernel

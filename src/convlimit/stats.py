@@ -353,10 +353,13 @@ def verify_theorems(
 
     # strong-solution determinism in the trivial-subgroup case: the path is a
     # function of the noise above the certified cut alone. The rebuild draws
-    # the same stream only down to the cut and centres there (its rows are the
-    # top rows of the ensemble's noise, as sample_noise draws shallow-first),
-    # so equal paths mean that neither the levels below the cut nor the
-    # centering at the ensemble's depth changed any path
+    # the same stream only down to the cut (its rows are the top rows of the
+    # ensemble's noise, as sample_noise draws shallow-first). Both kernels
+    # walk the same rows, up from the last random level or the window's
+    # bottom, whichever is deeper, and fold the point-mass levels below into
+    # one constant: the rebuild from alpha at the cut, the ensemble from
+    # alpha at its depth. So equal paths mean that the folded constants at
+    # the cut and at the ensemble's depth agree
     strong_det: Optional[bool] = None
     if limitres.case == "B":
         cut = min(ensemble.depth, max(2 * limitres.depth_used, 1 - ensemble.k_min))

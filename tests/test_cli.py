@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_solutions import Q8_CASE_B_PREFIX_SPEC, S3_NEAR_SYMMETRY_SPEC
 
 from convlimit.cli import main
 from convlimit.groups import builtin_group
+from convlimit.limits import compute_limit, noise_from_spec
 
 Z4_CASE_C_SPEC = {
     "group": {"kind": "builtin", "name": "Z4"},
@@ -325,6 +327,22 @@ class TestVerify:
         assert rc == 0
         payload = json.loads((tmp_path / "out" / "report.json").read_text())
         assert (payload["case"], payload["hiso_detected"]) == ("B", [0, 1, 2, 3])
+
+    @pytest.mark.parametrize("spec", [Q8_CASE_B_PREFIX_SPEC, S3_NEAR_SYMMETRY_SPEC],
+                             ids=["q8-case-b-prefix", "s3-near-symmetry"])
+    def test_case_b_report_does_not_depend_on_the_depth(self, tmp_path, spec):
+        # the strong solution is a function of the noise alone, wherever the
+        # product starts
+        depth_used = compute_limit(noise_from_spec(spec)).depth_used
+        path = write_spec(tmp_path, spec)
+        outputs = set()
+        for depth in (2 * depth_used, 200, 2000):
+            out = tmp_path / str(depth)
+            rc = main(["verify", "--input", str(path), "--out", str(out), "--seed", "7",
+                       "--paths", "3000", "--depth", str(depth)])
+            outputs.add((rc, *(strip_timestamp((out / name).read_text())
+                               for name in ("report.json", "report_curves.csv"))))
+        assert len(outputs) == 1
 
 
 class TestDeterminism:

@@ -470,6 +470,14 @@ class TestFuzzCorpus:
         check = verify_conjugacy_uniqueness(noise, res)
         assert check.ok, (idx, check)
 
+    def test_randomness_bounded_exactly_in_case_b(self):
+        # a tail of point masses is what makes H trivial, so only case B
+        # draws no uniforms below its prefix
+        cases = [(noise.random_levels() is not None, compute_limit(noise).case)
+                 for noise in _fuzz_corpus()]
+        assert all(bounded == (case == "B") for bounded, case in cases), cases
+        assert {case for _, case in cases} == {"A", "B", "C"}
+
 
 def lazy_walk_z12():
     g = cyclic_group(12)

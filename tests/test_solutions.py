@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -49,6 +50,67 @@ from convlimit.solutions import (
 
 Z4 = cyclic_group(4)
 S3 = symmetric_group(3)
+Q8 = builtin_group("Q8")
+
+# Case B behind one random prefix level, then a period-2 tail of point masses
+Q8_CASE_B_PREFIX_SPEC = {
+    "group": {"kind": "builtin", "name": "Q8"},
+    "prefix": [{"kind": "weights", "w": [0.05, 0.3, 0.01, 0.14, 0.25, 0.02, 0.2, 0.03]}],
+    "tail": {"kind": "periodic", "mus": [{"kind": "delta", "at": 3}, {"kind": "delta", "at": 6}]},
+}
+
+# Case B behind two random prefix levels, then the point mass at element 1
+S3_NEAR_SYMMETRY_SPEC = {
+    "group": {"kind": "builtin", "name": "S3"},
+    "prefix": [
+        {"kind": "weights", "w": [0.4, 0.3, 0.2, 0.1, 0.0, 0.0]},
+        {"kind": "weights", "w": [0.5, 0.0, 0.0, 0.0, 0.3, 0.2]},
+    ],
+    "tail": {"kind": "constant", "mu": {"kind": "delta", "at": 1}},
+}
+
+
+def _full(group, seed):
+    """A law whose support is the whole group."""
+    w = np.random.default_rng(seed).random(group.order) + 0.05
+    return Measure(group, w / w.sum())
+
+
+# Laws whose levels below the random prefix are all point masses
+POINT_MASSES_BELOW = {
+    "prefix-then-period-2-points": NoiseLaw(Q8, (_full(Q8, 1),), (delta(Q8, 3), delta(Q8, 6))),
+    "70-random-prefix-levels": NoiseLaw(S3, tuple(_full(S3, i) for i in range(70)),
+                                        (delta(S3, 1),)),
+    "random-then-point-prefix": NoiseLaw(S3, (_full(S3, 2), delta(S3, 2), delta(S3, 4)),
+                                         (delta(S3, 1), delta(S3, 5))),
+    "all-point-masses": NoiseLaw(Q8, (delta(Q8, 2),), (delta(Q8, 1), delta(Q8, 4), delta(Q8, 7))),
+}
+
+# Laws with a random tail phase: every level is random
+RANDOM_TAIL_PHASE = {
+    "point-then-random-phase": NoiseLaw(Q8, (_full(Q8, 1),), (delta(Q8, 3), _full(Q8, 4))),
+    "s3-mixed-phases": NoiseLaw(S3, (delta(S3, 2), Measure(S3, [0.5, 0, 0, 0.5, 0, 0])),
+                                (haar(S3), delta(S3, 1), Measure(S3, [0, 0.25, 0.25, 0.5, 0, 0]))),
+    "golden-z4-case-c-prefix": noise_from_spec(GOLDEN_SPECS["z4-case-c-prefix"]),
+}
+
+
+def _uniforms_requested(monkeypatch, noise, depth, size):
+    """How many uniforms sample_noise asks of its stream, counted by a wrapped generator."""
+    requested = []
+    stream = solutions._stream
+
+    class Counting:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def random(self, shape):
+            requested.append(int(np.prod(shape)))
+            return self.rng.random(shape)
+
+    monkeypatch.setattr(solutions, "_stream", lambda *key: Counting(stream(*key)))
+    sample_noise(noise, depth, size, seed=1, chunk=0)
+    return sum(requested)
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +192,34 @@ class TestSampleNoise:
         assert len(blocks) == -(-(depth + 1) // LEVEL_BLOCK)
         assert all(calls <= len(prefix) + len(tail) for _, calls in blocks)
         assert np.array_equal(got, sample_noise_per_level(noise, depth, 6, seed=3, chunk=0).T)
+
+    @pytest.mark.parametrize("name, depth", [
+        ("prefix-then-period-2-points", 2 * LEVEL_BLOCK + 5),
+        ("70-random-prefix-levels", 2 * LEVEL_BLOCK + 5),  # random levels past one block
+        ("random-then-point-prefix", 2 * LEVEL_BLOCK + 5),
+        ("all-point-masses", LEVEL_BLOCK + 3),
+        ("70-random-prefix-levels", 10),                   # depth below the prefix length
+        ("random-then-point-prefix", 1),
+    ])
+    def test_point_mass_levels_match_per_level_reference(self, name, depth):
+        noise = POINT_MASSES_BELOW[name]
+        got = sample_noise(noise, depth, 7, seed=11, chunk=2)
+        assert np.array_equal(got, sample_noise_per_level(noise, depth, 7, seed=11, chunk=2).T)
+
+    @pytest.mark.parametrize("name, random_levels", [
+        ("prefix-then-period-2-points", 1), ("70-random-prefix-levels", 70),
+        ("random-then-point-prefix", 1), ("all-point-masses", 0),
+    ])
+    def test_uniforms_stop_at_the_last_random_level(self, monkeypatch, name, random_levels):
+        noise = POINT_MASSES_BELOW[name]
+        assert noise.random_levels() == random_levels
+        assert _uniforms_requested(monkeypatch, noise, 10_000, 5) == random_levels * 5
+
+    @pytest.mark.parametrize("name", sorted(RANDOM_TAIL_PHASE))
+    def test_uniforms_at_every_level_behind_a_random_tail_phase(self, monkeypatch, name):
+        noise = RANDOM_TAIL_PHASE[name]
+        assert noise.random_levels() is None
+        assert _uniforms_requested(monkeypatch, noise, 10_000, 5) == 10_001 * 5
 
     def test_marginal_law(self, case_a):
         noise, _ = case_a
@@ -383,6 +473,29 @@ class TestDecompose:
                            "outside the support of mu_k"):
             decompose_ensemble(ens, res, noise)
 
+    def test_altered_point_mass_row_is_refused(self, tmp_path, capsys):
+        # the kernel folds the point-mass rows below the random prefix into its
+        # centering and never reads them; the support check still does
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(Q8_CASE_B_PREFIX_SPEC))
+        common = ["--input", str(spec), "--seed", "3"]
+        assert cli.main(["simulate", "--out", str(tmp_path / "sim"), *common, "--paths", "12",
+                         "--kind", "mixture"]) == 0
+        payload = json.loads((tmp_path / "sim" / "ensemble.json").read_text())
+        depth, x = payload["depth"], payload["paths"][10]["xi"][1]
+        payload["paths"][10]["xi"][1] = int(Q8.mul[x, 4])  # k = 1 - depth, tail phase point 6
+        (tmp_path / "altered.json").write_text(json.dumps(payload))
+        message = rf"path 10 has xi_k = {int(Q8.mul[x, 4])} at k={1 - depth}, outside the support"
+
+        noise = noise_from_spec(Q8_CASE_B_PREFIX_SPEC)
+        ens = cli._ensemble_from_file(str(tmp_path / "altered.json"), Q8)
+        with pytest.raises(CosetNotStabilized, match=message):
+            decompose_ensemble(ens, compute_limit(noise), noise)
+        capsys.readouterr()
+        assert cli.main(["decompose", "--out", str(tmp_path / "dec"), *common,
+                         "--ensemble", str(tmp_path / "altered.json")]) == 5
+        assert re.search(message, capsys.readouterr().err)
+
     @pytest.mark.parametrize("depth", [1, 20])
     def test_support_break_names_each_off_support_level(self, depth):
         # a prefix and a period-3 tail, whose laws are gathered a level group at
@@ -609,6 +722,10 @@ ORACLE_SPECS = {
     **GOLDEN_SPECS,
     "z4-case-a": {"group": {"kind": "builtin", "name": "Z4"}, "prefix": [],
                   "tail": {"kind": "constant", "mu": {"kind": "haar"}}},
+    # the kernels fold the point-mass levels below the random prefix into one
+    # centering; the oracles walk every level
+    "q8-case-b-prefix": Q8_CASE_B_PREFIX_SPEC,
+    "s3-near-symmetry": S3_NEAR_SYMMETRY_SPEC,
 }
 
 
