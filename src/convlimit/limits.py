@@ -157,7 +157,7 @@ class LimitResult:
 
     @cached_property
     def alphas(self) -> dict[int, int]:
-        """alpha_l at -depth_used and -deepest_depth; a default-depth ensemble reads the latter."""
+        """alpha_l at -depth_used and -deepest_depth for limit.json; ensembles read their cut's."""
         return extend_centerings(None, self, (-self.depth_used, -self.deepest_depth))
 
     def to_json_dict(self) -> dict:

@@ -4,19 +4,17 @@ Three constructions: the uniform solution (Haar initial state pushed
 forward), the extremal solution (noise-measurable coset part phi_k times an
 independent uniform subgroup factor U_k), and mixtures eta_k = eta0_k V for
 an independent V. All of them rest on one identity: with the centred product
-full_k = xi_k ... xi_{-depth} alpha_{-depth}, every solution over the window
-is eta_k = full_k Z for one group element Z. An extremal path takes Z in H,
-and a decomposition reads Z off k = 0, so any path factors back into
-(phi_k, U_k, V) exactly. As alpha_l is exact modulo H from the last prefix
-level down, every depth from len(prefix) - 1 on gives the almost-sure coset
-phi_k H for noise inside its laws' supports; a decomposition refuses a
-shallower depth or noise off those supports rather than guessing.
-
-Randomness ends at the last level whose law is not a point mass
-(NoiseLaw.random_levels); in case B, where every tail law is a point mass,
-that is the random prefix. Uniforms are drawn only down to it, and the
-point-mass levels below the window's cut are folded into the centering
-once, so a case-B path costs its random prefix and window, not its depth.
+full_k = xi_k ... xi_{-d} alpha_{-d} from a level -d below the window, every
+solution over the window is eta_k = full_k Z for one group element Z. An
+extremal path takes Z in H, and a decomposition reads Z off k = 0, so any
+path factors back into (phi_k, U_k, V) exactly. As alpha_l is exact modulo H
+from the last prefix level down, every d from len(prefix) - 1 on gives the
+almost-sure coset phi_k H for noise inside its laws' supports. So every path
+is walked from one cut, d = max(len(prefix) - 1, 1 - k_min), whatever its
+sampling depth; a shallower depth is refused, and a decomposition refuses
+noise off those supports, rather than guessing. Uniforms are drawn only down
+to the last level whose law is not a point mass (NoiseLaw.random_levels); in
+case B, where every tail law is a point mass, that is the random prefix.
 
 Ensembles are generated in fixed-size chunks, each chunk on its own RNG
 stream keyed by (seed, purpose, chunk), so results are identical for any
@@ -339,6 +337,11 @@ def centered_window(group: FiniteGroup, xi: np.ndarray, depth: int, k_min: int,
     return group.flat_mul[alpha::group.order].take(window)  # right multiplication by alpha
 
 
+def window_cut(noise: NoiseLaw, k_min: int) -> int:
+    """The depth max(len(prefix) - 1, 1 - k_min) every path's window is walked from."""
+    return max(len(noise.prefix) - 1, 1 - k_min)
+
+
 def _centered_phi(
     noise: NoiseLaw,
     limitres: LimitResult,
@@ -348,23 +351,21 @@ def _centered_phi(
 ) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """The kernel xi -> (full, phi) of one window; its centering is fetched once.
 
-    ``full[k - k_min]`` is full_k = xi_k ... xi_{-depth} alpha_{-depth}, a
-    (window, paths) row of :func:`centered_window`, and ``phi`` maps it to
-    the section's representative of full_k H. With
-    ``cut = min(depth, max(noise.random_levels(), 1 - k_min))``, every law
-    below k = -cut is a point mass, so the levels from -cut - 1 down to
-    -depth are folded into the centering once,
-    c = xi_{-cut-1} ... xi_{-depth} alpha_{-depth} from the laws' points,
-    and the paths walk only from -cut up. Without a bound
-    (a tail law that is not a point mass) the cut is the depth and c is
-    alpha_{-depth}. The kernel reads only the top cut + 1 rows of ``xi``.
+    ``full[k - k_min]`` is full_k = xi_k ... xi_{-cut} alpha_{-cut} at
+    ``cut = window_cut(noise, k_min)``, a (window, paths) row of
+    :func:`centered_window`, and ``phi`` maps it to the section's
+    representative of full_k H. The kernel reads only the top cut + 1 of
+    the depth + 1 rows of ``xi``: walked from any depth >= cut, full_k
+    differs only by a right factor in H, which neither phi, nor
+    eta_k = full_k full_0^{-1} phi_0 u0, nor V = rep(Z^{-1} H)^{-1} sees.
+    A depth below the cut is refused with :class:`InvalidSpec`.
     """
+    cut = window_cut(noise, k_min)
+    if depth < cut:
+        raise InvalidSpec(f"depth {depth} too shallow for the window k_min={k_min} behind "
+                          f"a {len(noise.prefix)}-level prefix; it needs depth >= {cut}")
     group = noise.group
-    c = extend_centerings(noise, limitres, (-depth,))[-depth]
-    random = noise.random_levels()
-    cut = depth if random is None else min(depth, max(random, 1 - k_min))
-    for x in _points(noise, cut + 1, depth + 1)[::-1]:  # xi_{-depth} first
-        c = int(group.mul[x, c])
+    c = extend_centerings(noise, limitres, (-cut,))[-cut]
     reps, coset_of = np.array(section.representative, dtype=group.id_dtype), section.space.coset_of
 
     def kernel(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -389,20 +390,20 @@ def extremal_ensemble(
     Every path is full_k h for one h in H (see :func:`_centered_phi`):
     h = full_0^{-1} phi_0 U_0 lies in H because full_0 lies in phi_0 H, so
     U_k = phi_k^{-1} full_k h lies in H, U_0 is the drawn u0, and
-    eta_k = xi_k eta_{k-1} holds because full_k = xi_k full_{k-1}.
+    eta_k = xi_k eta_{k-1} holds because full_k = xi_k full_{k-1}. The law
+    is exact at every depth from :func:`window_cut` on, and one seed gives
+    the same eta, phi and U at all of them; a shallower depth is refused.
     """
     k_min = limitres.k_min if k_min is None else k_min
     _require_sizes(depth, n_paths, k_min)
     if not same_group(noise.group, limitres.group):
         raise InvalidSpec("limit result computed for a different group")
-    if depth < 2 * limitres.depth_used:
-        raise InvalidSpec(f"depth {depth} is below 2 * depth_used = {2 * limitres.depth_used}")
     group = noise.group
     H = limitres.subgroup
-    if u0 is not None and u0 not in H:
-        raise InvalidSpec(f"u0={u0} is not a member of H")
     centered_phi = _centered_phi(noise, limitres, default_section(left_cosets(group, H)),
                                  depth, k_min)
+    if u0 is not None and u0 not in H:
+        raise InvalidSpec(f"u0={u0} is not a member of H")
     dtype = group.id_dtype
     members = np.array(H.members, dtype=dtype)
     mul, inv = group.mul, group.inv
@@ -464,7 +465,7 @@ def decompose_ensemble(
     default uses the ensemble's full window, which for uniform-solution
     ensembles has no level below it and is refused.
 
-    A depth below max(len(prefix) - 1, 1 - k_min) is refused with
+    A depth below :func:`window_cut` is refused with
     :class:`InvalidSpec`, and a path that breaks eta_k = xi_k eta_{k-1} on the
     report window or has some xi_k off the support of mu_k with
     :class:`CosetNotStabilized`, naming the path and k. On the others the
@@ -488,10 +489,7 @@ def decompose_ensemble(
     if not ens.k_min <= k_min <= 0:
         raise InvalidSpec(f"report window k_min={k_min} must lie in the ensemble window "
                           f"[{ens.k_min}, 0]")
-    need = max(len(noise.prefix) - 1, 1 - k_min)
-    if ens.depth < need:
-        raise InvalidSpec(f"depth {ens.depth} too shallow for the window k_min={k_min} behind "
-                          f"a {len(noise.prefix)}-level prefix; it needs depth >= {need}")
+    centered_phi = _centered_phi(noise, limitres, section, ens.depth, k_min)
     eta = ens.eta[k_min - ens.k_min:]
     broken = recursion_break(group, ens.xi, eta, ens.depth, k_min)
     if broken is not None:
@@ -505,7 +503,7 @@ def decompose_ensemble(
             f"path {off[0]} has xi_k = {off[2]} at k={off[1]}, outside the support of mu_k; "
             "only noise the law can draw factors"
         )
-    full, phi = _centered_phi(noise, limitres, section, ens.depth, k_min)(ens.xi)
+    full, phi = centered_phi(ens.xi)
     mul, inv = group.mul, group.inv
     reps = np.array(section.representative, dtype=np.int64)
     Z = mul[inv[full[-1]], eta[-1]]

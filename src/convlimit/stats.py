@@ -21,7 +21,8 @@ from .errors import EmptySample, InsufficientSamples, InvalidSpec, OutOfSupport
 from .groups import FiniteGroup, Subgroup, left_cosets
 from .limits import LimitResult, NoiseLaw, extend_centerings
 from .measures import Measure, haar, right_stabilizer, tv_distance, tv_to_right_translates
-from .solutions import Ensemble, centered_window, extremal_ensemble, sample_noise, uniform_ensemble
+from .solutions import (Ensemble, centered_window, extremal_ensemble, sample_noise,
+                        uniform_ensemble, window_cut)
 
 MIN_EXPECTED_CELL = 5.0
 MIN_PATHS_FOR_BATTERY = 1000
@@ -352,17 +353,11 @@ def verify_theorems(
         failures.append(f"uniform-solution independence fails (p={p_uni_indep:.2e})")
 
     # strong-solution determinism in the trivial-subgroup case: the path is a
-    # function of the noise above the certified cut alone. The rebuild draws
-    # the same stream only down to the cut (its rows are the top rows of the
-    # ensemble's noise, as sample_noise draws shallow-first). Both kernels
-    # walk the same rows, up from the last random level or the window's
-    # bottom, whichever is deeper, and fold the point-mass levels below into
-    # one constant: the rebuild from alpha at the cut, the ensemble from
-    # alpha at its depth. So equal paths mean that the folded constants at
-    # the cut and at the ensemble's depth agree
+    # function of the noise above the window's cut alone, so a rebuild that
+    # draws the same stream only down to the cut must give the same paths
     strong_det: Optional[bool] = None
     if limitres.case == "B":
-        cut = min(ensemble.depth, max(2 * limitres.depth_used, 1 - ensemble.k_min))
+        cut = window_cut(noise, ensemble.k_min)
         rebuilt = extremal_ensemble(noise, limitres, cut, ensemble.n_paths, ensemble.seed,
                                     k_min=ensemble.k_min, u0=group.identity)
         strong_det = bool(np.array_equal(rebuilt.eta, ensemble.phi))  # H trivial: eta0 = phi

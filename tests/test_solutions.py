@@ -49,6 +49,7 @@ from convlimit.solutions import (
 )
 
 Z4 = cyclic_group(4)
+Z5 = cyclic_group(5)
 S3 = symmetric_group(3)
 Q8 = builtin_group("Q8")
 
@@ -84,6 +85,16 @@ POINT_MASSES_BELOW = {
     "random-then-point-prefix": NoiseLaw(S3, (_full(S3, 2), delta(S3, 2), delta(S3, 4)),
                                          (delta(S3, 1), delta(S3, 5))),
     "all-point-masses": NoiseLaw(Q8, (delta(Q8, 2),), (delta(Q8, 1), delta(Q8, 4), delta(Q8, 7))),
+}
+
+# One law per case for the cut max(len(prefix) - 1, 1 - k_min): a lazy walk
+# behind a short prefix (case A, cut by the window), 12 random prefix levels
+# before period-2 point masses (case B) and 11 before a two-point tail (case C)
+CUT_LAWS = {
+    "A": NoiseLaw(Z5, (_full(Z5, 3), _full(Z5, 4)), (Measure(Z5, [0.5, 0.5, 0, 0, 0]),)),
+    "B": NoiseLaw(S3, tuple(_full(S3, i) for i in range(12)), (delta(S3, 1), delta(S3, 4))),
+    "C": NoiseLaw(S3, tuple(_full(S3, 10 + i) for i in range(11)),
+                  (Measure(S3, [0.5, 0.5, 0, 0, 0, 0]),)),
 }
 
 # Laws with a random tail phase: every level is random
@@ -323,14 +334,15 @@ class TestExtremalSolution:
             return extend_centerings(noise, result, levels)
 
         monkeypatch.setattr(solutions, "extend_centerings", counted)
-        depth = 2 * res.depth_used
-        extremal_ensemble(noise, res, depth, CHUNK_SIZE + 1, seed=3)
-        assert calls == [(-depth,)]
+        extremal_ensemble(noise, res, 2 * res.depth_used, CHUNK_SIZE + 1, seed=3)
+        assert calls == [(-solutions.window_cut(noise, res.k_min),)]
 
     def test_depth_validation(self, case_c):
         noise, res = case_c
-        with pytest.raises(InvalidSpec):
-            extremal_ensemble(noise, res, res.depth_used, 10, seed=0)
+        cut = solutions.window_cut(noise, res.k_min)
+        with pytest.raises(InvalidSpec, match=rf"it needs depth >= {cut}$"):
+            extremal_ensemble(noise, res, cut - 1, 10, seed=0)
+        assert extremal_ensemble(noise, res, cut, 10, seed=0).xi.shape == (cut + 1, 10)
 
     def test_bad_u0_rejected(self, case_c):
         noise, res = case_c
@@ -474,8 +486,8 @@ class TestDecompose:
             decompose_ensemble(ens, res, noise)
 
     def test_altered_point_mass_row_is_refused(self, tmp_path, capsys):
-        # the kernel folds the point-mass rows below the random prefix into its
-        # centering and never reads them; the support check still does
+        # the kernel walks only from the cut and never reads the point-mass
+        # rows below it; the support check still does
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(Q8_CASE_B_PREFIX_SPEC))
         common = ["--input", str(spec), "--seed", "3"]
@@ -510,6 +522,57 @@ class TestDecompose:
                 bad = xi.copy()
                 bad[k + depth, 2] = x
                 assert solutions.support_break(noise, bad) == (2, k, x)
+
+
+@pytest.fixture(scope="module", params=sorted(CUT_LAWS))
+def cut_law(request):
+    noise = CUT_LAWS[request.param]
+    res = compute_limit(noise)
+    cut = solutions.window_cut(noise, res.k_min)
+    assert (res.case, cut) == (request.param, 9 if res.case == "A" else len(noise.prefix) - 1)
+    return noise, res, cut
+
+
+def _mixture(noise, res, depth, seed):
+    return general_ensemble(extremal_ensemble(noise, res, depth, 300, seed=seed),
+                            haar(noise.group), seed=seed + 1)
+
+
+class TestOneCut:
+    """Every path reads its noise from the cut up; the rows below only pass the support check."""
+
+    def test_same_paths_at_the_cut_and_at_depth_200(self, cut_law):
+        noise, res, cut = cut_law
+        at_cut = extremal_ensemble(noise, res, cut, 300, seed=4)
+        deep = extremal_ensemble(noise, res, 200, 300, seed=4)
+        assert np.array_equal(at_cut.xi, deep.xi[200 - cut:])
+        for name in ("eta", "phi", "U"):
+            assert np.array_equal(getattr(at_cut, name), getattr(deep, name)), name
+
+    def test_redrawn_rows_below_the_cut_leave_the_factors(self, cut_law):
+        noise, res, cut = cut_law
+        ens = _mixture(noise, res, 200, seed=5)
+        xi, rng = ens.xi.copy(), np.random.default_rng(6)
+        for k in range(-200, -cut):
+            xi[k + 200] = rng.choice(np.flatnonzero(noise.measure_at(k).weights), ens.n_paths)
+        # below the cut, only cases A and C have a law with two support points
+        assert np.array_equal(xi, ens.xi) == (res.case == "B")
+        dec, _ = decompose_ensemble(ens, res, noise)
+        redrawn, _ = decompose_ensemble(dataclasses.replace(ens, xi=xi), res, noise)
+        for name in ("phi", "U", "V"):
+            assert np.array_equal(getattr(dec, name), getattr(redrawn, name)), name
+
+    @pytest.mark.parametrize("k", [-200, "below the cut"])
+    def test_off_support_row_below_the_cut_is_refused(self, cut_law, k):
+        noise, res, cut = cut_law
+        k = -cut - 1 if k == "below the cut" else k
+        ens = _mixture(noise, res, 200, seed=7)
+        xi = ens.xi.copy()
+        x = int(np.flatnonzero(noise.measure_at(k).weights == 0)[0])
+        xi[k + 200, 17] = x
+        with pytest.raises(CosetNotStabilized,
+                           match=rf"path 17 has xi_k = {x} at k={k}, outside the support"):
+            decompose_ensemble(dataclasses.replace(ens, xi=xi), res, noise)
 
 
 class TestTorusDecompose:
@@ -722,8 +785,7 @@ ORACLE_SPECS = {
     **GOLDEN_SPECS,
     "z4-case-a": {"group": {"kind": "builtin", "name": "Z4"}, "prefix": [],
                   "tail": {"kind": "constant", "mu": {"kind": "haar"}}},
-    # the kernels fold the point-mass levels below the random prefix into one
-    # centering; the oracles walk every level
+    # the kernels walk from the cut, the oracles every level from the depth
     "q8-case-b-prefix": Q8_CASE_B_PREFIX_SPEC,
     "s3-near-symmetry": S3_NEAR_SYMMETRY_SPEC,
 }
