@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -71,12 +71,23 @@ class NoiseLaw:
                 raise InvalidSpec("all noise measures must live on the noise group")
 
     def measure_at(self, k: int) -> Measure:
-        if k > 0:
-            raise BadRange(f"noise index must be <= 0, got {k}")
-        i = -k
-        if i < len(self.prefix):
-            return self.prefix[i]
-        return self.tail[(i - len(self.prefix)) % len(self.tail)]
+        return next(self.law_runs(-k, 1 - k))[0]
+
+    def law_runs(self, top: int, stop: int) -> Iterator[tuple[Measure, slice]]:
+        """The laws of the levels j in [top, stop), k = -j, as (mu, levels) runs.
+
+        Prefix positions come first, each as ``slice(j, j + 1, 1)``, then each
+        tail phase as ``slice(first, stop, len(tail))`` from its first level in
+        the range. The runs cover the range exactly once.
+        """
+        if top < 0:
+            raise BadRange(f"noise index must be <= 0, got {-top}")
+        n_prefix, period = len(self.prefix), len(self.tail)
+        for j in range(top, min(stop, n_prefix)):
+            yield self.prefix[j], slice(j, j + 1, 1)
+        first = max(top, n_prefix)
+        for j in range(first, min(first + period, stop)):
+            yield self.tail[(j - n_prefix) % period], slice(j, stop, period)
 
     def random_levels(self) -> Optional[int]:
         """How many levels from k = 0 down reach the last law that is not a point mass.

@@ -12,14 +12,15 @@ from the last prefix level down, every d from len(prefix) - 1 on gives the
 almost-sure coset phi_k H for noise inside its laws' supports. So every path
 is walked from one cut, d = max(len(prefix) - 1, 1 - k_min), whatever its
 sampling depth; a shallower depth is refused, and a decomposition refuses
-noise off those supports, rather than guessing. Uniforms are drawn only down
-to the last level whose law is not a point mass (NoiseLaw.random_levels); in
-case B, where every tail law is a point mass, that is the random prefix.
+noise off those supports, rather than guessing. The sampler and the support
+check read each level's law from NoiseLaw.law_runs. Uniforms are drawn only
+down to the last level whose law is not a point mass (NoiseLaw.random_levels);
+in case B, where every tail law is a point mass, that is the random prefix.
 
 Ensembles are generated in fixed-size chunks, each chunk on its own RNG
 stream keyed by (seed, purpose, chunk), so results are identical for any
-thread count; CONV_LIMIT_THREADS caps the worker pool. Every array is
-level-major, from the draw through the walk to the stored
+thread count; CONV_LIMIT_THREADS, a positive integer, caps the worker pool.
+Every array is level-major, from the draw through the walk to the stored
 :class:`Ensemble`: one contiguous row of paths per level, in the group's
 narrow id dtype. Only the record text of :meth:`Ensemble.to_records` lays a
 path out as a row.
@@ -34,7 +35,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import CosetNotStabilized, InvalidSpec
+from .errors import BadRange, CosetNotStabilized, InvalidSpec
 from .groups import (
     FiniteGroup,
     Section,
@@ -64,23 +65,15 @@ def _stream(seed: int, purpose: int, chunk: int) -> np.random.Generator:
 
 def _max_workers() -> int:
     raw = os.environ.get("CONV_LIMIT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise InvalidSpec(f"CONV_LIMIT_THREADS must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def _chunks(n_paths: int) -> list[tuple[int, int, int]]:
     """(chunk_index, start, size) triples; chunking is independent of threads."""
-    out = []
-    start = 0
-    idx = 0
-    while start < n_paths:
-        size = min(CHUNK_SIZE, n_paths - start)
-        out.append((idx, start, size))
-        start += size
-        idx += 1
-    return out
+    return [(idx, start, min(CHUNK_SIZE, n_paths - start))
+            for idx, start in enumerate(range(0, n_paths, CHUNK_SIZE))]
 
 
 def _run_chunks(n_paths: int, worker: Callable[[int, int, int], None]) -> None:
@@ -94,6 +87,13 @@ def _run_chunks(n_paths: int, worker: Callable[[int, int, int], None]) -> None:
         futures = [pool.submit(worker, idx, start, size) for idx, start, size in chunks]
         for f in futures:
             f.result()
+
+
+def _level_row(k: int, bottom: int, name: str) -> int:
+    """The row of level k in an array holding k = bottom..0; any other k is refused."""
+    if not bottom <= k <= 0:
+        raise BadRange(f"{name} holds k = {bottom}..0, got k={k}")
+    return k - bottom
 
 
 @dataclass(frozen=True)
@@ -123,14 +123,14 @@ class Ensemble:
         return self.xi.shape[1]
 
     def xi_col(self, k: int) -> np.ndarray:
-        return self.xi[k + self.depth]
+        return self.xi[_level_row(k, -self.depth, "xi")]
 
     def eta_col(self, k: int) -> np.ndarray:
-        return self.eta[k - self.k_min]
+        return self.eta[_level_row(k, self.k_min, "eta")]
 
     def u_col(self, k: int) -> np.ndarray:
         assert self.U is not None
-        return self.U[k - self.k_min]
+        return self.U[_level_row(k, self.k_min, "U")]
 
     def to_records(self, start: int = 0, stop: Optional[int] = None) -> str:
         """The JSON text of records ``start`` to ``stop`` of the ``"paths"`` array.
@@ -199,16 +199,15 @@ def recursion_break(group: FiniteGroup, xi: np.ndarray, eta: np.ndarray,
 def support_break(noise: NoiseLaw, xi: np.ndarray) -> Optional[tuple[int, int, int]]:
     """A (path, k, xi_k) with mu_k(xi_k) = 0, or None when every draw lies in its support.
 
-    ``xi`` holds k = -depth..0 as in :class:`Ensemble`. As :func:`sample_noise`
-    groups its draws, the levels of one prefix position or one tail phase go
-    through one gather of that law's zero-weight mask.
+    ``xi`` holds k = -depth..0 as in :class:`Ensemble`. Each run of
+    ``noise.law_runs`` goes through one gather of its law's zero-weight mask,
+    and the first off-support draw of the first run that has one is returned.
     """
-    by_depth, n_prefix = xi[::-1], len(noise.prefix)  # row j holds k = -j
-    for j, mu in enumerate((*noise.prefix, *noise.tail)):
-        step = len(noise.tail) if j >= n_prefix else len(xi)  # a prefix position is one level
-        off = np.argwhere((mu.weights == 0).take(by_depth[j::step]))
+    by_depth = xi[::-1]  # row j holds k = -j
+    for mu, levels in noise.law_runs(0, len(xi)):
+        off = np.argwhere((mu.weights == 0).take(by_depth[levels]))
         if off.size:
-            level, path = j + int(off[0, 0]) * step, int(off[0, 1])
+            level, path = levels.start + int(off[0, 0]) * levels.step, int(off[0, 1])
             return path, -level, int(by_depth[level, path])
     return None
 
@@ -243,20 +242,6 @@ def _walk(group: FiniteGroup, rows: np.ndarray, prod: np.ndarray,
     return prod
 
 
-def _points(noise: NoiseLaw, first: int, stop: int) -> np.ndarray:
-    """The support points of the laws at k = -first down to -(stop - 1), one per level.
-
-    Meant for levels at or below ``noise.random_levels()``, whose laws are
-    point masses: each law's point is read once, and every level takes its
-    prefix position's or its tail phase's point.
-    """
-    n_prefix, period = len(noise.prefix), len(noise.tail)
-    points = np.array([mu.weights.argmax() for mu in (*noise.prefix, *noise.tail)],
-                      dtype=noise.group.id_dtype)
-    j = np.arange(first, stop)
-    return points[np.where(j < n_prefix, j, n_prefix + (j - n_prefix) % period)]
-
-
 def sample_noise(noise: NoiseLaw, depth: int, size: int, seed: int, chunk: int) -> np.ndarray:
     """Independent draws xi_k ~ mu_k; row i of the (depth + 1, size) array holds k = -depth + i.
 
@@ -264,31 +249,27 @@ def sample_noise(noise: NoiseLaw, depth: int, size: int, seed: int, chunk: int) 
     keyed by (seed, noise purpose, chunk), so a chunk's noise does not depend
     on which construction consumes it. They are drawn ``LEVEL_BLOCK`` levels
     at a time: ``rng.random((levels, size))`` yields the same doubles as
-    that many ``rng.random(size)`` calls. In each block, the levels of one
-    prefix position or one tail phase go through :func:`inverse_cdf` in one
-    call. Uniforms are drawn only down to the last level whose law is not a
-    point mass (``noise.random_levels()``; in case B, the random prefix):
-    nothing reads the stream after the noise, and a point mass inverts every
-    u in [0, 1) to its point, so each level below is filled with its law's
-    point and the array is the same draw for draw. The array is C-contiguous
-    and in the group's ``id_dtype``.
+    that many ``rng.random(size)`` calls. In each block, each run of
+    ``noise.law_runs`` goes through :func:`inverse_cdf` in one call. Uniforms
+    are drawn only down to the last level whose law is not a point mass
+    (``noise.random_levels()``; in case B, the random prefix): nothing reads
+    the stream after the noise, and a point mass inverts every u in [0, 1)
+    to its point, so each run below is filled with its law's point and the
+    array is the same draw for draw. The array is C-contiguous and in the
+    group's ``id_dtype``.
     """
     rng = _stream(seed, _PURPOSE_XI, chunk)
     levels = np.empty((depth + 1, size), dtype=noise.group.id_dtype)
     by_depth = levels[::-1]  # row j holds k = -j, the j-th level drawn
-    n_prefix, period = len(noise.prefix), len(noise.tail)
     random = noise.random_levels()
     drawn = depth + 1 if random is None else min(depth + 1, random)
     for top in range(0, drawn, LEVEL_BLOCK):
         stop = min(top + LEVEL_BLOCK, drawn)
         u = rng.random((stop - top, size))
-        for j in range(top, min(stop, n_prefix)):
-            by_depth[j] = inverse_cdf(noise.prefix[j], u[j - top])
-        first = max(top, n_prefix)
-        for j in range(first, min(first + period, stop)):
-            mu = noise.tail[(j - n_prefix) % period]
-            by_depth[j:stop:period] = inverse_cdf(mu, u[j - top::period])
-    by_depth[drawn:] = _points(noise, drawn, depth + 1)[:, None]
+        for mu, rows in noise.law_runs(top, stop):
+            by_depth[rows] = inverse_cdf(mu, u[rows.start - top:rows.stop - top:rows.step])
+    for mu, rows in noise.law_runs(drawn, depth + 1):
+        by_depth[rows] = mu.weights.argmax()
     return levels
 
 

@@ -280,10 +280,12 @@ def verify_theorems(
         )
     if ensemble.phi is None or ensemble.U is None:
         raise InsufficientSamples("battery needs an extremal or mixture ensemble")
+    noise_js = [0, -1, -2]
+    if ensemble.depth < -min(noise_js):
+        raise InvalidSpec(f"battery needs xi_-2; the ensemble's xi stops at k={-ensemble.depth}")
     group = noise.group
     H = limitres.subgroup
     ks = list(range(ensemble.k_min, 1))
-    noise_js = [0, -1, -2]
 
     # count p-valued tests for the Bonferroni budget
     n_tests = len(ks) * (1 + 1 + len(noise_js)) + 1

@@ -187,6 +187,16 @@ class TestSimulate:
             main(["simulate", "--input", str(spec), "--out", str(tmp_path)])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("value", ["two", "0", "-3"])
+    def test_malformed_thread_count_exits_2(self, tmp_path, capsys, monkeypatch, value):
+        spec = write_spec(tmp_path, Z4_CASE_C_SPEC)
+        monkeypatch.setenv("CONV_LIMIT_THREADS", value)
+        rc = main(["simulate", "--input", str(spec), "--out", str(tmp_path / "out"),
+                   "--seed", "7", "--paths", "50"])
+        assert rc == 2
+        message = f"CONV_LIMIT_THREADS must be a positive integer, got '{value}'"
+        assert message in capsys.readouterr().err
+
 
 class TestDecompose:
     def test_audit_full_reconstruction(self, tmp_path):

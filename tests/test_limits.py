@@ -87,6 +87,8 @@ class TestNoiseLaw:
     def test_positive_index_rejected(self):
         with pytest.raises(BadRange):
             z4_noise_case_a().measure_at(1)
+        with pytest.raises(BadRange):
+            next(z4_noise_case_a().law_runs(-1, 3))
 
     def test_empty_tail_rejected(self):
         with pytest.raises(InvalidSpec):
@@ -695,6 +697,27 @@ def sparse_noise_laws(draw):
     prefix = tuple(measure() for _ in range(draw(st.integers(0, 3))))
     tail = tuple(measure() for _ in range(draw(st.integers(1, 3))))
     return NoiseLaw(group, prefix, tail)
+
+
+@given(n_prefix=st.integers(0, 5), period=st.integers(1, 4), top=st.integers(0, 12),
+       span=st.integers(-2, 20))
+def test_law_runs_cover_each_level_once_with_its_law(n_prefix, period, top, span):
+    # distinct laws, so that `is` tells them apart; top lies inside the prefix,
+    # at its end or below it, and span <= 0 gives an empty range
+    laws = [delta(cyclic_group(n_prefix + period), g) for g in range(n_prefix + period)]
+    noise = NoiseLaw(laws[0].group, tuple(laws[:n_prefix]), tuple(laws[n_prefix:]))
+    stop = top + span
+    seen = []
+    for mu, levels in noise.law_runs(top, stop):
+        if levels.start < n_prefix:
+            assert levels == slice(levels.start, levels.start + 1, 1)
+        else:
+            assert (levels.stop, levels.step) == (stop, period)
+        for j in range(levels.start, levels.stop, levels.step):
+            assert mu is noise.measure_at(-j)
+            assert mu is (laws[j] if j < n_prefix else laws[n_prefix + (j - n_prefix) % period])
+            seen.append(j)
+    assert sorted(seen) == list(range(top, stop))
 
 
 @given(sparse_noise_laws())

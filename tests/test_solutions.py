@@ -15,7 +15,7 @@ from oracles import (
 from test_golden_records import SPECS as GOLDEN_SPECS
 
 from convlimit import cli
-from convlimit.errors import CosetNotStabilized, GridMismatch, InvalidSpec
+from convlimit.errors import BadRange, CosetNotStabilized, GridMismatch, InvalidSpec
 from convlimit.groups import (
     builtin_group,
     cyclic_group,
@@ -274,6 +274,14 @@ class TestUniformSolution:
         b = uniform_ensemble(noise, depth=5, n_paths=9000, seed=11)
         assert np.array_equal(a.eta, b.eta)
 
+    @pytest.mark.parametrize("value", ["two", "0", "-3"])
+    def test_malformed_thread_count_refused(self, case_c, monkeypatch, value):
+        noise, _ = case_c
+        monkeypatch.setenv("CONV_LIMIT_THREADS", value)
+        with pytest.raises(InvalidSpec,
+                           match=f"CONV_LIMIT_THREADS must be a positive integer, got '{value}'"):
+            uniform_ensemble(noise, depth=5, n_paths=10, seed=11)
+
 
 class TestExtremalSolution:
     def test_case_b_deterministic_and_trivial_u(self, case_b):
@@ -522,6 +530,14 @@ class TestDecompose:
                 bad = xi.copy()
                 bad[k + depth, 2] = x
                 assert solutions.support_break(noise, bad) == (2, k, x)
+        if depth >= 6:
+            # two off-support draws: tail phase 2 at k=-4 and the deeper phase 1
+            # at k=-6 (phase 0 is Haar). Phases are gathered in phase order, so
+            # the deeper draw of the earlier phase is the witness.
+            bad = xi.copy()
+            bad[-4 + depth, 0] = 0
+            bad[-6 + depth, 3] = 5
+            assert solutions.support_break(noise, bad) == (3, -6, 5)
 
 
 @pytest.fixture(scope="module", params=sorted(CUT_LAWS))
@@ -711,6 +727,14 @@ class TestEnsemblePlumbing:
         assert ens.eta_col(ens.k_min)[2] == ens.eta[0, 2]
         assert ens.xi_col(0)[2] == ens.xi[-1, 2]
         assert ens.xi_col(-ens.depth)[2] == ens.xi[0, 2]
+
+    def test_column_accessors_refuse_levels_outside_their_rows(self, case_c):
+        noise, res = case_c
+        ens = extremal_ensemble(noise, res, 1, 5, seed=27, k_min=0)
+        for name, bottom in (("xi_col", -1), ("eta_col", 0), ("u_col", 0)):
+            for k in (bottom - 1, 1):
+                with pytest.raises(BadRange, match=rf"holds k = {bottom}..0, got k={k}"):
+                    getattr(ens, name)(k)
 
 
 @pytest.mark.parametrize("build", [

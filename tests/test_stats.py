@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gamma, gammaincc
 
-from convlimit.errors import EmptySample, InsufficientSamples, InvalidSpec, OutOfSupport
+from convlimit.errors import BadRange, EmptySample, InsufficientSamples, InvalidSpec, OutOfSupport
 from convlimit.groups import cyclic_group, subgroup, trivial_subgroup
 from convlimit.limits import compute_limit, constant_noise, noise_from_spec
 from convlimit.measures import Measure, delta, haar, tv_distance
@@ -281,6 +281,15 @@ class TestVerifyTheorems:
         noise, res = case_c
         ens = extremal_ensemble(noise, res, 2 * res.depth_used, 100, seed=17)
         with pytest.raises(InsufficientSamples):
+            verify_theorems(noise, res, ens)
+
+    def test_ensemble_without_xi_minus_2_refused(self, case_c):
+        # at depth 1 the battery's xi_-2 column would wrap round to xi_0
+        noise, res = case_c
+        ens = extremal_ensemble(noise, res, 1, 2000, seed=19, k_min=0)
+        with pytest.raises(BadRange, match="xi holds k = -1..0, got k=-2"):
+            ens.xi_col(-2)
+        with pytest.raises(InvalidSpec, match="needs xi_-2; the ensemble's xi stops at k=-1"):
             verify_theorems(noise, res, ens)
 
     def test_determinism(self, case_c):
