@@ -32,6 +32,7 @@ from .limits import (
     DEFAULT_EPS_SHAPE,
     DEFAULT_MAX_DEPTH,
     LimitResult,
+    NoiseLaw,
     compute_limit,
     noise_from_spec,
     strong_subgroup,
@@ -55,6 +56,10 @@ EXIT_PARSE = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_INDETERMINATE = 4
 EXIT_DOMAIN = 5
+
+# A refusal exits with the code of the first class here that it is an instance of.
+_EXIT_CODES = ((InvalidSpec, EXIT_PARSE), (NoConvergenceAtDepth, EXIT_NO_CONVERGENCE),
+               (Indeterminate, EXIT_INDETERMINATE), (ConvLimitError, EXIT_DOMAIN))
 
 SCHEMA_VERSION = 1
 ENSEMBLE_KINDS = ("uniform", "extremal", "mixture")
@@ -111,27 +116,35 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         w.writerows(rows)
 
 
-def _load_input(args) -> dict:
+def _unusable(what: str, path: str, exc: Exception) -> InvalidSpec:
+    """The refusal of a path that cannot be read or made, naming it and why."""
+    why = "not UTF-8 text" if isinstance(exc, UnicodeDecodeError) else exc.strerror or exc
+    return InvalidSpec(f"{what} {path} cannot be used: {why}")
+
+
+def _spec_and_out(args) -> tuple[dict, Path]:
+    """The spec read from ``--input``, then the ``--out`` directory, made if missing."""
     try:
-        return json.loads(Path(args.input).read_text(encoding="utf-8"))
+        spec = json.loads(Path(args.input).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise InvalidSpec(f"input file not found: {args.input}") from None
     except json.JSONDecodeError as exc:
         raise InvalidSpec(f"input is not valid JSON: {exc}") from None
-
-
-def _out_dir(args) -> Path:
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _unusable("input file", args.input, exc) from None
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _unusable("output directory", args.out, exc) from None
+    return spec, out
 
 
-def _limit_from_args(args, noise) -> LimitResult:
-    return compute_limit(
-        noise,
-        eps_shape=args.eps,
-        max_depth=args.max_depth,
-    )
+def _enter(args) -> tuple[Path, NoiseLaw, LimitResult]:
+    """The entry of every finite-group command: its output directory, noise law and limit."""
+    spec, out = _spec_and_out(args)
+    noise = noise_from_spec(spec)
+    return out, noise, compute_limit(noise, eps_shape=args.eps, max_depth=args.max_depth)
 
 
 def _subgroup_payload(result: LimitResult, members) -> dict:
@@ -142,9 +155,8 @@ def _subgroup_payload(result: LimitResult, members) -> dict:
 
 
 def cmd_classify(args) -> int:
-    spec = _load_input(args)
-    out = _out_dir(args)
     if args.torus:
+        spec, out = _spec_and_out(args)
         noise = torus_noise_from_spec(spec)
         cls = compute_p_mu(noise, p_max=args.p_max)
         payload = {"command": "classify", "engine": "torus", **cls.to_json_dict()}
@@ -162,8 +174,7 @@ def cmd_classify(args) -> int:
                 f.write("".join(f"{p},{i},{v!r}\r\n" for i, v in enumerate(b.curve, 1)))
         print(f"case {cls.case}  p_mu = {cls.p_mu}")
         return EXIT_OK
-    noise = noise_from_spec(spec)
-    result = _limit_from_args(args, noise)
+    out, noise, result = _enter(args)
     strong = strong_subgroup(noise.group, result.subgroup)
     payload = {
         "command": "classify",
@@ -181,10 +192,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_limit(args) -> int:
-    spec = _load_input(args)
-    out = _out_dir(args)
-    noise = noise_from_spec(spec)
-    result = _limit_from_args(args, noise)
+    out, noise, result = _enter(args)
     check = verify_conjugacy_uniqueness(noise, result, eps_shape=args.eps,
                                         max_depth=args.max_depth)
     payload = {
@@ -231,10 +239,7 @@ def _build_ensemble_for(args, noise, result, kind):
 
 
 def cmd_simulate(args) -> int:
-    spec = _load_input(args)
-    out = _out_dir(args)
-    noise = noise_from_spec(spec)
-    result = _limit_from_args(args, noise)
+    out, noise, result = _enter(args)
     ens = _build_ensemble_for(args, noise, result, args.kind)
     payload = {
         "command": "simulate",
@@ -277,10 +282,10 @@ def _checked_header(payload: dict) -> tuple[str, int, int, int]:
     return kind, seed, depth, k_min
 
 
-def _read_json_records(path: str, group):
-    """Header fields and level-major xi and eta of an ensemble file in any JSON layout."""
+def _read_json_records(text: str, group):
+    """Header fields and level-major xi and eta of an ensemble file's text in any JSON layout."""
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidSpec(f"ensemble file is not valid JSON: {exc}") from None
     records = payload.get("paths") if isinstance(payload, dict) else None
@@ -335,7 +340,7 @@ def _empty_ensemble(first: bytes, group, n: int, header) -> Ensemble:
     dtype, width = group.id_dtype, -k_min + 1
     factored = first.startswith(b'[\n    {\n      "U": ')
     return Ensemble(
-        group=group, kind=kind, seed=seed, depth=depth, k_min=k_min,
+        group=group, kind=kind, seed=seed,
         xi=np.empty((depth + 1, n), dtype), eta=np.empty((width, n), dtype),
         phi=np.empty((width, n), dtype) if factored else None,
         U=np.empty((width, n), dtype) if factored else None,
@@ -436,23 +441,22 @@ def _ensemble_from_file(path: str, group) -> Ensemble:
     try:
         with open(path, "rb") as f:
             read = _read_canonical(f, group)
+        text = None if read else Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise InvalidSpec(f"ensemble file not found: {path}") from None
-    (kind, seed, depth, k_min), xi, eta = read or _read_json_records(path, group)
-    broken = recursion_break(group, xi, eta, depth, k_min)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _unusable("ensemble file", path, exc) from None
+    (kind, seed, *_), xi, eta = read or _read_json_records(text, group)
+    broken = recursion_break(group, xi, eta)
     if broken is not None:
         raise InvalidSpec(
             f"path {broken[0]} of the ensemble file breaks eta_k = xi_k eta_(k-1) at k={broken[1]}"
         )
-    return Ensemble(group=group, kind=kind, seed=seed, depth=depth, k_min=k_min,
-                    xi=xi, eta=eta)
+    return Ensemble(group=group, kind=kind, seed=seed, xi=xi, eta=eta)
 
 
 def cmd_decompose(args) -> int:
-    spec = _load_input(args)
-    out = _out_dir(args)
-    noise = noise_from_spec(spec)
-    result = _limit_from_args(args, noise)
+    out, noise, result = _enter(args)
     if args.ensemble is not None:
         ens = _ensemble_from_file(args.ensemble, noise.group)
     else:
@@ -476,10 +480,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    spec = _load_input(args)
-    out = _out_dir(args)
-    noise = noise_from_spec(spec)
-    result = _limit_from_args(args, noise)
+    out, noise, result = _enter(args)
     ens = _build_ensemble_for(args, noise, result, "extremal")
     report = verify_theorems(noise, result, ens, significance=args.significance)
     payload = {"command": "verify", "case": result.case, **report.to_json_dict()}
@@ -563,8 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="factor paths into (phi, U, V) with an audit")
     common(p, seeded=True)
-    p.add_argument("--kind", choices=["extremal", "mixture", "uniform"],
-                   default="mixture")
+    p.add_argument("--kind", choices=ENSEMBLE_KINDS, default="mixture")
     p.add_argument("--v-law", default=None,
                    help="measure spec JSON for the mixture V law (default Haar)")
     p.add_argument("--ensemble", default=None,
@@ -581,22 +581,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InvalidSpec as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except NoConvergenceAtDepth as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except Indeterminate as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INDETERMINATE
     except ConvLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -169,7 +169,7 @@ class LimitResult:
     @cached_property
     def alphas(self) -> dict[int, int]:
         """alpha_l at -depth_used and -deepest_depth for limit.json; ensembles read their cut's."""
-        return extend_centerings(None, self, (-self.depth_used, -self.deepest_depth))
+        return extend_centerings(self, (-self.depth_used, -self.deepest_depth))
 
     def to_json_dict(self) -> dict:
         return {
@@ -357,15 +357,14 @@ def strong_subgroup(group: FiniteGroup, H_mu: Subgroup) -> Subgroup:
     return normal_closure(group, H_mu)
 
 
-def extend_centerings(noise: NoiseLaw, result: LimitResult,
-                      levels: Iterable[int]) -> dict[int, int]:
+def extend_centerings(result: LimitResult, levels: Iterable[int]) -> dict[int, int]:
     """Centering elements alpha_l at the requested levels l <= 0, as {l: alpha_l}.
 
     nu_l is the prefix, then q whole tail blocks and r more tail factors (none
     inside the prefix), whose product tends to omega_K delta_(b^q t_r). Lambda
     at the top tail level is omega_K delta_c, c = ``result.top``, so
-    alpha_l = (b^q t_r)^-1 c, exact modulo H. A closed form: ``noise`` is not
-    read and nothing is convolved, at any depth.
+    alpha_l = (b^q t_r)^-1 c, exact modulo H. A closed form in the result's
+    centering data: no noise law is read and nothing is convolved, at any depth.
     """
     levels = sorted(set(levels), reverse=True)
     if levels and levels[0] > 0:

@@ -23,7 +23,8 @@ thread count; CONV_LIMIT_THREADS, a positive integer, caps the worker pool.
 Every array is level-major, from the draw through the walk to the stored
 :class:`Ensemble`: one contiguous row of paths per level, in the group's
 narrow id dtype. Only the record text of :meth:`Ensemble.to_records` lays a
-path out as a row.
+path out as a row. An extent is a row count: an ensemble's depth and window,
+and those of the arrays recursion_break and centered_window take, are read off.
 """
 
 from __future__ import annotations
@@ -102,16 +103,15 @@ class Ensemble:
 
     This is the library's one path type; a single path is an ensemble with
     ``n_paths=1``. Every array holds one row per level and one column per
-    path, in C order, so path i is ``eta[:, i]``. The builders store element
-    ids in the group's ``id_dtype``, the narrowest signed integer dtype that
-    holds its order.
+    path, in C order, so path i is ``eta[:, i]``. ``depth`` and ``k_min`` are
+    read off the row counts, so replacing an array replaces its extent. The
+    builders store element ids in the group's ``id_dtype``, the narrowest
+    signed integer dtype that holds its order.
     """
 
     group: FiniteGroup
     kind: str
     seed: int
-    depth: int
-    k_min: int
     xi: np.ndarray   # (depth + 1, n_paths), row i holds k = -depth + i
     eta: np.ndarray  # (-k_min + 1, n_paths), row i holds k = k_min + i
     phi: Optional[np.ndarray] = None  # rows as eta
@@ -121,6 +121,14 @@ class Ensemble:
     @property
     def n_paths(self) -> int:
         return self.xi.shape[1]
+
+    @property
+    def depth(self) -> int:
+        return self.xi.shape[0] - 1
+
+    @property
+    def k_min(self) -> int:
+        return 1 - self.eta.shape[0]
 
     def xi_col(self, k: int) -> np.ndarray:
         return self.xi[_level_row(k, -self.depth, "xi")]
@@ -181,18 +189,19 @@ class Ensemble:
         return "".join(out)
 
 
-def recursion_break(group: FiniteGroup, xi: np.ndarray, eta: np.ndarray,
-                    depth: int, k_min: int) -> Optional[tuple[int, int]]:
+def recursion_break(group: FiniteGroup, xi: np.ndarray,
+                    eta: np.ndarray) -> Optional[tuple[int, int]]:
     """First (path, k) with eta_k != xi_k eta_{k-1}, or None when every path holds.
 
-    ``xi`` holds k = -depth..0 and ``eta`` holds k = k_min..0, one row per
-    level, as in :class:`Ensemble`; the caller picks the error to raise.
+    ``xi`` and ``eta`` hold one row per level up to k = 0, as in
+    :class:`Ensemble`, and their row counts are their extents; ``xi`` must
+    reach down to eta's second level. The caller picks the error to raise.
     """
-    mul = group.mul
-    for k in range(k_min + 1, 1):
-        bad = eta[k - k_min] != mul[xi[k + depth], eta[k - 1 - k_min]]
+    mul, k_min = group.mul, 1 - len(eta)
+    for i in range(1, len(eta)):
+        bad = eta[i] != mul[xi[i - len(eta)], eta[i - 1]]
         if bad.any():
-            return int(np.flatnonzero(bad)[0]), k
+            return int(np.flatnonzero(bad)[0]), k_min + i
     return None
 
 
@@ -294,20 +303,19 @@ def uniform_ensemble(noise: NoiseLaw, depth: int, n_paths: int, seed: int) -> En
         _walk(group, _flat_index(group, block_xi), state, out=eta[:, paths])
 
     _run_chunks(n_paths, worker)
-    return Ensemble(group=group, kind="uniform", seed=seed, depth=depth,
-                    k_min=-depth, xi=xi, eta=eta)
+    return Ensemble(group=group, kind="uniform", seed=seed, xi=xi, eta=eta)
 
 
-def centered_window(group: FiniteGroup, xi: np.ndarray, depth: int, k_min: int,
-                    alpha: int) -> np.ndarray:
+def centered_window(group: FiniteGroup, xi: np.ndarray, k_min: int, alpha: int) -> np.ndarray:
     """Centered backward products xi_{k,-depth} alpha over the window.
 
-    ``xi`` holds k = -depth..0 as in :class:`Ensemble`, and the window must
-    lie above -depth. Row k - k_min of the returned (window, paths) array
-    holds xi_k ... xi_{-depth} alpha for k in [k_min, 0]. The walk runs on
-    the level rows of ``n * xi``, built once in C order, and the result is
-    C-contiguous and in the id dtype.
+    ``xi`` holds k = -depth..0 as in :class:`Ensemble`, so depth is its row
+    count less one, and the window must lie above -depth. Row k - k_min of
+    the returned (window, paths) array holds xi_k ... xi_{-depth} alpha for
+    k in [k_min, 0]. The walk runs on the level rows of ``n * xi``, built
+    once in C order, and the result is C-contiguous and in the id dtype.
     """
+    depth = len(xi) - 1
     if depth < 1 - k_min:
         raise InvalidSpec(f"depth {depth} too shallow for window k_min={k_min}; "
                           f"the window needs depth >= {1 - k_min}")
@@ -346,11 +354,11 @@ def _centered_phi(
         raise InvalidSpec(f"depth {depth} too shallow for the window k_min={k_min} behind "
                           f"a {len(noise.prefix)}-level prefix; it needs depth >= {cut}")
     group = noise.group
-    c = extend_centerings(noise, limitres, (-cut,))[-cut]
+    c = extend_centerings(limitres, (-cut,))[-cut]
     reps, coset_of = np.array(section.representative, dtype=group.id_dtype), section.space.coset_of
 
     def kernel(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        full = centered_window(group, xi[depth - cut:], cut, k_min, c)
+        full = centered_window(group, xi[-(cut + 1):], k_min, c)
         return full, reps[coset_of[full]]
 
     return kernel
@@ -410,8 +418,7 @@ def extremal_ensemble(
         U[:, paths] = _product(group, inv[bp], be)
 
     _run_chunks(n_paths, worker)
-    return Ensemble(group=group, kind="extremal", seed=seed, depth=depth, k_min=k_min,
-                    xi=xi, eta=eta, phi=phi, U=U, V=None)
+    return Ensemble(group=group, kind="extremal", seed=seed, xi=xi, eta=eta, phi=phi, U=U)
 
 
 def general_ensemble(extremal: Ensemble, v_law: Measure, seed: int) -> Ensemble:
@@ -428,9 +435,8 @@ def general_ensemble(extremal: Ensemble, v_law: Measure, seed: int) -> Ensemble:
         V[start:start + size] = sample(v_law, _stream(seed, _PURPOSE_V, idx), size=size)
 
     _run_chunks(n_paths, worker)
-    return Ensemble(group=group, kind="mixture", seed=seed, depth=extremal.depth,
-                    k_min=extremal.k_min, xi=extremal.xi, eta=_product(group, extremal.eta, V),
-                    phi=extremal.phi, U=extremal.U, V=V)
+    return Ensemble(group=group, kind="mixture", seed=seed, xi=extremal.xi,
+                    eta=_product(group, extremal.eta, V), phi=extremal.phi, U=extremal.U, V=V)
 
 
 def decompose_ensemble(
@@ -472,7 +478,7 @@ def decompose_ensemble(
                           f"[{ens.k_min}, 0]")
     centered_phi = _centered_phi(noise, limitres, section, ens.depth, k_min)
     eta = ens.eta[k_min - ens.k_min:]
-    broken = recursion_break(group, ens.xi, eta, ens.depth, k_min)
+    broken = recursion_break(group, ens.xi, eta)
     if broken is not None:
         raise CosetNotStabilized(
             f"path {broken[0]} breaks eta_k = xi_k eta_(k-1) at k={broken[1]}; "
@@ -490,8 +496,8 @@ def decompose_ensemble(
     Z = mul[inv[full[-1]], eta[-1]]
     V = inv[reps[section.space.coset_of[inv[Z]]]].astype(group.id_dtype)
     U = _product(group, _product(group, inv[phi], eta), inv[V])
-    out = Ensemble(group=group, kind=ens.kind, seed=ens.seed, depth=ens.depth,
-                   k_min=k_min, xi=ens.xi, eta=eta, phi=phi, U=U, V=V)
+    out = Ensemble(group=group, kind=ens.kind, seed=ens.seed, xi=ens.xi, eta=eta,
+                   phi=phi, U=U, V=V)
     audit = {
         "n_paths": ens.n_paths,
         "exact_reconstruction": ens.n_paths,

@@ -198,12 +198,12 @@ def case_b_convergence_diagnostic(
     if any(L < 1 for L in depths):
         raise InvalidSpec(f"diagnostic depths must be positive integers, got {list(depths)}")
     space = left_cosets(noise.group, limitres.subgroup)
-    alphas = extend_centerings(noise, limitres, [l for L in depths for l in (-L, -2 * L)])
+    alphas = extend_centerings(limitres, [l for L in depths for l in (-L, -2 * L)])
     out = []
     for L in depths:
         xi = sample_noise(noise, 2 * L, n_paths, seed, chunk=L)  # rows: k = -2L..0
-        at_2l = centered_window(noise.group, xi, 2 * L, 0, alphas[-2 * L])
-        at_l = centered_window(noise.group, xi[L:], L, 0, alphas[-L])  # the stream cut at -L
+        at_2l = centered_window(noise.group, xi, 0, alphas[-2 * L])
+        at_l = centered_window(noise.group, xi[L:], 0, alphas[-L])  # the stream cut at -L
         elem = float((at_l != at_2l).mean())
         coset = float((space.coset_of[at_l] != space.coset_of[at_2l]).mean())
         out.append(DepthRecord(depth=L, element_disagreement=elem, coset_disagreement=coset))

@@ -154,7 +154,7 @@ def torus_decompose(group, xi, eta, p_mu, limitres, noise):
             f"depth {depth} too shallow for window k_min={k_min}; "
             "the half-depth check needs depth/2 below the window"
         )
-    alphas = extend_centerings(noise, limitres, (-depth, -half))
+    alphas = extend_centerings(limitres, (-depth, -half))
     eta_at = {k: int(eta[k - k_min]) for k in range(k_min, 1)}
 
     suffix = np.cumsum(np.asarray(xi, dtype=np.int64)) % n  # sum of xi_j, j in [-depth, -depth+i]
@@ -297,7 +297,7 @@ def case_b_diagnostic(noise, limitres, depths, n_paths=1000, seed=0):
     group = noise.group
     mul = group.mul
     space = left_cosets(group, limitres.subgroup)
-    alphas = extend_centerings(noise, limitres, [l for L in depths for l in (-L, -2 * L)])
+    alphas = extend_centerings(limitres, [l for L in depths for l in (-L, -2 * L)])
     out = []
     for L in depths:
         xi = sample_noise(noise, 2 * L, n_paths, seed, chunk=L).T  # cols: k = -2L..0
@@ -320,8 +320,8 @@ def case_b_diagnostic(noise, limitres, depths, n_paths=1000, seed=0):
 def phi_cosets(group, space, alphas, xi, depth, k_min):
     """Coset ids of the full-depth centred window, required to match the half-depth ones."""
     half = depth // 2
-    full = centered_window(group, xi.T, depth, k_min, int(alphas[-depth]))
-    at_half = centered_window(group, xi.T[depth - half:], half, k_min, int(alphas[-half]))
+    full = centered_window(group, xi.T, k_min, int(alphas[-depth]))
+    at_half = centered_window(group, xi.T[depth - half:], k_min, int(alphas[-half]))
     cos_full = space.coset_of[full.T]
     if not np.array_equal(cos_full, space.coset_of[at_half.T]):
         raise CosetNotStabilized(f"coset differs between depth {depth} and depth {half}")
@@ -356,7 +356,7 @@ def extremal_from_xi(group, space, section, alphas, xi, depth, k_min, u0):
     id_coset = int(space.coset_of[group.identity])
     if not (space.coset_of[U] == id_coset).all():
         raise CosetNotStabilized("subgroup factor left H")
-    if recursion_break(group, xi.T, eta.T, depth, k_min) is not None:
+    if recursion_break(group, xi.T, eta.T) is not None:
         raise AssertionError("defining recursion violated")
     return eta, phi, U
 

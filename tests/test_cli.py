@@ -463,11 +463,14 @@ def _command(tmp_path, command, spec, *extra):
             "--out", str(tmp_path / "out"), *extra]
 
 
+def _decompose_ensemble_at(tmp_path, path):
+    return _command(tmp_path, "decompose", Z4_CASE_C_SPEC, "--seed", "5", "--ensemble", path)
+
+
 def _decompose_file(tmp_path, payload):
     ens = tmp_path / "ensemble.json"
     ens.write_text(json.dumps(payload))
-    return _command(tmp_path, "decompose", Z4_CASE_C_SPEC, "--seed", "5",
-                    "--ensemble", str(ens))
+    return _decompose_ensemble_at(tmp_path, str(ens))
 
 
 def _drop(payload, key, *, per_record=False):
@@ -489,6 +492,13 @@ def _truncate_xi(payload):
 def _halve_up(payload, field):
     """Add 0.5 to one id, which truncation would silently undo."""
     return _set(payload, field, 0, 0, payload["paths"][0][field][0] + 0.5)
+
+
+def _not_utf8(tmp_path, payload):
+    """A file holding the payload's JSON behind a byte that UTF-8 cannot decode."""
+    path = tmp_path / "not-utf8.json"
+    path.write_bytes(b"\xff" + json.dumps(payload).encode())
+    return str(path)
 
 
 # id -> (argv builder taking tmp_path and a valid ensemble payload, stderr fragment)
@@ -600,6 +610,14 @@ MALFORMED_INPUTS = {
     "torus-schedule-c-string": (lambda t, p: _command(
         t, "classify", {"tail": {"kind": "gauss_schedule", "c": "0.1"}}, "--torus"),
         "got '0.1'"),
+    "input-directory": (lambda t, p: ["classify", "--input", str(t), "--out", str(t / "out")],
+                        "cannot be used: Is a directory"),
+    "input-not-utf8": (lambda t, p: ["limit", "--input", _not_utf8(t, Z4_CASE_C_SPEC),
+                                     "--out", str(t / "out")], "cannot be used: not UTF-8 text"),
+    "decompose-ensemble-directory": (lambda t, p: _decompose_ensemble_at(t, str(t)),
+                                     "cannot be used: Is a directory"),
+    "decompose-ensemble-not-utf8": (lambda t, p: _decompose_ensemble_at(t, _not_utf8(t, p)),
+                                    "cannot be used: not UTF-8 text"),
 }
 
 
@@ -642,6 +660,19 @@ def test_malformed_ensemble_file_refused_alike_when_indented(case, tmp_path, cap
     assert rc == 2 and "error:" in err and fragment in err, err
     out = tmp_path / "out"
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("torus", [False, True], ids=["finite", "torus"])
+@pytest.mark.parametrize("under", [False, True], ids=["out-is-a-file", "out-under-a-file"])
+def test_unusable_out_exits_2_naming_it(torus, under, tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept\n")
+    out = blocker / "out" if under else blocker
+    spec = write_spec(tmp_path, TORUS_HALF_ATOMS_SPEC if torus else Z4_CASE_C_SPEC)
+    rc = main(["classify", "--input", str(spec), "--out", str(out), *["--torus"] * torus])
+    err = capsys.readouterr().err
+    assert rc == 2 and f"error: output directory {out} cannot be used" in err, err
+    assert blocker.read_text() == "kept\n"
 
 
 # Spec-grammar fuzzer: valid specs on small groups with one or two fields

@@ -312,7 +312,7 @@ class TestComputeLimit:
             noise = make()
             res = compute_limit(noise)
             levels = (-res.depth_used, -res.depth_used - 1)
-            alphas = extend_centerings(noise, res, levels)
+            alphas = extend_centerings(res, levels)
             for l in levels:
                 prod = partial_product(noise, 0, l)
                 aligned = translate_right(prod, alphas[l])
@@ -513,7 +513,7 @@ class TestExtendCenterings:
         noise = z4_noise_case_c()
         res = compute_limit(noise)
         levels = range(0, -res.deepest_depth - 41, -1)
-        ext = extend_centerings(noise, res, levels)
+        ext = extend_centerings(res, levels)
         for l, a in res.alphas.items():
             assert ext[l] == a
         assert set(res.alphas) == {-res.depth_used, -res.deepest_depth}
@@ -522,9 +522,9 @@ class TestExtendCenterings:
     def test_shallow_request_subsets(self):
         noise = z4_noise_case_c()
         res = compute_limit(noise)
-        ext = extend_centerings(noise, res, range(0, -6, -1))
+        ext = extend_centerings(res, range(0, -6, -1))
         assert set(ext) == {0, -1, -2, -3, -4, -5}
-        assert extend_centerings(noise, res, [-5, -2, -5]) == {-5: ext[-5], -2: ext[-2]}
+        assert extend_centerings(res, [-5, -2, -5]) == {-5: ext[-5], -2: ext[-2]}
 
     @pytest.mark.parametrize("make", [*CORPUS, lazy_walk_z12])
     def test_matches_all_levels_oracle(self, make):
@@ -535,18 +535,18 @@ class TestExtendCenterings:
         depth = 2 * res.deepest_depth + 41
         levels = range(-res.depth_used, -depth - 1, -1)
         ref = all_centerings(noise, res, depth)
-        every = extend_centerings(noise, res, levels)
+        every = extend_centerings(res, levels)
         assert _cosets(res, every) == _cosets(res, {l: ref[l] for l in levels})
         # a level and its half, asked for together, at depths on both sides
         # of the deepest_depth
         for d in (2 * res.depth_used, res.deepest_depth + 1, res.deepest_depth + 40, depth):
-            pair = extend_centerings(noise, res, (-d, -(d // 2)))
+            pair = extend_centerings(res, (-d, -(d // 2)))
             assert pair == {l: every[l] for l in (-d, -(d // 2))}
 
     def test_positive_level_rejected(self):
         noise = z4_noise_case_c()
         with pytest.raises(BadRange):
-            extend_centerings(noise, compute_limit(noise), [0, 1])
+            extend_centerings(compute_limit(noise), [0, 1])
 
     def test_no_convolution_at_any_depth(self, monkeypatch):
         from convlimit import limits
@@ -556,7 +556,7 @@ class TestExtendCenterings:
         calls = []
         monkeypatch.setattr(limits, "convolve", lambda *a: calls.append(1) or convolve(*a))
         for depth in (res.deepest_depth + 40, 10**9):
-            extend_centerings(noise, res, (-depth, -(depth // 2)))
+            extend_centerings(res, (-depth, -(depth // 2)))
         assert calls == []
 
     def test_past_deepest_matches_oracle_on_q8(self):
@@ -570,7 +570,7 @@ class TestExtendCenterings:
         depth = res.deepest_depth + 40
         levels = range(-res.depth_used, -depth - 1, -1)
         ref = all_centerings(noise, res, depth)
-        assert (_cosets(res, extend_centerings(noise, res, levels))
+        assert (_cosets(res, extend_centerings(res, levels))
                 == _cosets(res, {l: ref[l] for l in levels}))
 
 
@@ -604,7 +604,7 @@ def test_one_coset_at_every_depth_from_the_last_prefix_level():
         noise = NoiseLaw(group, prefix, tail)
         res = compute_limit(noise, max_depth=10**9)
         bottom = len(prefix) + 3 * len(tail) + 12
-        alphas = extend_centerings(noise, res, range(0, -bottom - 1, -1))
+        alphas = extend_centerings(res, range(0, -bottom - 1, -1))
         coset_of = left_cosets(group, res.subgroup).coset_of
         supports = [np.flatnonzero(noise.measure_at(-j).weights) for j in range(bottom + 1)]
         for d in range(max(len(prefix) - 2, 0), bottom):
@@ -741,7 +741,7 @@ def test_exact_limit_matches_the_deepening_oracle(noise):
                     for k in ref.lambdas))
     assert res.case == ref.case
     assert conjugate_subgroup(res.subgroup, g) == ref.subgroup
-    alphas = extend_centerings(noise, res, levels)
+    alphas = extend_centerings(res, levels)
     members = list(ref.subgroup.members)
     for l in levels:
         moved = int(group.mul[alphas[l], g])

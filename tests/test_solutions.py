@@ -267,13 +267,6 @@ class TestUniformSolution:
         assert np.array_equal(a.eta, b.eta)
         assert np.array_equal(a.xi, b.xi)
 
-    def test_thread_count_does_not_change_output(self, case_c, monkeypatch):
-        noise, _ = case_c
-        a = uniform_ensemble(noise, depth=5, n_paths=9000, seed=11)
-        monkeypatch.setenv("CONV_LIMIT_THREADS", "4")
-        b = uniform_ensemble(noise, depth=5, n_paths=9000, seed=11)
-        assert np.array_equal(a.eta, b.eta)
-
     @pytest.mark.parametrize("value", ["two", "0", "-3"])
     def test_malformed_thread_count_refused(self, case_c, monkeypatch, value):
         noise, _ = case_c
@@ -337,9 +330,9 @@ class TestExtremalSolution:
         noise, res = case_c
         calls = []
 
-        def counted(noise, result, levels):
+        def counted(result, levels):
             calls.append(tuple(levels))
-            return extend_centerings(noise, result, levels)
+            return extend_centerings(result, levels)
 
         monkeypatch.setattr(solutions, "extend_centerings", counted)
         extremal_ensemble(noise, res, 2 * res.depth_used, CHUNK_SIZE + 1, seed=3)
@@ -487,8 +480,7 @@ class TestDecompose:
         xi[row, path] = 1
         eta = np.zeros((-res.k_min + 1, 12), dtype=Z4.id_dtype)
         eta[-1] = xi[-1]  # eta_0 = xi_0 eta_(-1), and every other level stays at 0
-        ens = solutions.Ensemble(group=Z4, kind="mixture", seed=0, depth=depth,
-                                 k_min=res.k_min, xi=xi, eta=eta)
+        ens = solutions.Ensemble(group=Z4, kind="mixture", seed=0, xi=xi, eta=eta)
         with pytest.raises(CosetNotStabilized, match=rf"path {path} has xi_k = 1 at k={k}, "
                            "outside the support of mu_k"):
             decompose_ensemble(ens, res, noise)
@@ -589,6 +581,17 @@ class TestOneCut:
         with pytest.raises(CosetNotStabilized,
                            match=rf"path 17 has xi_k = {x} at k={k}, outside the support"):
             decompose_ensemble(dataclasses.replace(ens, xi=xi), res, noise)
+
+    def test_replaced_xi_carries_its_extent(self, cut_law):
+        noise, res, cut = cut_law
+        ens = _mixture(noise, res, 200, seed=8)
+        at_cut = dataclasses.replace(ens, xi=ens.xi[-(cut + 1):])
+        assert at_cut.depth == cut
+        assert np.array_equal(at_cut.xi_col(0), ens.xi[-1])
+        dec, _ = decompose_ensemble(ens, res, noise)
+        dec_at_cut, _ = decompose_ensemble(at_cut, res, noise)
+        for name in ("phi", "U", "V"):
+            assert np.array_equal(getattr(dec, name), getattr(dec_at_cut, name)), name
 
 
 class TestTorusDecompose:
@@ -788,6 +791,20 @@ def _ensembles_of_every_kind(name, n_paths):
             "mixture": mix, "decomposed": dec, "decomposed-shallow": shallow}
 
 
+@pytest.mark.parametrize("kind", ["uniform", "extremal", "mixture", "decomposed",
+                                  "decomposed-shallow"])
+def test_thread_count_does_not_change_output(kind, monkeypatch):
+    """Every array, over three chunks, is the same at 1 and at 3 worker threads."""
+    built = []
+    for threads in ("1", "3"):
+        monkeypatch.setenv("CONV_LIMIT_THREADS", threads)
+        built.append(_ensembles_of_every_kind("Z4", 2 * CHUNK_SIZE + 3)[kind])
+    one, three = built
+    for field in ("xi", "eta", "phi", "U", "V"):
+        a, b = getattr(one, field), getattr(three, field)
+        assert (a is None) == (b is None) and (a is None or np.array_equal(a, b)), field
+
+
 @pytest.mark.parametrize("name, n_paths", [
     ("Z4", 1), ("Z4", CHUNK_SIZE + 3), ("S4", 1), ("S4", 40), ("Zn:500", 1), ("Zn:500", 40),
     ("Z4", 0),
@@ -827,7 +844,7 @@ def test_kernels_match_reference_oracles(name):
     group, depth, n_paths, seed = noise.group, 2 * res.depth_used, 60, 41
     space = left_cosets(group, res.subgroup)
     section = default_section(space)
-    alphas = extend_centerings(noise, res, (-depth, -(depth // 2)))
+    alphas = extend_centerings(res, (-depth, -(depth // 2)))
     members = np.array(res.subgroup.members)
     u0 = members[_stream(seed, _PURPOSE_U0, 0).integers(0, members.size, size=n_paths)]
 
