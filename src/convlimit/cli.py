@@ -46,6 +46,7 @@ from .solutions import (
     general_ensemble,
     recursion_break,
     uniform_ensemble,
+    window_cut,
 )
 from .stats import verify_theorems
 from .torus import compute_p_mu, torus_noise_from_spec
@@ -97,7 +98,7 @@ def _write_json(path: Path, payload: dict) -> None:
     """
     body = {"schema_version": SCHEMA_VERSION, "generated_at": _timestamp(), **payload}
     ens = body.get("paths")
-    with path.open("w", encoding="utf-8") as f:
+    with _open_output(path) as f:
         if ens is None:
             f.write(json.dumps(body, indent=2, sort_keys=True) + "\n")
             return
@@ -110,7 +111,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with path.open("w", newline="", encoding="utf-8") as f:
+    with _open_output(path) as f:
         w = csv.writer(f)
         w.writerow(header)
         w.writerows(rows)
@@ -120,6 +121,14 @@ def _unusable(what: str, path: str, exc: Exception) -> InvalidSpec:
     """The refusal of a path that cannot be read or made, naming it and why."""
     why = "not UTF-8 text" if isinstance(exc, UnicodeDecodeError) else exc.strerror or exc
     return InvalidSpec(f"{what} {path} cannot be used: {why}")
+
+
+def _open_output(path: Path):
+    """``path`` opened for writing text, or the refusal of a path that cannot be."""
+    try:
+        return path.open("w", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise _unusable("output file", str(path), exc) from None
 
 
 def _spec_and_out(args) -> tuple[dict, Path]:
@@ -168,7 +177,7 @@ def cmd_classify(args) -> int:
         _write_csv(out / "pi_table.csv", ["p", "upper", "lower", "decision"], table)
         # the bytes csv.writer writes for these rows (it writes a float's repr),
         # one string per frequency in place of one list per row
-        with (out / "pi_curves.csv").open("w", newline="", encoding="utf-8") as f:
+        with _open_output(out / "pi_curves.csv") as f:
             f.write("p,depth,partial_product\r\n")
             for p, b in sorted(cls.bounds.items()):
                 f.write("".join(f"{p},{i},{v!r}\r\n" for i, v in enumerate(b.curve, 1)))
@@ -221,8 +230,12 @@ def cmd_limit(args) -> int:
     return EXIT_OK
 
 
+def _requested_depth(args, result: LimitResult) -> int:
+    return args.depth if args.depth is not None else 2 * result.depth_used
+
+
 def _build_ensemble_for(args, noise, result, kind):
-    depth = args.depth if args.depth is not None else 2 * result.depth_used
+    depth = _requested_depth(args, result)
     if kind == "uniform":
         return uniform_ensemble(noise, depth, args.paths, args.seed)
     ens = extremal_ensemble(noise, result, depth, args.paths, args.seed)
@@ -481,7 +494,11 @@ def cmd_decompose(args) -> int:
 
 def cmd_verify(args) -> int:
     out, noise, result = _enter(args)
-    ens = _build_ensemble_for(args, noise, result, "extremal")
+    # the battery reads no noise row below xi_-2 and its report is the same at
+    # every depth from the window's cut on (at least 9 here, as k_min is -8), so no
+    # row below the cut is drawn; a shallower request meets the same refusal
+    depth = min(_requested_depth(args, result), window_cut(noise, result.k_min))
+    ens = extremal_ensemble(noise, result, depth, args.paths, args.seed)
     report = verify_theorems(noise, result, ens, significance=args.significance)
     payload = {"command": "verify", "case": result.case, **report.to_json_dict()}
     _write_json(out / "report.json", payload)
@@ -530,7 +547,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, seeded: bool):
+    def common(p, *, seeded: bool,
+               depth_help: str = "path window depth (default 2x certified depth)"):
         p.add_argument("--input", required=True, help="path to the noise spec JSON")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--eps", type=_positive_float, default=DEFAULT_EPS_SHAPE,
@@ -540,8 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
         if seeded:
             p.add_argument("--seed", type=_nonnegative_int, required=True,
                            help="RNG seed (required for reproducibility)")
-            p.add_argument("--depth", type=_positive_int, default=None,
-                           help="path window depth (default 2x certified depth)")
+            p.add_argument("--depth", type=_positive_int, default=None, help=depth_help)
             p.add_argument("--paths", type=_positive_int, default=10_000,
                            help="number of sample paths")
 
@@ -573,7 +590,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("verify", help="run the statistical verification battery")
-    common(p, seeded=True)
+    common(p, seeded=True, depth_help=(
+        "sampling depth (default 2x certified depth); noise rows below the window's cut "
+        "max(len(prefix) - 1, 1 - k_min) are never drawn, so the value only sets the "
+        "refusal of a depth below the cut"))
     p.add_argument("--significance", type=_open_unit, default=0.01)
     p.set_defaults(func=cmd_verify)
 

@@ -273,6 +273,9 @@ def verify_theorems(
     marginal and independence, and strong-solution determinism in the
     trivial-subgroup case. All p-valued checks share a Bonferroni budget at
     the given significance.
+
+    Of the ensemble it reads phi, U and V on the window and, of ``xi``, only
+    the rows xi_0, xi_-1 and xi_-2.
     """
     if ensemble.n_paths < MIN_PATHS_FOR_BATTERY:
         raise InsufficientSamples(
@@ -356,11 +359,12 @@ def verify_theorems(
 
     # strong-solution determinism in the trivial-subgroup case: the path is a
     # function of the noise above the window's cut alone, so a rebuild that
-    # draws the same stream only down to the cut must give the same paths
+    # draws the same stream down to another depth must give the same paths
     strong_det: Optional[bool] = None
     if limitres.case == "B":
         cut = window_cut(noise, ensemble.k_min)
-        rebuilt = extremal_ensemble(noise, limitres, cut, ensemble.n_paths, ensemble.seed,
+        depth = cut if ensemble.depth > cut else 2 * cut
+        rebuilt = extremal_ensemble(noise, limitres, depth, ensemble.n_paths, ensemble.seed,
                                     k_min=ensemble.k_min, u0=group.identity)
         strong_det = bool(np.array_equal(rebuilt.eta, ensemble.phi))  # H trivial: eta0 = phi
         if not strong_det:

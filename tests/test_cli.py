@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,9 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_solutions import Q8_CASE_B_PREFIX_SPEC, S3_NEAR_SYMMETRY_SPEC
 
+from convlimit import cli, stats
 from convlimit.cli import main
 from convlimit.groups import builtin_group
 from convlimit.limits import compute_limit, noise_from_spec
+from convlimit.solutions import extremal_ensemble, window_cut
+from convlimit.stats import verify_theorems
 
 Z4_CASE_C_SPEC = {
     "group": {"kind": "builtin", "name": "Z4"},
@@ -355,6 +359,126 @@ class TestVerify:
         assert len(outputs) == 1
 
 
+def _weights(n, *nonzero):
+    w = [0.0] * n
+    for i, x in nonzero:
+        w[i] = x
+    return {"kind": "weights", "w": w}
+
+
+# One law per case whose cut is set by the window (A), by 12 random prefix
+# levels before period-2 point masses (B) and by 30 Haar levels (C)
+CUT_SPECS = {
+    "A": {"group": {"kind": "builtin", "name": "Zn:5"},
+          "prefix": [_weights(5, (0, .1), (1, .2), (2, .3), (3, .4)), {"kind": "haar"}],
+          "tail": {"kind": "constant", "mu": _weights(5, (0, .5), (1, .5))}},
+    "B": {"group": {"kind": "builtin", "name": "S3"},
+          "prefix": [_weights(6, (i % 6, .5), ((i + 1) % 6, .3), ((i + 3) % 6, .2))
+                     for i in range(12)],
+          "tail": {"kind": "periodic", "mus": [{"kind": "delta", "at": 1},
+                                               {"kind": "delta", "at": 4}]}},
+    "C": S3_LONG_PREFIX_SPEC,
+}
+
+
+def _verify_outputs(tmp_path, spec_path, capsys, *extra):
+    out = tmp_path / "-".join(["out", *extra])
+    rc = main(["verify", "--input", str(spec_path), "--out", str(out), "--seed", "3",
+               "--paths", "1000", *extra])
+    std = capsys.readouterr()
+    files = tuple(strip_timestamp(p.read_text()) for p in sorted(out.iterdir()))
+    return rc, std.out, std.err, files
+
+
+@pytest.fixture(params=sorted(CUT_SPECS))
+def cut_spec(request, tmp_path):
+    spec = CUT_SPECS[request.param]
+    noise = noise_from_spec(spec)
+    result = compute_limit(noise)
+    cut = window_cut(noise, result.k_min)
+    assert result.case == request.param
+    assert cut == (9 if result.case == "A" else len(spec["prefix"]) - 1)
+    return write_spec(tmp_path, spec), cut, len(spec["prefix"])
+
+
+class TestVerifyDepth:
+    """verify draws noise only down to the battery's depth: --depth sets only the refusal."""
+
+    def test_report_is_the_same_at_every_depth_from_the_cut(self, cut_spec, tmp_path,
+                                                            capsys, monkeypatch):
+        spec_path, cut, _ = cut_spec
+        built, extremal_ensemble = [], cli.extremal_ensemble
+
+        def spy(noise, result, depth, *args, **kwargs):
+            built.append(depth)
+            return extremal_ensemble(noise, result, depth, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "extremal_ensemble", spy)
+        runs = [_verify_outputs(tmp_path, spec_path, capsys, *extra)
+                for extra in (["--depth", str(cut)], ["--depth", "200"], [])]
+        assert runs[0][0] in (0, 1) and runs[0][3]
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        assert built == [cut] * 3
+
+    @pytest.mark.parametrize("depth", ["cut - 1", 1])
+    def test_depth_below_the_cut_is_refused(self, cut_spec, tmp_path, capsys, depth):
+        spec_path, cut, prefix = cut_spec
+        depth = cut - 1 if depth == "cut - 1" else depth
+        rc = main(["verify", "--input", str(spec_path), "--out", str(tmp_path / "out"),
+                   "--seed", "3", "--paths", "1000", "--depth", str(depth)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: depth {depth} too shallow for the window k_min=-8 behind a {prefix}-level "
+            f"prefix; it needs depth >= {cut}\n")
+        assert not any((tmp_path / "out").iterdir())
+
+    @pytest.mark.parametrize("depth", [None, "200"])
+    def test_case_b_determinism_rebuilds_from_another_depth(self, depth, tmp_path, capsys,
+                                                            monkeypatch):
+        """strong_determinism compares the ensemble with a rebuild drawn down to another
+        depth, so it tests that the top noise rows do not depend on the depth."""
+        spec_path = write_spec(tmp_path, CUT_SPECS["B"])
+        cut = len(CUT_SPECS["B"]["prefix"]) - 1
+        built = []
+        for module in (cli, stats):
+            def spy(noise, result, d, *args, _build=module.extremal_ensemble,
+                    _name=module.__name__, **kwargs):
+                built.append((_name, d))
+                return _build(noise, result, d, *args, **kwargs)
+            monkeypatch.setattr(module, "extremal_ensemble", spy)
+        extra = ["--depth", depth] if depth else []
+        rc = _verify_outputs(tmp_path, spec_path, capsys, *extra)[0]
+        report = json.loads((tmp_path / "-".join(["out", *extra]) / "report.json").read_text())
+        assert rc in (0, 1) and report["case_checks"]["strong_determinism"] is True
+        assert built == [("convlimit.cli", cut), ("convlimit.stats", 2 * cut)]
+
+    def test_case_b_rebuild_of_a_deep_ensemble_stops_at_the_cut(self, monkeypatch):
+        noise = noise_from_spec(CUT_SPECS["B"])
+        result = compute_limit(noise)
+        cut = window_cut(noise, result.k_min)
+        ens = extremal_ensemble(noise, result, 200, 1000, 3)
+        built, build = [], stats.extremal_ensemble
+        monkeypatch.setattr(stats, "extremal_ensemble",
+                            lambda noise, result, d, *a, **k: built.append(d) or
+                            build(noise, result, d, *a, **k))
+        report = verify_theorems(noise, result, ens)
+        assert report.case_checks["strong_determinism"] is True
+        assert built == [cut]
+
+    def test_memory_does_not_grow_with_the_depth(self, tmp_path, capsys):
+        """At --depth 20000, 1000 paths of a random tail would hold 20 MB of int8 noise."""
+        spec_path = write_spec(tmp_path, Z4_CASE_C_SPEC)
+        peaks = {}
+        for depth in ("200", "200", "20000"):  # the first run warms every cache
+            tracemalloc.start()
+            try:
+                _verify_outputs(tmp_path, spec_path, capsys, "--depth", depth)
+                peaks[depth] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks["20000"] - peaks["200"]) < 0.05 * peaks["200"], peaks
+
+
 class TestDeterminism:
     def test_byte_identical_modulo_timestamp(self, tmp_path):
         spec = write_spec(tmp_path, Z4_CASE_C_SPEC)
@@ -673,6 +797,24 @@ def test_unusable_out_exits_2_naming_it(torus, under, tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2 and f"error: output directory {out} cannot be used" in err, err
     assert blocker.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("command, torus, name", [
+    ("classify", False, "classification.json"),
+    ("classify", True, "pi_table.csv"),
+    ("classify", True, "pi_curves.csv"),
+    ("verify", False, "report.json"),
+], ids=["finite-classify", "torus-pi-table", "torus-pi-curves", "verify-report"])
+def test_output_file_taken_by_a_directory_exits_2_naming_it(command, torus, name,
+                                                            tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    spec = write_spec(tmp_path, TORUS_HALF_ATOMS_SPEC if torus else Z4_CASE_C_SPEC)
+    seeded = ["--seed", "1", "--paths", "1000"] if command == "verify" else []
+    rc = main([command, "--input", str(spec), "--out", str(out), *["--torus"] * torus, *seeded])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert err == f"error: output file {out / name} cannot be used: Is a directory\n"
 
 
 # Spec-grammar fuzzer: valid specs on small groups with one or two fields
