@@ -230,43 +230,33 @@ def cmd_limit(args) -> int:
     return EXIT_OK
 
 
-def _requested_depth(args, result: LimitResult) -> int:
-    return args.depth if args.depth is not None else 2 * result.depth_used
-
-
-def _build_ensemble_for(args, noise, result, kind):
-    depth = _requested_depth(args, result)
-    if kind == "uniform":
+def _build_ensemble_for(args, noise: NoiseLaw, result: LimitResult) -> Ensemble:
+    """Paths of ``--kind`` at the window's cut, the CLI's one sampling depth: no path reads
+    a row below it, and the noise is drawn shallow-first, so deeper builds agree above it."""
+    if args.kind != "mixture" and args.v_law is not None:
+        raise InvalidSpec(f"--v-law sets a fresh mixture's V law; --kind {args.kind} takes none")
+    depth = window_cut(noise, result.k_min)
+    if args.kind == "uniform":
         return uniform_ensemble(noise, depth, args.paths, args.seed)
     ens = extremal_ensemble(noise, result, depth, args.paths, args.seed)
-    if kind == "extremal":
+    if args.kind == "extremal":
         return ens
-    v_law = haar(noise.group)
-    if args.v_law is not None:
-        try:
-            v_spec = json.loads(args.v_law)
-        except json.JSONDecodeError as exc:
-            raise InvalidSpec(f"--v-law is not valid JSON: {exc}") from None
-        v_law = measure_from_spec(noise.group, v_spec)
+    v_law = haar(noise.group) if args.v_law is None else measure_from_spec(noise.group, args.v_law)
     return general_ensemble(ens, v_law, args.seed + 1)
 
 
 def cmd_simulate(args) -> int:
     out, noise, result = _enter(args)
-    ens = _build_ensemble_for(args, noise, result, args.kind)
-    payload = {
-        "command": "simulate",
-        "kind": ens.kind,
-        "seed": ens.seed,
-        "n_paths": ens.n_paths,
-        "depth": ens.depth,
-        "k_min": ens.k_min,
-        "case": result.case,
-        "paths": ens,
-    }
-    _write_json(out / "ensemble.json", payload)
+    ens = _build_ensemble_for(args, noise, result)
+    _write_json(out / "ensemble.json", _simulate_payload(ens, result))
     print(f"simulated {ens.n_paths} {ens.kind} paths at depth {ens.depth}")
     return EXIT_OK
+
+
+def _simulate_payload(ens: Ensemble, result: LimitResult) -> dict:
+    """The body of the ``ensemble.json`` that ``simulate`` writes for ``ens``."""
+    return {"command": "simulate", "kind": ens.kind, "seed": ens.seed, "n_paths": ens.n_paths,
+            "depth": ens.depth, "k_min": ens.k_min, "case": result.case, "paths": ens}
 
 
 def _checked_header(payload: dict) -> tuple[str, int, int, int]:
@@ -470,10 +460,12 @@ def _ensemble_from_file(path: str, group) -> Ensemble:
 
 def cmd_decompose(args) -> int:
     out, noise, result = _enter(args)
-    if args.ensemble is not None:
-        ens = _ensemble_from_file(args.ensemble, noise.group)
+    if args.ensemble is None:
+        ens = _build_ensemble_for(args, noise, result)
+    elif args.v_law is not None:
+        raise InvalidSpec("--v-law sets a fresh mixture's V law; an --ensemble file takes none")
     else:
-        ens = _build_ensemble_for(args, noise, result, args.kind)
+        ens = _ensemble_from_file(args.ensemble, noise.group)
     # a uniform ensemble's window is its whole depth; factor it on the limit's window
     dec, audit = decompose_ensemble(ens, result, noise=noise, k_min=max(ens.k_min, result.k_min))
     payload = {
@@ -494,11 +486,10 @@ def cmd_decompose(args) -> int:
 
 def cmd_verify(args) -> int:
     out, noise, result = _enter(args)
-    # the battery reads no noise row below xi_-2 and its report is the same at
-    # every depth from the window's cut on (at least 9 here, as k_min is -8), so no
-    # row below the cut is drawn; a shallower request meets the same refusal
-    depth = min(_requested_depth(args, result), window_cut(noise, result.k_min))
-    ens = extremal_ensemble(noise, result, depth, args.paths, args.seed)
+    # built at the cut, as every fresh ensemble is (the battery reads no row below
+    # xi_-2); a shallower --depth meets the cut's refusal
+    cut = window_cut(noise, result.k_min)
+    ens = extremal_ensemble(noise, result, min(args.depth or cut, cut), args.paths, args.seed)
     report = verify_theorems(noise, result, ens, significance=args.significance)
     payload = {"command": "verify", "case": result.case, **report.to_json_dict()}
     _write_json(out / "report.json", payload)
@@ -537,6 +528,7 @@ _positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
 _nonnegative_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
 _positive_float = _checked(float, lambda v: 0 < v < math.inf, "a finite positive number")
 _open_unit = _checked(float, lambda v: 0 < v < 1, "a number in (0, 1)")
+_json_text = _checked(json.loads, lambda v: True, "JSON text")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -547,8 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, seeded: bool,
-               depth_help: str = "path window depth (default 2x certified depth)"):
+    def common(p, *, seeded: bool):
         p.add_argument("--input", required=True, help="path to the noise spec JSON")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--eps", type=_positive_float, default=DEFAULT_EPS_SHAPE,
@@ -558,7 +549,6 @@ def build_parser() -> argparse.ArgumentParser:
         if seeded:
             p.add_argument("--seed", type=_nonnegative_int, required=True,
                            help="RNG seed (required for reproducibility)")
-            p.add_argument("--depth", type=_positive_int, default=None, help=depth_help)
             p.add_argument("--paths", type=_positive_int, default=10_000,
                            help="number of sample paths")
 
@@ -575,14 +565,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="sample an ensemble of solution paths")
     common(p, seeded=True)
     p.add_argument("--kind", choices=ENSEMBLE_KINDS, default="extremal")
-    p.add_argument("--v-law", default=None,
+    p.add_argument("--v-law", type=_json_text, default=None,
                    help="measure spec JSON for the mixture V law (default Haar)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("decompose", help="factor paths into (phi, U, V) with an audit")
     common(p, seeded=True)
     p.add_argument("--kind", choices=ENSEMBLE_KINDS, default="mixture")
-    p.add_argument("--v-law", default=None,
+    p.add_argument("--v-law", type=_json_text, default=None,
                    help="measure spec JSON for the mixture V law (default Haar)")
     p.add_argument("--ensemble", default=None,
                    help="decompose a previously simulated ensemble.json instead "
@@ -590,10 +580,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("verify", help="run the statistical verification battery")
-    common(p, seeded=True, depth_help=(
-        "sampling depth (default 2x certified depth); noise rows below the window's cut "
-        "max(len(prefix) - 1, 1 - k_min) are never drawn, so the value only sets the "
-        "refusal of a depth below the cut"))
+    common(p, seeded=True)
+    p.add_argument("--depth", type=_positive_int, default=None,
+                   help="refuse a depth below the window's cut max(len(prefix) - 1, 1 - k_min); "
+                        "the ensemble is built at the cut whatever the value")
     p.add_argument("--significance", type=_open_unit, default=0.01)
     p.set_defaults(func=cmd_verify)
 

@@ -168,6 +168,11 @@ def is_integer(value: object) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def is_number(value: object) -> bool:
+    """True for a Python or NumPy real, but not a bool: ``float`` would read true or "0.5"."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _right_closure(mul: np.ndarray, reached: np.ndarray, generators: np.ndarray) -> np.ndarray:
     """Copy of the boolean mask ``reached``, grown until right multiplication by the generators
     keeps it: each round multiplies the elements found in the last round by every generator."""

@@ -143,7 +143,8 @@ class LimitResult:
 
     ``lambdas`` maps k in [k_min, 0] to the limit law at k, ``anchor`` is the
     gauge's translation and ``shape_history`` the ladder's rungs as (-depth,
-    shape distance), by depth. ``prefix_len``, ``picks`` and ``top`` are the
+    shape distance), by depth. ``deepest_depth`` (2 depth_used) is reported,
+    not sampled from. ``prefix_len``, ``picks`` and ``top`` are the
     centering data of :func:`extend_centerings`. ``case`` is 'A' iff the
     subgroup is everything, 'B' iff it is trivial, 'C' otherwise.
     """
@@ -168,7 +169,7 @@ class LimitResult:
 
     @cached_property
     def alphas(self) -> dict[int, int]:
-        """alpha_l at -depth_used and -deepest_depth for limit.json; ensembles read their cut's."""
+        """alpha_l at -depth_used and -deepest_depth, for limit.json; no ensemble reads either."""
         return extend_centerings(self, (-self.depth_used, -self.deepest_depth))
 
     def to_json_dict(self) -> dict:

@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import GroupMismatch, InvalidSpec, NotASubgroup, NotClosedAtTolerance
-from .groups import FiniteGroup, Subgroup, closure_break, is_integer, same_group, subgroup
+from .groups import FiniteGroup, Subgroup, closure_break, is_integer, is_number, same_group, subgroup
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -230,9 +230,9 @@ def measure_from_spec(group: FiniteGroup, obj: dict) -> Measure:
     if kind == "weights":
         if "w" not in obj:
             raise InvalidSpec("weights measure spec requires a 'w' field")
-        try:
-            w = np.asarray(obj["w"], dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise InvalidSpec(f"weights must be a list of numbers: {exc}") from None
-        return Measure(group, w)
+        w = obj["w"]
+        bad = [x for x in w if not is_number(x)] if isinstance(w, list) else [w]
+        if bad:
+            raise InvalidSpec(f"weights must be a list of numbers, got {bad[0]!r}")
+        return Measure(group, np.array(w, dtype=np.float64))
     raise InvalidSpec(f"unknown measure spec kind {kind!r}")

@@ -14,14 +14,13 @@ the two.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
 
 from .errors import GridMismatch, Indeterminate, InvalidSpec, NotRepresentable
-from .groups import cyclic_group
+from .groups import cyclic_group, is_number
 from .measures import Measure
 
 DEFAULT_P_MAX = 64
@@ -433,7 +432,7 @@ def predicted_cyclic_subgroup(n: int, p_mu: int) -> tuple[int, ...]:
 
 def _number(value) -> float:
     """A JSON number as a float; strings, true and false are refused, never converted."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    if not is_number(value):
         raise TypeError(f"expected a number, got {value!r}")
     return float(value)
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_golden_records import write_simulated
 from test_solutions import Q8_CASE_B_PREFIX_SPEC, S3_NEAR_SYMMETRY_SPEC
 
 from convlimit import cli, stats
@@ -178,12 +179,26 @@ class TestSimulate:
         spec = write_spec(tmp_path, Z4_CASE_C_SPEC)
         out = tmp_path / "out"
         rc = main(["simulate", "--input", str(spec), "--out", str(out),
-                   "--seed", "9", "--paths", "30", "--kind", "uniform",
-                   "--depth", "16"])
+                   "--seed", "9", "--paths", "30", "--kind", "uniform"])
         assert rc == 0
         payload = json.loads((out / "ensemble.json").read_text())
         assert payload["kind"] == "uniform"
-        assert payload["depth"] == 16
+        # the window's cut: a uniform file's window is its whole depth, [-9, 0]
+        assert payload["depth"] == -payload["k_min"] == 9
+
+    def test_file_stops_at_the_cut_however_deep_the_certified_depth(self, tmp_path):
+        # the lazy walk on Z100 certifies at depth 41 081; no row below the
+        # cut 9 is drawn, though 2 x 41 081 rows were written before
+        spec = write_spec(tmp_path, {
+            "group": {"kind": "builtin", "name": "Zn:100"},
+            "tail": {"kind": "constant", "mu": {"kind": "weights", "w": [0.5, 0.5] + [0] * 98}}})
+        common = ["--input", str(spec), "--seed", "1", "--max-depth", "100000"]
+        assert main(["simulate", *common, "--out", str(tmp_path / "sim"), "--paths", "100"]) == 0
+        payload = json.loads((tmp_path / "sim" / "ensemble.json").read_text())
+        assert (payload["depth"], payload["k_min"]) == (9, -8)
+        assert {len(rec["xi"]) for rec in payload["paths"]} == {10}
+        assert main(["decompose", *common, "--out", str(tmp_path / "dec"),
+                     "--ensemble", str(tmp_path / "sim" / "ensemble.json")]) == 0
 
     def test_seed_required(self, tmp_path, capsys):
         spec = write_spec(tmp_path, Z4_CASE_C_SPEC)
@@ -253,8 +268,8 @@ class TestDecompose:
         # file's own depth are those of the same paths carried on to depth 80
         spec = write_spec(tmp_path, S3_LONG_PREFIX_SPEC)
         common = ["--input", str(spec), "--seed", "5"]
-        assert main(["simulate", "--out", str(tmp_path / "sim"), *common, "--paths", "40",
-                     "--kind", "uniform", "--depth", str(depth)]) == 0
+        write_simulated(tmp_path / "sim" / "ensemble.json", S3_LONG_PREFIX_SPEC, "uniform",
+                        depth, 40, 5)
         simulated = json.loads((tmp_path / "sim" / "ensemble.json").read_text())
         # below the file, xi_k in the tail's support {e, (23)}
         deep = np.random.default_rng(0).integers(0, 2, size=(40, 80 - depth)).tolist()
@@ -277,8 +292,8 @@ class TestDecompose:
     def test_uniform_file_that_stops_in_the_prefix_is_refused(self, tmp_path, capsys):
         spec = write_spec(tmp_path, S3_LONG_PREFIX_SPEC)
         common = ["--input", str(spec), "--seed", "5"]
-        assert main(["simulate", "--out", str(tmp_path / "sim"), *common, "--paths", "40",
-                     "--kind", "uniform", "--depth", "28"]) == 0
+        write_simulated(tmp_path / "sim" / "ensemble.json", S3_LONG_PREFIX_SPEC, "uniform",
+                        28, 40, 5)
         assert main(["decompose", "--out", str(tmp_path / "dec"), *common,
                      "--ensemble", str(tmp_path / "sim" / "ensemble.json")]) == 2
         assert "needs depth >= 29" in capsys.readouterr().err
@@ -507,7 +522,7 @@ class TestDeterminism:
         spec = write_spec(tmp_path, Z4_CASE_C_SPEC)
         runs = {
             "sim": ["simulate", "--kind", "mixture"],
-            "sim-uniform": ["simulate", "--kind", "uniform", "--depth", "12"],
+            "sim-uniform": ["simulate", "--kind", "uniform"],
             "dec": ["decompose"],
             "dec-file": ["decompose", "--ensemble", str(tmp_path / "sim" / "ensemble.json")],
         }
@@ -629,8 +644,15 @@ def _not_utf8(tmp_path, payload):
 MALFORMED_INPUTS = {
     "paths-negative": (lambda t, p: _command(t, "simulate", Z4_CASE_C_SPEC, "--seed", "1",
                                              "--paths", "-5"), "--paths"),
-    "depth-negative": (lambda t, p: _command(t, "simulate", Z4_CASE_C_SPEC, "--seed", "1",
-                                             "--kind", "uniform", "--depth", "-3"), "--depth"),
+    "depth-negative": (lambda t, p: _command(t, "verify", Z4_CASE_C_SPEC, "--seed", "1",
+                                             "--depth", "-3"), "--depth"),
+    # only verify takes --depth, to refuse a depth below the cut
+    "simulate-depth": (lambda t, p: _command(t, "simulate", Z4_CASE_C_SPEC, "--seed", "1",
+                                             "--paths", "5", "--depth", "200"),
+                       "unrecognized arguments: --depth"),
+    "decompose-depth": (lambda t, p: _command(t, "decompose", Z4_CASE_C_SPEC, "--seed", "1",
+                                              "--paths", "5", "--depth", "200"),
+                        "unrecognized arguments: --depth"),
     "nan-weights": (lambda t, p: _command(
         t, "limit", {"group": {"kind": "builtin", "name": "Z4"},
                      "tail": {"kind": "constant",
@@ -641,6 +663,12 @@ MALFORMED_INPUTS = {
                         "tail": {"kind": "constant",
                                  "mu": {"kind": "weights", "w": ["a", 0, 0, 1]}}}),
         "list of numbers"),
+    "weights-bool": (lambda t, p: _command(
+        t, "classify", _z4_tail_spec({"kind": "weights", "w": [True, False, False, False]})),
+        "list of numbers, got True"),
+    "weights-numeric-string": (lambda t, p: _command(
+        t, "classify", _z4_tail_spec({"kind": "weights", "w": ["0.5", "0", "0.5", "0"]})),
+        "list of numbers, got '0.5'"),
     "ragged-mul": (lambda t, p: _command(t, "classify", _table_group_spec([[0, 1], [1]])),
                    "rectangular"),
     "non-integer-mul": (lambda t, p: _command(t, "classify",
@@ -653,6 +681,23 @@ MALFORMED_INPUTS = {
     "v-law-not-json": (lambda t, p: _command(t, "simulate", Z4_CASE_C_SPEC, "--seed", "1",
                                              "--paths", "5", "--kind", "mixture",
                                              "--v-law", "{oops"), "--v-law"),
+    "v-law-weights-bool": (lambda t, p: _command(
+        t, "simulate", Z4_CASE_C_SPEC, "--seed", "1", "--paths", "5", "--kind", "mixture",
+        "--v-law", json.dumps({"kind": "weights", "w": [True, False, False, False]})),
+        "list of numbers, got True"),
+    # no V law is read where no mixture is built fresh, so a --v-law there is refused
+    **{f"v-law-{command}-{kind}": (
+        lambda t, p, command=command, kind=kind: _command(
+            t, command, Z4_CASE_C_SPEC, "--seed", "1", "--paths", "5", "--kind", kind,
+            "--v-law", '{"kind": "haar"}'),
+        f"--v-law sets a fresh mixture's V law; --kind {kind} takes none")
+       for command in ("simulate", "decompose") for kind in ("extremal", "uniform")},
+    "v-law-not-json-extremal": (lambda t, p: _command(t, "simulate", Z4_CASE_C_SPEC, "--seed",
+                                                      "1", "--paths", "5", "--kind", "extremal",
+                                                      "--v-law", "{bad"), "--v-law"),
+    "v-law-decompose-ensemble-file": (lambda t, p: [
+        *_decompose_file(t, p), "--v-law", '{"kind": "haar"}'],
+        "--v-law sets a fresh mixture's V law; an --ensemble file takes none"),
     "torus-dirac-without-x": (lambda t, p: _command(t, "classify", _torus_spec({"kind": "dirac"}),
                                                     "--torus"), "'x'"),
     "torus-atom-without-weight": (lambda t, p: _command(

@@ -4,9 +4,12 @@ A refactor of the sampling or decomposition kernels, or of the writers and
 readers of these files, must leave these bytes alone. Each digest covers one
 ``ensemble.json`` or ``decomposition.json`` with its ``generated_at`` line
 removed. The record files hold only integer ids and fixed strings, so
-floating-point summation order cannot move a digest. The
-Z500 digests at depth 50 and the Z130 uniform one equal those taken while ids
-were still int64, so they guard the narrow id dtypes against overflow.
+floating-point summation order cannot move a digest. The command line builds
+every ensemble at the window's cut; the deeper files of ``DEEP_RUNS`` are
+built with the library at their pinned depth, written as ``simulate`` writes
+them, and read back by ``decompose --ensemble``. The Z500 digests at depth 50
+and the Z130 uniform one equal those taken while ids were still int64, so they
+guard the narrow id dtypes against overflow.
 
 To re-derive a digest after an intended output change, run
 ``python tests/test_golden_records.py``; it prints the table.
@@ -18,8 +21,17 @@ import re
 
 import pytest
 
+from convlimit import cli
 from convlimit.cli import main
-from convlimit.solutions import CHUNK_SIZE
+from convlimit.limits import compute_limit, noise_from_spec
+from convlimit.measures import haar
+from convlimit.solutions import (
+    CHUNK_SIZE,
+    extremal_ensemble,
+    general_ensemble,
+    uniform_ensemble,
+    window_cut,
+)
 
 # Z6 relabelled so that the identity is element 3: a * b = a + b - 3 (mod 6).
 _Z6_IDENTITY_3 = [[(a + b - 3) % 6 for b in range(6)] for a in range(6)]
@@ -103,7 +115,8 @@ TORUS_SPECS = {
 RUNS = [(name, 6) for name in SPECS] + [("z4-case-c-prefix", CHUNK_SIZE + 3)]
 # (spec, paths, depth): every spec at a fixed depth, twice its depth_used of
 # the deepening engine (so these bytes hold while the certified depth moves),
-# and one window deeper than that engine's deepest_depth (164)
+# and one window deeper than that engine's deepest_depth (164); built with the
+# library, as the command line builds only at the window's cut
 DEEP_RUNS = [
     ("z4-case-c-prefix", 6, 54), ("z4-case-b", 6, 50), ("s3", 6, 52), ("d4-periodic", 6, 56),
     ("q8", 6, 192), ("z6-identity-3", 6, 108), ("q8-case-c", 6, 164), ("zn130", 6, 50),
@@ -112,143 +125,133 @@ DEEP_RUNS = [
 
 GOLDEN = {
     "z4-case-c-prefix/6": {
-        "simulate-extremal": "a4dc281040d215741a9bc10eb77176eff6ecd2d25f0f21ce7541eeb7282c8f5b",
-        "simulate-mixture": "69d09b3246c7b7e106e097127686a72ab574d4e44008d0d9c7b49411d82e8480",
-        "simulate-uniform": "0011619eb74f04fb53df5ed92db8fe6dd0e10d8f309e33c9aac284e79457078b",
-        "decompose-fresh": "c7ee6b3de4591a6f4e7a6f17dd1b2e0e882368cd546f89d42c92fcfc7fe6bf50",
-        "decompose-file": "c7ee6b3de4591a6f4e7a6f17dd1b2e0e882368cd546f89d42c92fcfc7fe6bf50",
+        "simulate-extremal": "df2ebb54b7acceab822626d9a8d9a88df438723b870c2aa4f459b861f8dbe89c",
+        "simulate-mixture": "a05861b52f2cb46ddc146ed8645a22698ae2518caa6436ee7046aa8f52e45349",
+        "simulate-uniform": "e4c0e6be496c72c0af1285dd68a6d5032ef96101ebcf8a2e023eb5cf47f1b502",
+        "decompose-fresh": "c953e6313d3907ee9212dd66ef1f97ceb5f2624b38316550020ab82921f7c829",
+        "decompose-file": "c953e6313d3907ee9212dd66ef1f97ceb5f2624b38316550020ab82921f7c829",
     },
     "z4-case-b/6": {
-        "simulate-extremal": "02bed8fc9d259a4ed85b7339560ae5b3ef2145cf7f7c640057a4459da7781dbb",
-        "simulate-mixture": "46dd0bad4caaeed6ba55146754492da1bb8836a9a653f0646d0b59540a50598a",
-        "simulate-uniform": "6b8845c90eb29669b11ea7ee130ac9e19d450e33bef9d1b46e700418c2951ae3",
-        "decompose-fresh": "ea7022a10ca3f4d40ae5880637814c70a1b37fd7897fe94534336caeba097cd6",
-        "decompose-file": "ea7022a10ca3f4d40ae5880637814c70a1b37fd7897fe94534336caeba097cd6",
+        "simulate-extremal": "9828e4faa949546f3f7692de25dcb14cc0f2c19171f69560c971ae1e57d83a19",
+        "simulate-mixture": "0e390111d7c7ab9df60fa175c6cf4270401f82212f7dd6bb5873a74858f5ae77",
+        "simulate-uniform": "2f87ee4191364a53b881ac3477d4e9bcf66fb4d6f20f2aa7aa5d15dc9df1fe62",
+        "decompose-fresh": "9df534799886c54950e2ada3710fbb37e1bf5f169c54c12e00655b72b5a3ece7",
+        "decompose-file": "9df534799886c54950e2ada3710fbb37e1bf5f169c54c12e00655b72b5a3ece7",
     },
     "s3/6": {
-        "simulate-extremal": "a579dab850b4142672b736b1f8f6605524305b2d1b61b21af023d1c16125b362",
-        "simulate-mixture": "41b0cd7deb42c14b617b88398a3328406d39ae8d67d73f52908d30d698512797",
-        "simulate-uniform": "c9eed4dd813e945a38b8694d42932b95f395744c42971ded34808cae8286e593",
-        "decompose-fresh": "899570b596fbc7190b6bcd1b9e2c973e5261b758f80e6f157c55d0f05568dd3c",
-        "decompose-file": "899570b596fbc7190b6bcd1b9e2c973e5261b758f80e6f157c55d0f05568dd3c",
+        "simulate-extremal": "8be92d33217b353926daa4ce3c3659dcd3fd68d5e7ab9d8b300e04e3fe457992",
+        "simulate-mixture": "33ab5d28a2a06e6407b8708ba4bc4d5a3f9773a8acd20eee638a6e2ed6c0afed",
+        "simulate-uniform": "20fed3a21dce26a57171abafd3270544cf112d2d0bd70a478a88bfb7aea46962",
+        "decompose-fresh": "b45257dce7f6e88d13fef8100ddfdf7509ef392fc4b8f915664b34f4df82a442",
+        "decompose-file": "b45257dce7f6e88d13fef8100ddfdf7509ef392fc4b8f915664b34f4df82a442",
     },
     "d4-periodic/6": {
-        "simulate-extremal": "900579a1866e868fb1592c63a50448826c56f5c33f2c12a760bceef0faff479d",
-        "simulate-mixture": "9b28272e6f7945c0c034f2be73625ed44eead39decaba1b43f6fc7fe1bdcf190",
-        "simulate-uniform": "a2e6442913bffe5121c7e0f2c19aea2b1dfa19b19e3692f9bab471fe55526221",
-        "decompose-fresh": "578528b03cacedd45152119f98be3f5718ac5f0e5b9b050ac565a8110804bd54",
-        "decompose-file": "578528b03cacedd45152119f98be3f5718ac5f0e5b9b050ac565a8110804bd54",
+        "simulate-extremal": "4545e9c60ffbfee7065bd601ee3563d379e10edb7de1ee06668468dd4870aca9",
+        "simulate-mixture": "6c7e3be5c8f4309c6c15098ed71a130e26b039acb900fead42046eb2e9475ced",
+        "simulate-uniform": "5fcdaf0d4b2756311e4f2d246953ba63607f24934cd7ec3317b69bc0740004ab",
+        "decompose-fresh": "8119fbce341798f8af6919f0a2c5e64c48c41f9bbf348247e520d94d92809c08",
+        "decompose-file": "8119fbce341798f8af6919f0a2c5e64c48c41f9bbf348247e520d94d92809c08",
     },
     "q8/6": {
-        "simulate-extremal": "c4dd5e590f4df0166bcd4c6626d8dc5772511f2dd3c59df0c4a9acf82a8fda8b",
-        "simulate-mixture": "3aff6f70b5c4363490ecbc774c318f75c4b56e25e1ddab2b432ce067ba49a480",
-        "simulate-uniform": "ff81cf8ee674f6f5c0bbb4cb06903d5e687a43e9c7c6fc587032c038b1632e59",
-        "decompose-fresh": "461b75e1abd9defec47e819ca640a50b4f738cd31e7d6e3eee13662331ab3efa",
-        "decompose-file": "461b75e1abd9defec47e819ca640a50b4f738cd31e7d6e3eee13662331ab3efa",
+        "simulate-extremal": "4718425fb3b05bfef67054f8c60715a5054040b3fc1706eca79164794e635eda",
+        "simulate-mixture": "4f5342be8d4dc0961e603ddad36281307393289ea4ae9d59319c63bd03448d2c",
+        "simulate-uniform": "c58ba38e3b56c02f26a7587d217e8e6165b08ed693e54afe949515c54bced324",
+        "decompose-fresh": "37b0d8e8a3bd84860503d4375253257251118c07249e7682e63896bfd426fdac",
+        "decompose-file": "37b0d8e8a3bd84860503d4375253257251118c07249e7682e63896bfd426fdac",
     },
     "z6-identity-3/6": {
-        "simulate-extremal": "9397c727b3f66e157113c078d17215d87e63372bd306fadee949bc788bd3c478",
-        "simulate-mixture": "13ec103ee494b2f6c22bbac52d0c6f5dfab482ba7a87e779a30bdb86981542fc",
-        "simulate-uniform": "228061f094702988caf8528d71c7e495d7b09df55d83b46c90f48115de8e80e7",
-        "decompose-fresh": "75a178bd2d26323ca26e4ba5f2e4f84def0f1099767feec1ee2ceab2c6cc8e28",
-        "decompose-file": "75a178bd2d26323ca26e4ba5f2e4f84def0f1099767feec1ee2ceab2c6cc8e28",
+        "simulate-extremal": "65b2da382500768407ab1283aec46e8ac15d04d0681b95bc84d24471c00a732d",
+        "simulate-mixture": "a86e4b3fa6db65b69032ae1723907a1861d33a9a5515baaaf0e42b3f248fe484",
+        "simulate-uniform": "01019de3214fa8f0c7e63ea1887e02ea0f7a27c49a9880ee47132b29228f4f6b",
+        "decompose-fresh": "6c9774c05139e6633f09ab1e9eb07dddd45ddb821e9589902441f6ef91bff1a5",
+        "decompose-file": "6c9774c05139e6633f09ab1e9eb07dddd45ddb821e9589902441f6ef91bff1a5",
     },
     "q8-case-c/6": {
-        "simulate-extremal": "ce05f6aea80277e8d3f5bf7b90012e590d0afe910122a9d3eaf1f67566bb51b6",
-        "simulate-mixture": "f2120fd29f3dad2f1d1b4fb6e5b8a3f7e0c1a744c3cce3f135d5474c76104c70",
-        "simulate-uniform": "572982ee1e06554466b4581bfe67088683ed681cc1cd463dcc4f7eb253eafa5f",
-        "decompose-fresh": "54b8e68b2119c47f173ae7dc7dfafcf7a0bc355129e7293435515c7518975d27",
-        "decompose-file": "54b8e68b2119c47f173ae7dc7dfafcf7a0bc355129e7293435515c7518975d27",
+        "simulate-extremal": "be74ef4b6920760f96c3b75bb673b8633a6827d4c683b043e5c302a81b03d20b",
+        "simulate-mixture": "b9d1de4814bf1b48aa57bbcff409894f81dc618849650d15fe87864aae0c2174",
+        "simulate-uniform": "8fdd8c7ef7815ffafbf9562ea413d4ab5bf04a408531b6df7c3530d40a2115de",
+        "decompose-fresh": "d96fec3249fdcff4a7db10d348486577a1f8daa880674bf12d491a5f7a68cfe9",
+        "decompose-file": "d96fec3249fdcff4a7db10d348486577a1f8daa880674bf12d491a5f7a68cfe9",
     },
     "zn130/6": {
-        "simulate-extremal": "280a8ee58edd515a0ccf16974bfaf85cb3bdff0e53fdd58f80f0792cb1308347",
-        "simulate-mixture": "f98677ed4cb352ad437c2212a6111f7e1e0a9432e4f5804941bbd25372fbcb16",
-        "simulate-uniform": "e06d6ccfa38014dea8693b7b2ac17af62a93d6826df414ed9d08a65d8bae8496",
-        "decompose-fresh": "5d134540d84ef043a239966e9b055529a9c67ede0f8b2f9386623b6f60a94df7",
-        "decompose-file": "5d134540d84ef043a239966e9b055529a9c67ede0f8b2f9386623b6f60a94df7",
+        "simulate-extremal": "0641031953ad4c9c51f15adce352f5faacf8dc8cdc620a0cb435be78f9e78956",
+        "simulate-mixture": "02b1a9c0f9adad41945d35ec5a31de6fbee3a26fb4e13f8712e3e460b26b2d0d",
+        "simulate-uniform": "61c5c452cc3925bf1ac6ce3e1b32f78eb33eae4ef2c203de44638bd500886a3e",
+        "decompose-fresh": "e561585b2babd8abc55963023c74d82d81d88140ac932d82f8bf64d180572791",
+        "decompose-file": "e561585b2babd8abc55963023c74d82d81d88140ac932d82f8bf64d180572791",
     },
     "zn500/6": {
-        "simulate-extremal": "8abe268744dec3f4afb25d870443be36e496f43dcd73fc7e36aa4a6d05d2dca7",
-        "simulate-mixture": "bfbcd14f536fb9e9e2f7eac28998f1e100df192fe59815cd72c7e50aa570d834",
-        "simulate-uniform": "74420d0fba839387d3a1e5bd4dffc21b7d454245850e6a1f344116fea8f544c4",
-        "decompose-fresh": "ba9e52ac38c4d67e68d471eac8d4b4fa380cf6e3840d992ef15054945a6efb7e",
-        "decompose-file": "ba9e52ac38c4d67e68d471eac8d4b4fa380cf6e3840d992ef15054945a6efb7e",
+        "simulate-extremal": "202b486f09c3a714bce6c9ff2025566656c55948b32592be5dfabd3a738bfc13",
+        "simulate-mixture": "1b62aac563345f1d1bd5e0d7debfe47c1e01f6d87165b4c9bd2735c7e7dc5bb6",
+        "simulate-uniform": "244aed50f359a38bd13cc35ae253bb9b0078c82145671ba3a885979c13bcb850",
+        "decompose-fresh": "bec0df67dfa85d6f0dc9480490bd8f57b1cad856e6ef19cd4be77b58b886308f",
+        "decompose-file": "bec0df67dfa85d6f0dc9480490bd8f57b1cad856e6ef19cd4be77b58b886308f",
     },
     "z4-case-c-prefix/4099": {
-        "simulate-extremal": "385e96562ee03ff3af695866dff33541158f26238f4645a18be8737a06d09ea8",
-        "simulate-mixture": "e04fbfa153f0d3231ceab0347fbad1c5c196d305a3d90ff97f39c676cb1d501c",
-        "simulate-uniform": "38e87adbbd87d0826efcef1b1397781a3a5d2ecdd3310b6a0209b2f909212ccd",
-        "decompose-fresh": "4252a9e7de9bf4e16b06e69d1ef88fd9646337a99631f43c1c30dac556f59c25",
-        "decompose-file": "4252a9e7de9bf4e16b06e69d1ef88fd9646337a99631f43c1c30dac556f59c25",
+        "simulate-extremal": "9f691727b2c0dcac3c63fd458458539d2bb5288b09daf8f2674e695a08061de5",
+        "simulate-mixture": "0cdff7145c146c7400308bf90951d34592f269cc05ef075f71ea7cb7d2ce0926",
+        "simulate-uniform": "9a8ffa34a0c2002ba8c365d437001ed6941a504ab582595eea822979338e280f",
+        "decompose-fresh": "bc2815e5f403978f57f808d026c718120696e70bbcba56ef6c0b1480a768d3c8",
+        "decompose-file": "bc2815e5f403978f57f808d026c718120696e70bbcba56ef6c0b1480a768d3c8",
     },
     "z4-case-c-prefix/6/54": {
         "simulate-extremal": "72d9d0020021523a4a9c705e2b780dc177117d437806da0e8edfff9543d0d291",
         "simulate-mixture": "8caa23de5b322afe58d4c6ca3f744800c885964d766155f02766d441b7f9f40f",
         "simulate-uniform": "c8f5f60551394736891136f6da8027f43f8390e976127d6575e12dd55c94bf8f",
-        "decompose-fresh": "01b6325b8aa19b5566774a55ec67464155394d6c00fd56d5098879d50bd0262e",
         "decompose-file": "01b6325b8aa19b5566774a55ec67464155394d6c00fd56d5098879d50bd0262e",
     },
     "z4-case-b/6/50": {
         "simulate-extremal": "921aaf85ce9db5b6f8ce3974d25e23ecc4f76129439ba4dbab0fef7f88da527a",
         "simulate-mixture": "77c41212554a003c43e4367757a06db9f45217b7245df2bd6af54cd29be74e5f",
         "simulate-uniform": "0fe0d270d276d5b812d1183821c53489f6f003988f9fde7ff91e242b494978af",
-        "decompose-fresh": "541f34ccd90f66beb662d974a7098d01186fd11498aeec4cc879183ac66547d8",
         "decompose-file": "541f34ccd90f66beb662d974a7098d01186fd11498aeec4cc879183ac66547d8",
     },
     "s3/6/52": {
         "simulate-extremal": "52e6e97908e60507159ff3723d4713bda9101d109021440adde1d51c5e200f49",
         "simulate-mixture": "c0d62a5a2138ecff5738e904ceb872a08326d9c22495ce7acb9a51a99c456dec",
         "simulate-uniform": "e72c58eb754d7ff7e4842ff22537b485008af3c32cb984b853e54112d7e1ef80",
-        "decompose-fresh": "36de098e92591c896d80237e3a2a8e3e671033129d605d4bffc037a59a4b30e8",
         "decompose-file": "36de098e92591c896d80237e3a2a8e3e671033129d605d4bffc037a59a4b30e8",
     },
     "d4-periodic/6/56": {
         "simulate-extremal": "f7ebfc8cd9baa7566c561d976b0bacc444698ef621f33a5f296326ef38273704",
         "simulate-mixture": "9515efc04c71767b0bc195a92698c84f9b1ab61ea731b0c35e094432b9f4be64",
         "simulate-uniform": "f01f1b6264f0c2820034afb87f0dc6e6dcc95ef66f2b16a16ae3c20f6df78cf5",
-        "decompose-fresh": "e7f8b7e804f30b383283d007e8a798a9ef0f6de9bf3b1feed6cfc0719f558cf8",
         "decompose-file": "e7f8b7e804f30b383283d007e8a798a9ef0f6de9bf3b1feed6cfc0719f558cf8",
     },
     "q8/6/192": {
         "simulate-extremal": "911039d8d8de427c8a44aeee80781a7d3f614da033c1d6d2d0e1b5f570318963",
         "simulate-mixture": "f5f3bd154365e855810fd8715202c680ae8be2743b9ef309e4b91d7d6b33c152",
         "simulate-uniform": "1a679e26ec0575f3dbb599d1a0565d8afc2b14da2d86883fbee207bf9d0eea22",
-        "decompose-fresh": "0155063c87e8b6760f2d07e596b18a00ff422ef336f4cd7c20fa3e645f25a9ae",
         "decompose-file": "0155063c87e8b6760f2d07e596b18a00ff422ef336f4cd7c20fa3e645f25a9ae",
     },
     "z6-identity-3/6/108": {
         "simulate-extremal": "ca2b3b757b8066a4736d084366233ab391606154d830096bce83661ca2cdcbf5",
         "simulate-mixture": "d774f08623ea75be3bd5958039c90c08eeb39bec2b92d4dabe9373916bd18a32",
         "simulate-uniform": "9e5af0156920d077e2ddd5dce67b796b2d12a28aa753a687023af7540c0fb41e",
-        "decompose-fresh": "05aeae2bf230bb4ef9e3af08e9a7cf4748b28cf72719329fb53831c37e723785",
         "decompose-file": "05aeae2bf230bb4ef9e3af08e9a7cf4748b28cf72719329fb53831c37e723785",
     },
     "q8-case-c/6/164": {
         "simulate-extremal": "08f7b8b6ec67da69ce53b730bb7e9c030437a6aef6ee02b6154184757d63f89f",
         "simulate-mixture": "77ad0a5b27a0c6b72eedd2b9612208c2d405bd35b357b8956be8dcc894075d06",
         "simulate-uniform": "8fd189e805d7dfc9fc781792b701fb486c257bba6397c9c25dfa436b9e17e13f",
-        "decompose-fresh": "ee6db4174f4da1d719fb1cfc74cb1d094505857a30ae1c9dd7c1452f61d20287",
         "decompose-file": "ee6db4174f4da1d719fb1cfc74cb1d094505857a30ae1c9dd7c1452f61d20287",
     },
     "zn130/6/50": {
         "simulate-extremal": "f268142fdc9888ffea9732c9112f5bf0d9c601a11a4cf1f1905fda657a0ec302",
         "simulate-mixture": "6e1a42a779c452bc15c5a9748e24e680c4ab4988234d79b4fd1188cfa7484ff2",
         "simulate-uniform": "06b860c4e63470910804d6dc1d9cf3ce3bac5bcc47325afd10a232d74c365e7c",
-        "decompose-fresh": "108a71a1b0f2f5c9f07eab5e36087446605aa28a32a7e738b30b72f9a924d192",
         "decompose-file": "108a71a1b0f2f5c9f07eab5e36087446605aa28a32a7e738b30b72f9a924d192",
     },
     "zn500/6/50": {
         "simulate-extremal": "ae7cb3653e839da870b64fc8c15499d6be3c0276473d864fcfe3628cdf5b132c",
         "simulate-mixture": "1b00b6be99ca14f179ecff9ad17cdc8807a92da404daf8b6ed87c3124a074a86",
         "simulate-uniform": "1b4aead2fe7dd9c8ed0e828387225fc8a64d69a49a1892bb78180c8f75caa183",
-        "decompose-fresh": "0be199529ef1b6f96ac698b97ecda92a2bd8f0b6c8325f977e80d74d930c56e1",
         "decompose-file": "0be199529ef1b6f96ac698b97ecda92a2bd8f0b6c8325f977e80d74d930c56e1",
     },
     "q8-case-c/6/201": {
         "simulate-extremal": "b0ddecc8c31b9b80f0b4daf58141f485adc5f41e44fdecb4a749c43c090a8dbb",
         "simulate-mixture": "988eae86cea15c2dd7b79cf32335c12e9d263c8c7b3eb4923f53c278c47dc8ef",
         "simulate-uniform": "c29bba68d69f97aa5351c0be9609234bf328046fc699f16849c304f5b30d0e4e",
-        "decompose-fresh": "a9ba2645589634ae1163e600de003f588baf51057eab75d990300f8e8deee7d0",
         "decompose-file": "a9ba2645589634ae1163e600de003f588baf51057eab75d990300f8e8deee7d0",
     },
 }
@@ -257,8 +260,8 @@ GOLDEN = {
 # phi) files of this run, which span two chunks
 FILE_KINDS_RUN = ("z4-case-c-prefix", CHUNK_SIZE + 3)
 GOLDEN_FILE_KINDS = {
-    "decompose-extremal-file": "0791bd565158339950503aca6eef80cb1e56fdf07696db40e2ac78bf1e4dc8d4",
-    "decompose-uniform-file": "81c088368fb28de9fd5148b8e29253a2af0d6ca59020701af10a389f6448edb1",
+    "decompose-extremal-file": "0a1202eb4af325d88dd3d382d5adc3e81ba1f4649ce7e244d9bb37c07101126e",
+    "decompose-uniform-file": "89ee101665169bf2a431f7c092438f2c4dd634a3937b6a0f69f9260424418fd6",
 }
 
 GOLDEN_TORUS = {
@@ -281,21 +284,40 @@ def _digest(path) -> str:
     return hashlib.sha256(_GENERATED_AT.sub(b"", path.read_bytes())).hexdigest()
 
 
+def write_simulated(path, spec: dict, kind: str, depth: int, n_paths: int, seed: int) -> None:
+    """Write the ensemble.json that ``simulate --kind KIND --seed SEED`` writes, built with
+    the library at ``depth``, where the command line builds at the window's cut."""
+    noise = noise_from_spec(spec)
+    result = compute_limit(noise)
+    if kind == "uniform":
+        ens = uniform_ensemble(noise, depth, n_paths, seed)
+    else:
+        ens = extremal_ensemble(noise, result, depth, n_paths, seed)
+        if kind == "mixture":
+            ens = general_ensemble(ens, haar(noise.group), seed + 1)
+    path.parent.mkdir()
+    cli._write_json(path, cli._simulate_payload(ens, result))
+
+
 def record_digests(tmp_path, name: str, n_paths: int, depth=None) -> dict[str, str]:
-    """Digests of the five record files one spec yields: simulate x3, decompose x2."""
+    """Digests of the record files one spec yields: simulate x3 and decompose of the
+    mixture file, plus a fresh decompose when the files come from the command line
+    (``depth`` None) and not from the library at ``depth``."""
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(SPECS[name]))
     common = ["--input", str(spec), "--seed", "7", "--paths", str(n_paths)]
-    if depth is not None:
-        common += ["--depth", str(depth)]
     out = {}
     for kind in ("extremal", "mixture", "uniform"):
         target = tmp_path / f"simulate-{kind}"
-        assert main(["simulate", *common, "--out", str(target), "--kind", kind]) == 0
+        if depth is None:
+            assert main(["simulate", *common, "--out", str(target), "--kind", kind]) == 0
+        else:
+            write_simulated(target / "ensemble.json", SPECS[name], kind, depth, n_paths, 7)
         out[f"simulate-{kind}"] = _digest(target / "ensemble.json")
-    target = tmp_path / "decompose-fresh"
-    assert main(["decompose", *common, "--out", str(target)]) == 0
-    out["decompose-fresh"] = _digest(target / "decomposition.json")
+    if depth is None:
+        target = tmp_path / "decompose-fresh"
+        assert main(["decompose", *common, "--out", str(target)]) == 0
+        out["decompose-fresh"] = _digest(target / "decomposition.json")
     target = tmp_path / "decompose-file"
     assert main(["decompose", *common, "--out", str(target),
                  "--ensemble", str(tmp_path / "simulate-mixture" / "ensemble.json")]) == 0
@@ -337,6 +359,14 @@ def test_record_files_match_pinned_digests(name, n_paths, tmp_path):
 @pytest.mark.parametrize("name, n_paths, depth", DEEP_RUNS)
 def test_deep_record_files_match_pinned_digests(name, n_paths, depth, tmp_path):
     assert record_digests(tmp_path, name, n_paths, depth) == GOLDEN[f"{name}/{n_paths}/{depth}"]
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_command_line_files_are_the_library_files_at_the_cut(name, tmp_path):
+    noise = noise_from_spec(SPECS[name])
+    cut = window_cut(noise, compute_limit(noise).k_min)
+    files = {k: v for k, v in GOLDEN[f"{name}/6"].items() if k != "decompose-fresh"}
+    assert record_digests(tmp_path, name, 6, cut) == files
 
 
 def test_decompose_of_extremal_and_uniform_files_matches_pinned_digests(tmp_path):

@@ -377,6 +377,19 @@ class TestSpecParsing:
         with pytest.raises(InvalidSpec):
             measure_from_spec(Z4, {"kind": "weights"})
 
+    @pytest.mark.parametrize("w", [[True, False, False, False], ["0.5", "0", "0.5", "0"],
+                                   [0.5, None, 0.5, 0], [[0.5, 0.5], [0, 0]], 0.5, "0.5"],
+                             ids=["bools", "numeric-strings", "null", "nested", "number",
+                                  "string"])
+    def test_weights_must_be_a_list_of_json_numbers(self, w):
+        # float() would read true as 1 and "0.5" as 0.5; the spec must say 1 and 0.5
+        with pytest.raises(InvalidSpec, match="weights must be a list of numbers, got"):
+            measure_from_spec(Z4, {"kind": "weights", "w": w})
+
+    def test_integer_and_numpy_weights_are_numbers(self):
+        for w in ([0, 1, 0, 0], list(np.array([0.0, 1.0, 0.0, 0.0])), [0, np.int64(1), 0, 0.0]):
+            assert measure_from_spec(Z4, {"kind": "weights", "w": w}).weights.tolist() == [0, 1, 0, 0]
+
 
 @st.composite
 def measures_on_group(draw, n_measures=3):
