@@ -81,6 +81,7 @@ from .solutions import (
     general_ensemble,
     sample_noise,
     uniform_ensemble,
+    window_cut,
 )
 from .stats import (
     ChiSquareResult,

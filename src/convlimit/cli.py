@@ -49,7 +49,7 @@ from .solutions import (
     window_cut,
 )
 from .stats import verify_theorems
-from .torus import compute_p_mu, torus_noise_from_spec
+from .torus import DEFAULT_P_MAX, compute_p_mu, torus_noise_from_spec
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -149,11 +149,18 @@ def _spec_and_out(args) -> tuple[dict, Path]:
     return spec, out
 
 
+def _limit_options(args) -> dict:
+    """The limit engine's keywords for the ``--eps`` and ``--max-depth`` given; a flag left
+    out (None) keeps the engine's default."""
+    return {key: value for key, value in (("eps_shape", args.eps), ("max_depth", args.max_depth))
+            if value is not None}
+
+
 def _enter(args) -> tuple[Path, NoiseLaw, LimitResult]:
     """The entry of every finite-group command: its output directory, noise law and limit."""
     spec, out = _spec_and_out(args)
     noise = noise_from_spec(spec)
-    return out, noise, compute_limit(noise, eps_shape=args.eps, max_depth=args.max_depth)
+    return out, noise, compute_limit(noise, **_limit_options(args))
 
 
 def _subgroup_payload(result: LimitResult, members) -> dict:
@@ -164,10 +171,17 @@ def _subgroup_payload(result: LimitResult, members) -> dict:
 
 
 def cmd_classify(args) -> int:
+    # each engine refuses a flag that only the other one reads
+    unread = {"--eps": args.eps, "--max-depth": args.max_depth} if args.torus else {
+        "--p-max": args.p_max}
+    for flag, value in unread.items():
+        if value is not None:
+            raise InvalidSpec(f"{flag} is read only by classify "
+                              f"{'without' if args.torus else 'with'} --torus")
     if args.torus:
         spec, out = _spec_and_out(args)
         noise = torus_noise_from_spec(spec)
-        cls = compute_p_mu(noise, p_max=args.p_max)
+        cls = compute_p_mu(noise, p_max=DEFAULT_P_MAX if args.p_max is None else args.p_max)
         payload = {"command": "classify", "engine": "torus", **cls.to_json_dict()}
         table = [
             [p, b.upper, b.lower, b.decision]
@@ -202,8 +216,7 @@ def cmd_classify(args) -> int:
 
 def cmd_limit(args) -> int:
     out, noise, result = _enter(args)
-    check = verify_conjugacy_uniqueness(noise, result, eps_shape=args.eps,
-                                        max_depth=args.max_depth)
+    check = verify_conjugacy_uniqueness(noise, result, **_limit_options(args))
     payload = {
         "command": "limit",
         **result.to_json_dict(),
@@ -542,10 +555,10 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, *, seeded: bool):
         p.add_argument("--input", required=True, help="path to the noise spec JSON")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--eps", type=_positive_float, default=DEFAULT_EPS_SHAPE,
-                       help="shape stabilization tolerance")
-        p.add_argument("--max-depth", type=_positive_int, default=DEFAULT_MAX_DEPTH,
-                       help="certification depth budget")
+        p.add_argument("--eps", type=_positive_float, default=None,
+                       help=f"shape stabilization tolerance (default {DEFAULT_EPS_SHAPE})")
+        p.add_argument("--max-depth", type=_positive_int, default=None,
+                       help=f"certification depth budget (default {DEFAULT_MAX_DEPTH})")
         if seeded:
             p.add_argument("--seed", type=_nonnegative_int, required=True,
                            help="RNG seed (required for reproducibility)")
@@ -555,7 +568,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="trichotomy case and subgroup / lattice generator")
     common(p, seeded=False)
     p.add_argument("--torus", action="store_true", help="treat input as a torus noise spec")
-    p.add_argument("--p-max", type=int, default=64, help="largest frequency examined")
+    p.add_argument("--p-max", type=int, default=None,
+                   help=f"largest frequency examined, with --torus (default {DEFAULT_P_MAX})")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("limit", help="limit laws, centerings and residual curves")

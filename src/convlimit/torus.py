@@ -13,6 +13,7 @@ the two.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -172,6 +173,13 @@ class PiBounds:
     folds in an analytic tail bound when one exists (else 0). ``decision``
     is 'member', 'null' or 'undetermined'; membership is decided from the
     log-domain bound so small positive limits never underflow to a refusal.
+    ``depth`` is the window, ``max(depth, len(prefix) + 1)``. ``curve``
+    holds the partial products over the first 1, 2, ... levels up to its
+    cut: the first level from which the value never changes again, or, for
+    a frequency not decided 'member', the first level below the floor,
+    whichever comes first. Past the cut, inside the window, the product is
+    at most the last value when the frequency is not a member and that
+    value is below the floor, and equals it otherwise.
     """
 
     p: int
@@ -219,8 +227,9 @@ def pi_mu_bounds(
     """
     window = _window(noise, depth)
     if p == 0:
-        return PiBounds(p=0, lower=1.0, upper=1.0, decision="member", depth=depth,
-                        curve=(1.0,) * depth, log_lower=0.0, log_upper=0.0)
+        _, levels, sd2 = window
+        return PiBounds(p=0, lower=1.0, upper=1.0, decision="member",
+                        depth=levels.size + sd2.size, curve=(1.0,), log_lower=0.0, log_upper=0.0)
     return _pi_bounds(noise, p, *window, floor)
 
 
@@ -237,8 +246,6 @@ def _pi_bounds(noise: TorusNoiseLaw, p: int, measures: list[TorusMeasureSpec],
     partial = np.cumsum(np.concatenate(([0.0], np.where(zero, 0.0, logs))))
     log_upper = float(partial[-1])
     n_positive = int(zero.argmax()) if hit_zero else eff_depth
-    curve = [math.exp(x) for x in partial[1:n_positive + 1].tolist()]
-    curve += [0.0] * (eff_depth - n_positive)
     upper = 0.0 if hit_zero else math.exp(log_upper)
 
     decision = "undetermined"
@@ -267,10 +274,20 @@ def _pi_bounds(noise: TorusNoiseLaw, p: int, measures: list[TorusMeasureSpec],
         elif upper < floor:
             decision = "null"
 
+    def value(level: int) -> float:
+        """The partial product over the first ``level`` levels, the curve's point there."""
+        return math.exp(partial[level]) if level <= n_positive else 0.0
+
+    # the curve does not increase, so each cut is the first level of a run of
+    # True that lasts to the window's end, found by bisection
+    levels = range(1, eff_depth + 1)
+    cut = bisect.bisect_left(levels, True, key=lambda level: value(level) == upper)
+    if decision != "member":
+        cut = min(cut, bisect.bisect_left(levels, True, key=lambda level: value(level) < floor))
     lower = math.exp(log_lower) if math.isfinite(log_lower) else 0.0
     return PiBounds(
         p=p, lower=lower, upper=upper, decision=decision,
-        depth=eff_depth, curve=tuple(curve),
+        depth=eff_depth, curve=tuple(value(level) for level in levels[:cut + 1]),
         log_lower=log_lower, log_upper=(-math.inf if hit_zero else log_upper),
     )
 

@@ -413,21 +413,11 @@ def gauge_align_per_translate(nu, gauge):
     return translate_right(nu, best_g), best_g
 
 
-def pi_mu_bounds_per_level(noise, p, depth=DEFAULT_DEPTH, floor=DEFAULT_FLOOR):
-    """``torus.pi_mu_bounds`` with one scalar |char| evaluation per level of the window.
-
-    The log partial product is accumulated one level at a time in a Python
-    float, and each curve point is its ``math.exp``.
+def _products_per_level(noise, p, eff_depth):
+    """The log partial product over the window, whether some factor is zero, and the whole
+    curve: the log partial product is accumulated one level at a time in a Python float,
+    each curve point is its ``math.exp``, and from the first zero factor on every point is 0.0.
     """
-    if depth < 1:
-        raise InvalidSpec(f"depth must be >= 1, got {depth}")
-    if p == 0:
-        curve = (1.0,) * depth
-        return PiBounds(p=0, lower=1.0, upper=1.0, decision="member", depth=depth,
-                        curve=curve, log_lower=0.0, log_upper=0.0)
-
-    eff_depth = max(depth, len(noise.prefix) + 1)
-
     log_upper = 0.0
     hit_zero = False
     curve = []
@@ -438,6 +428,32 @@ def pi_mu_bounds_per_level(noise, p, depth=DEFAULT_DEPTH, floor=DEFAULT_FLOOR):
         else:
             log_upper += lf
         curve.append(0.0 if hit_zero else math.exp(log_upper))
+    return log_upper, hit_zero, curve
+
+
+def pi_curve_per_level(noise, p, depth=DEFAULT_DEPTH):
+    """The partial products over the first 1, 2, ... levels of the whole window, uncut."""
+    if depth < 1:
+        raise InvalidSpec(f"depth must be >= 1, got {depth}")
+    eff_depth = max(depth, len(noise.prefix) + 1)
+    return [1.0] * eff_depth if p == 0 else _products_per_level(noise, p, eff_depth)[2]
+
+
+def pi_mu_bounds_per_level(noise, p, depth=DEFAULT_DEPTH, floor=DEFAULT_FLOOR):
+    """``torus.pi_mu_bounds`` with one scalar |char| evaluation per level of the window.
+
+    The whole curve is cut by a linear scan: it ends at the first level from
+    which its value never changes, or, for a frequency not decided 'member',
+    at its first level below the floor, whichever comes first.
+    """
+    if depth < 1:
+        raise InvalidSpec(f"depth must be >= 1, got {depth}")
+    eff_depth = max(depth, len(noise.prefix) + 1)
+    if p == 0:
+        return PiBounds(p=0, lower=1.0, upper=1.0, decision="member", depth=eff_depth,
+                        curve=(1.0,), log_lower=0.0, log_upper=0.0)
+
+    log_upper, hit_zero, curve = _products_per_level(noise, p, eff_depth)
     upper = 0.0 if hit_zero else math.exp(log_upper)
 
     decision = "undetermined"
@@ -465,9 +481,15 @@ def pi_mu_bounds_per_level(noise, p, depth=DEFAULT_DEPTH, floor=DEFAULT_FLOOR):
         elif upper < floor:
             decision = "null"
 
+    keep = len(curve)
+    while keep > 1 and curve[keep - 2] == curve[-1]:
+        keep -= 1
+    if decision != "member":
+        keep = min(keep, next((i + 1 for i, v in enumerate(curve) if v < floor), keep))
+
     lower = math.exp(log_lower) if math.isfinite(log_lower) else 0.0
     return PiBounds(
         p=p, lower=lower, upper=upper, decision=decision,
-        depth=eff_depth, curve=tuple(curve),
+        depth=eff_depth, curve=tuple(curve[:keep]),
         log_lower=log_lower, log_upper=(-math.inf if hit_zero else log_upper),
     )

@@ -15,6 +15,7 @@ from convlimit.groups import builtin_group
 from convlimit.limits import compute_limit, noise_from_spec
 from convlimit.solutions import extremal_ensemble, window_cut
 from convlimit.stats import verify_theorems
+from convlimit.torus import DEFAULT_P_MAX
 
 Z4_CASE_C_SPEC = {
     "group": {"kind": "builtin", "name": "Z4"},
@@ -65,8 +66,14 @@ class TestClassify:
         payload = json.loads((out / "classification.json").read_text())
         assert payload["p_mu"] == 2
         assert payload["case"] == "C"
-        assert (out / "pi_table.csv").exists()
-        assert (out / "pi_curves.csv").exists()
+        # --p-max left out examines the library's default frequencies
+        assert len((out / "pi_table.csv").read_text().splitlines()) == 1 + DEFAULT_P_MAX
+        # every curve ends at level 1: an even p's factors are all 1, and an odd p's first
+        # factor is already below the floor, which decides it null
+        rows = [r.split(",") for r in (out / "pi_curves.csv").read_text().splitlines()[1:]]
+        assert [(int(p), int(depth)) for p, depth, _ in rows] == [
+            (p, 1) for p in range(1, DEFAULT_P_MAX + 1)]
+        assert all(float(v) == 1.0 if int(p) % 2 == 0 else float(v) < 1e-12 for p, _, v in rows)
 
     def test_case_a(self, tmp_path):
         spec = write_spec(
@@ -698,6 +705,15 @@ MALFORMED_INPUTS = {
     "v-law-decompose-ensemble-file": (lambda t, p: [
         *_decompose_file(t, p), "--v-law", '{"kind": "haar"}'],
         "--v-law sets a fresh mixture's V law; an --ensemble file takes none"),
+    # each classify engine refuses a flag that only the other one reads
+    "torus-classify-eps": (lambda t, p: _command(t, "classify", TORUS_HALF_ATOMS_SPEC, "--torus",
+                                                 "--eps", "0.5"),
+                           "--eps is read only by classify without --torus"),
+    "torus-classify-max-depth": (lambda t, p: _command(t, "classify", TORUS_HALF_ATOMS_SPEC,
+                                                       "--torus", "--max-depth", "3"),
+                                 "--max-depth is read only by classify without --torus"),
+    "finite-classify-p-max": (lambda t, p: _command(t, "classify", Z4_CASE_C_SPEC, "--p-max", "64"),
+                              "--p-max is read only by classify with --torus"),
     "torus-dirac-without-x": (lambda t, p: _command(t, "classify", _torus_spec({"kind": "dirac"}),
                                                     "--torus"), "'x'"),
     "torus-atom-without-weight": (lambda t, p: _command(

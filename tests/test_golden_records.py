@@ -268,12 +268,12 @@ GOLDEN_TORUS = {
     "half-atoms": {
         "classification.json": "be27c4e96f8799ae373ff9811152471d93ed83a3e2ebf3be8e0fc19deb8f2936",
         "pi_table.csv": "29619fd02ed083a1c5a6a6b5fd4cb2663dec201c998d2f6259510aa87edcc59d",
-        "pi_curves.csv": "ab5d1f381bc3991b570f70a008a752995c9923b2a990db5f5e0ace45aa38317a",
+        "pi_curves.csv": "b9ef64ba22479394432bf972638de33c0c6fe0dd8db81455632526f1ed119924",
     },
     "gauss-schedule": {
         "classification.json": "f588d0c605d53876ebedfca1e3c88887140f7bc39febc2a49c31562d476c117c",
         "pi_table.csv": "dd4f8f1c01289612c7a940a45f0f813ac90e032e31754ee62c0e742847a5595c",
-        "pi_curves.csv": "8941cd8243b103b6496051a2014299d325a221b246b0b15f8d9f7f89fb9cd62d",
+        "pi_curves.csv": "2507e044e0c3ae868b65c53ffb3fe576d7885fee4ea9b1421ad430c3296e7655",
     },
 }
 

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import pi_mu_bounds_per_level
+from oracles import pi_curve_per_level, pi_mu_bounds_per_level
 from scipy.integrate import quad
 from scipy.special import ndtr
 
@@ -23,6 +23,7 @@ from convlimit.torus import (
     WrappedGaussianSpec,
     char_fn,
     DEFAULT_DEPTH,
+    DEFAULT_FLOOR,
     GAUSS_TRUNCATION_SIGMAS,
     compute_p_mu,
     discretize_to_cyclic,
@@ -212,6 +213,15 @@ class TestPiBounds:
         factor = math.exp(-2 * math.pi**2 * 0.1**2)
         assert b.upper == pytest.approx(factor**16, rel=1e-9)
 
+    def test_p_zero_reports_the_effective_window(self):
+        # a 3-level prefix widens a depth-1 window to 4 levels at every frequency
+        noise = TorusNoiseLaw(prefix=(DiracSpec(0.1), HALF_ATOMS, DiracSpec(0.3)),
+                              tail=PeriodicTail((DiracSpec(0.2),)))
+        b0, b1 = pi_mu_bounds(noise, 0, depth=1), pi_mu_bounds(noise, 1, depth=1)
+        assert b0.depth == b1.depth == 4
+        assert b0.curve == (1.0,)
+        assert repr(b0) == repr(pi_mu_bounds_per_level(noise, 0, depth=1))
+
 
 class TestComputePMu:
     def test_dirac_tail_is_case_b(self):
@@ -342,6 +352,21 @@ def test_bounds_match_per_level_oracle(name, depth):
         {p: want[p] for p in (0, 1, 2, p_max)}
     bounds = compute_p_mu(noise, p_max=p_max, depth=depth).bounds
     assert {p: repr(b) for p, b in bounds.items()} == {p: want[p] for p in range(1, p_max + 1)}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_NOISES) + sorted(BENCH_NOISES))
+def test_curve_is_the_per_level_curve_cut_where_nothing_is_decided(name):
+    """Each curve is a prefix of the whole per-level curve. Every value it drops equals its
+    last one, or the frequency is not a member and its last value is below the floor."""
+    noise, p_max = {**ORACLE_NOISES, **BENCH_NOISES}[name]
+    bounds = {0: pi_mu_bounds(noise, 0), **compute_p_mu(noise, p_max=p_max).bounds}
+    for p, b in bounds.items():
+        full = pi_curve_per_level(noise, p)
+        assert len(full) == b.depth
+        assert b.curve == tuple(full[:len(b.curve)])
+        dropped = full[len(b.curve):]
+        assert all(v == b.curve[-1] for v in dropped) or (
+            b.decision != "member" and b.curve[-1] < DEFAULT_FLOOR), (p, b.decision)
 
 
 class TestDiscretize:
