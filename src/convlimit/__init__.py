@@ -31,7 +31,6 @@ from .groups import (
     FiniteGroup,
     Section,
     Subgroup,
-    are_conjugate,
     builtin_group,
     conjugate_subgroup,
     cyclic_group,
@@ -40,7 +39,6 @@ from .groups import (
     direct_product,
     generated_subgroup,
     group_from_spec,
-    h_part,
     left_cosets,
     normal_closure,
     quaternion_group,
@@ -55,7 +53,6 @@ from .limits import (
     compute_limit,
     constant_noise,
     noise_from_spec,
-    partial_product,
     shape_distance,
     strong_subgroup,
     verify_conjugacy_uniqueness,
@@ -66,11 +63,9 @@ from .measures import (
     delta,
     haar,
     haar_subgroup,
-    is_haar_idempotent,
     measure_from_spec,
     right_stabilizer,
     sample,
-    translate_left,
     translate_right,
     tv_distance,
 )

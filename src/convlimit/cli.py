@@ -3,8 +3,8 @@
 Structured results are JSON, curves are CSV; both are written only after a
 command finishes, so malformed input never leaves partial output. Exit
 codes: 0 success, 1 verification failure, 2 spec/parse error, 3 no
-convergence within the depth budget, 4 indeterminate torus classification,
-5 other domain errors.
+convergence within the depth budget (classify and limit only), 4
+indeterminate torus classification, 5 other domain errors.
 """
 
 from __future__ import annotations
@@ -149,18 +149,13 @@ def _spec_and_out(args) -> tuple[dict, Path]:
     return spec, out
 
 
-def _limit_options(args) -> dict:
-    """The limit engine's keywords for the ``--eps`` and ``--max-depth`` given; a flag left
-    out (None) keeps the engine's default."""
-    return {key: value for key, value in (("eps_shape", args.eps), ("max_depth", args.max_depth))
-            if value is not None}
-
-
 def _enter(args) -> tuple[Path, NoiseLaw, LimitResult]:
-    """The entry of every finite-group command: its output directory, noise law and limit."""
+    """The entry of every finite-group command: its output directory, noise law and limit.
+    Only classify and limit take ``--eps`` and ``--max-depth``; one left out keeps the default."""
     spec, out = _spec_and_out(args)
     noise = noise_from_spec(spec)
-    return out, noise, compute_limit(noise, **_limit_options(args))
+    given = {"eps_shape": getattr(args, "eps", None), "max_depth": getattr(args, "max_depth", None)}
+    return out, noise, compute_limit(noise, **{k: v for k, v in given.items() if v is not None})
 
 
 def _subgroup_payload(result: LimitResult, members) -> dict:
@@ -206,7 +201,7 @@ def cmd_classify(args) -> int:
         "group_order": noise.group.order,
         "subgroup": _subgroup_payload(result, result.subgroup.members),
         "strong_subgroup": _subgroup_payload(result, strong.members),
-        "depth_used": result.depth_used,
+        "depth_used": result.depth_used,  # the certificate, read before any write
         "residuals": dict(result.residuals),
     }
     _write_json(out / "classification.json", payload)
@@ -216,16 +211,10 @@ def cmd_classify(args) -> int:
 
 def cmd_limit(args) -> int:
     out, noise, result = _enter(args)
-    check = verify_conjugacy_uniqueness(noise, result, **_limit_options(args))
-    payload = {
-        "command": "limit",
-        **result.to_json_dict(),
-        "conjugacy_uniqueness": {
-            "ok": check.ok,
-            "witness": check.witness,
-            "shape_gap": check.shape_gap,
-        },
-    }
+    payload = {"command": "limit", **result.to_json_dict()}  # reads the certificate first
+    check = verify_conjugacy_uniqueness(noise, result)
+    payload["conjugacy_uniqueness"] = {"ok": check.ok, "witness": check.witness,
+                                       "shape_gap": check.shape_gap}
     _write_json(out / "limit.json", payload)
     _write_csv(
         out / "shape_curve.csv",
@@ -243,16 +232,16 @@ def cmd_limit(args) -> int:
     return EXIT_OK
 
 
-def _build_ensemble_for(args, noise: NoiseLaw, result: LimitResult) -> Ensemble:
-    """Paths of ``--kind`` at the window's cut, the CLI's one sampling depth: no path reads
+def _build_ensemble_for(args, noise: NoiseLaw, result: LimitResult, kind: str) -> Ensemble:
+    """Paths of ``kind`` at the window's cut, the CLI's one sampling depth: no path reads
     a row below it, and the noise is drawn shallow-first, so deeper builds agree above it."""
-    if args.kind != "mixture" and args.v_law is not None:
-        raise InvalidSpec(f"--v-law sets a fresh mixture's V law; --kind {args.kind} takes none")
+    if kind != "mixture" and args.v_law is not None:
+        raise InvalidSpec(f"--v-law sets a fresh mixture's V law; --kind {kind} takes none")
     depth = window_cut(noise, result.k_min)
-    if args.kind == "uniform":
+    if kind == "uniform":
         return uniform_ensemble(noise, depth, args.paths, args.seed)
     ens = extremal_ensemble(noise, result, depth, args.paths, args.seed)
-    if args.kind == "extremal":
+    if kind == "extremal":
         return ens
     v_law = haar(noise.group) if args.v_law is None else measure_from_spec(noise.group, args.v_law)
     return general_ensemble(ens, v_law, args.seed + 1)
@@ -260,7 +249,7 @@ def _build_ensemble_for(args, noise: NoiseLaw, result: LimitResult) -> Ensemble:
 
 def cmd_simulate(args) -> int:
     out, noise, result = _enter(args)
-    ens = _build_ensemble_for(args, noise, result)
+    ens = _build_ensemble_for(args, noise, result, args.kind)
     _write_json(out / "ensemble.json", _simulate_payload(ens, result))
     print(f"simulated {ens.n_paths} {ens.kind} paths at depth {ens.depth}")
     return EXIT_OK
@@ -474,9 +463,11 @@ def _ensemble_from_file(path: str, group) -> Ensemble:
 def cmd_decompose(args) -> int:
     out, noise, result = _enter(args)
     if args.ensemble is None:
-        ens = _build_ensemble_for(args, noise, result)
+        ens = _build_ensemble_for(args, noise, result, args.kind or "mixture")
     elif args.v_law is not None:
         raise InvalidSpec("--v-law sets a fresh mixture's V law; an --ensemble file takes none")
+    elif args.kind is not None:
+        raise InvalidSpec("--kind sets a fresh ensemble's kind; an --ensemble file names its own")
     else:
         ens = _ensemble_from_file(args.ensemble, noise.group)
     # a uniform ensemble's window is its whole depth; factor it on the limit's window
@@ -555,15 +546,17 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, *, seeded: bool):
         p.add_argument("--input", required=True, help="path to the noise spec JSON")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--eps", type=_positive_float, default=None,
-                       help=f"shape stabilization tolerance (default {DEFAULT_EPS_SHAPE})")
-        p.add_argument("--max-depth", type=_positive_int, default=None,
-                       help=f"certification depth budget (default {DEFAULT_MAX_DEPTH})")
         if seeded:
             p.add_argument("--seed", type=_nonnegative_int, required=True,
                            help="RNG seed (required for reproducibility)")
             p.add_argument("--paths", type=_positive_int, default=10_000,
                            help="number of sample paths")
+        else:  # the commands that read the certified depth; sampling needs none
+            p.add_argument("--eps", type=_positive_float, default=None,
+                           help="shape distance below which a depth is certified "
+                                f"(default {DEFAULT_EPS_SHAPE})")
+            p.add_argument("--max-depth", type=_positive_int, default=None,
+                           help=f"certified depth budget, or exit 3 (default {DEFAULT_MAX_DEPTH})")
 
     p = sub.add_parser("classify", help="trichotomy case and subgroup / lattice generator")
     common(p, seeded=False)
@@ -585,7 +578,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="factor paths into (phi, U, V) with an audit")
     common(p, seeded=True)
-    p.add_argument("--kind", choices=ENSEMBLE_KINDS, default="mixture")
+    p.add_argument("--kind", choices=ENSEMBLE_KINDS, default=None,
+                   help="kind of fresh paths (default mixture); an --ensemble file names its own")
     p.add_argument("--v-law", type=_json_text, default=None,
                    help="measure spec JSON for the mixture V law (default Haar)")
     p.add_argument("--ensemble", default=None,

@@ -64,6 +64,7 @@ class BadRange(ConvLimitError):
 class NoConvergenceAtDepth(ConvLimitError):
     """Shape of the backward products did not certify within max_depth.
 
+    Raised when a limit's certificate is read, never by computing the limit.
     ``projected_depth`` is the exact depth the law certifies at, and ``rate``
     the contraction per level between the last two rungs of the squaring
     ladder (0.0 when a rung is exact); both are None when the ladder stalls at

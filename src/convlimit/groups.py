@@ -363,23 +363,6 @@ def default_section(space: CosetSpace) -> Section:
     return Section(space=space, representative=tuple(c[0] for c in space.cosets))
 
 
-def section_from_representatives(space: CosetSpace, reps: Sequence[int]) -> Section:
-    """A custom section; each representative must lie in its coset."""
-    if len(reps) != space.n_cosets:
-        raise InvalidSpec(f"expected {space.n_cosets} representatives, got {len(reps)}")
-    for cid, r in enumerate(reps):
-        if int(space.coset_of[int(r)]) != cid:
-            raise InvalidSpec(f"representative {r} does not lie in coset {cid}")
-    return Section(space=space, representative=tuple(int(r) for r in reps))
-
-
-def h_part(g: int, space: CosetSpace, section: Section) -> int:
-    """Residual subgroup factor: the h with s(gH) * h = g; always lies in H."""
-    s = section.of(g)
-    group = space.group
-    return int(group.mul[group.inv[s], g])
-
-
 def _conjugates(group: FiniteGroup, members: Sequence[int], by) -> np.ndarray:
     """Array of shape (len(by), len(members)) whose row i holds g^-1 h g for g = by[i]."""
     g = np.asarray(by, dtype=np.int64)[:, None]
@@ -392,17 +375,6 @@ def conjugate_subgroup(H: Subgroup, g: int) -> Subgroup:
     return Subgroup(group=H.group, members=tuple(members.tolist()))
 
 
-def are_conjugate(H1: Subgroup, H2: Subgroup) -> Optional[int]:
-    """Smallest g with g^{-1} H1 g = H2, or None if not conjugate."""
-    if not same_group(H1.group, H2.group):
-        raise NotASubgroup("subgroups of different groups")
-    if H1.order != H2.order:
-        return None
-    conj = np.sort(_conjugates(H1.group, H1.members, np.arange(H1.group.order)), axis=1)
-    hits = np.flatnonzero((conj == np.array(H2.members)).all(axis=1))
-    return int(hits[0]) if hits.size else None
-
-
 def normal_closure(group: FiniteGroup, H: Subgroup) -> Subgroup:
     """Smallest normal subgroup containing H.
 
@@ -412,11 +384,6 @@ def normal_closure(group: FiniteGroup, H: Subgroup) -> Subgroup:
     _require_subgroup_of(group, H)
     conj = _conjugates(group, H.members, np.arange(group.order))
     return generated_subgroup(group, np.unique(conj))
-
-
-def is_normal(group: FiniteGroup, H: Subgroup) -> bool:
-    conj = _conjugates(group, H.members, np.arange(group.order))
-    return bool(_member_mask(group, H.members)[conj].all())
 
 
 # ---------------------------------------------------------------------------

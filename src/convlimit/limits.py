@@ -6,13 +6,14 @@ measure on the normal closure K of S^-1 S inside <S>, S the support of B
 (Kawada-Ito 1940; Csiszar 1966). So the window's limit laws are omega_K at a
 tail period boundary with the noise above it convolved on top, aligned by a
 deterministic gauge with anchor a, and H = a^-1 K a; H = G, H = {e} and
-anything in between are the three cases. The certified depth comes from a
-squaring ladder over the powers of B, and every centering is a closed form.
+anything in between are the three cases, and every centering is a closed form.
+None of this reads a depth. The certified depth comes from a squaring ladder
+over the powers of B, run only when a result's certificate is first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from typing import Iterable, Iterator, Optional
 
@@ -142,26 +143,66 @@ class LimitResult:
     """Output of :func:`compute_limit`.
 
     ``lambdas`` maps k in [k_min, 0] to the limit law at k, ``anchor`` is the
-    gauge's translation and ``shape_history`` the ladder's rungs as (-depth,
-    shape distance), by depth. ``deepest_depth`` (2 depth_used) is reported,
-    not sampled from. ``prefix_len``, ``picks`` and ``top`` are the
-    centering data of :func:`extend_centerings`. ``case`` is 'A' iff the
-    subgroup is everything, 'B' iff it is trivial, 'C' otherwise.
+    gauge's translation, and ``prefix_len``, ``picks`` and ``top`` are the
+    centering data of :func:`extend_centerings`; all exact, at no depth.
+    ``case`` is 'A' iff the subgroup is everything, 'B' iff it is trivial,
+    'C' otherwise. ``block`` (B), ``omega`` (omega_K), ``eps_shape`` and
+    ``max_depth`` are the inputs of the ladder that :attr:`certificate` runs.
     """
 
     group: FiniteGroup
     lambdas: dict[int, Measure]
     subgroup: Subgroup
     case: str
-    depth_used: int
-    deepest_depth: int
     k_min: int
-    residuals: dict[str, float]
-    shape_history: tuple[tuple[int, float], ...]
     anchor: int
     prefix_len: int
     picks: tuple[int, ...]
     top: int
+    block: Measure = field(repr=False)
+    omega: Measure = field(repr=False)
+    eps_shape: float
+    max_depth: int
+    rounding_residuals: dict[str, float]  # conv_eq and haar_check, which need no depth
+
+    @cached_property
+    def certificate(self) -> tuple[int, tuple[tuple[int, float], ...], float]:
+        """(depth_used, the rungs as (-depth, shape distance) by depth, the distance at depth_used).
+
+        Runs the ladder on first read. depth_used is max(len(prefix), -k_min)
+        + (m + 1) P for the least m with shape_distance(B^m, omega_K) <
+        eps_shape: every window level's product down to it holds m whole
+        blocks, so it lies within eps_shape of its limit shape. Raises
+        :class:`NoConvergenceAtDepth` when depth_used exceeds max_depth, with
+        that depth, or when the ladder stalls at the float floor.
+        """
+        m, dist = _ladder(self.block, self.omega, self.eps_shape)
+        head, period = max(self.prefix_len, -self.k_min), len(self.picks) - 1
+        history = tuple((-(head + (e + 1) * period), d) for e, d in sorted(dist.items()))
+        if m is None:
+            raise NoConvergenceAtDepth(self.max_depth, history, None, None)
+        depth_used = head + (m + 1) * period
+        if depth_used > self.max_depth:
+            (l1, d1), (l2, d2) = history[-2:] if m else (history[0], history[0])
+            rate = (d2 / d1) ** (1 / (l1 - l2)) if min(d1, d2) > 0 else 0.0  # 0: an exact rung
+            raise NoConvergenceAtDepth(self.max_depth, history, rate, depth_used)
+        return depth_used, history, float(dist[m])
+
+    @property
+    def depth_used(self) -> int:
+        return self.certificate[0]
+
+    @property
+    def deepest_depth(self) -> int:  # reported, not sampled from
+        return 2 * self.depth_used
+
+    @property
+    def shape_history(self) -> tuple[tuple[int, float], ...]:
+        return self.certificate[1]
+
+    @property
+    def residuals(self) -> dict[str, float]:
+        return {"shape_stabilization": self.certificate[2], **self.rounding_residuals}
 
     @property
     def lambda0(self) -> Measure:
@@ -190,16 +231,6 @@ class LimitResult:
                 for k, mu in sorted(self.lambdas.items())
             },
         }
-
-
-def partial_product(noise: NoiseLaw, k: int, l: int) -> Measure:
-    """The backward product mu_k * mu_{k-1} * ... * mu_l."""
-    if k > 0 or l > 0 or k < l:
-        raise BadRange(f"need l <= k <= 0, got k={k}, l={l}")
-    acc = noise.measure_at(k)
-    for j in range(k - 1, l - 1, -1):
-        acc = convolve(acc, noise.measure_at(j))
-    return acc
 
 
 def shape_distance(mu: Measure, nu: Measure) -> tuple[float, int]:
@@ -295,11 +326,8 @@ def compute_limit(
 ) -> LimitResult:
     """Compute the limit laws, centering data, subgroup and case for a noise law.
 
-    ``depth_used`` is max(len(prefix), -k_min) + (m + 1) P for the least m
-    with shape_distance(B^m, omega_K) < eps_shape: at that depth every window
-    level's product holds m whole blocks, so it lies within eps_shape of its
-    limit shape. Raises :class:`NoConvergenceAtDepth` when depth_used exceeds
-    max_depth, with that depth, or when the ladder stalls at the float floor.
+    All of it is exact: no ladder runs. ``eps_shape`` and ``max_depth`` are
+    kept for :attr:`LimitResult.certificate`, which raises when it is read.
     """
     if eps_shape <= 0:
         raise InvalidSpec("eps_shape must be positive")
@@ -309,17 +337,6 @@ def compute_limit(
 
     block, K, picks = _tail_block(noise)
     omega = haar_subgroup(group, K)
-    m, dist = _ladder(block, omega, eps_shape)
-    head = max(p, -k_min)
-    history = tuple((-(head + (e + 1) * period), d) for e, d in sorted(dist.items()))
-    if m is None:
-        raise NoConvergenceAtDepth(max_depth, history, None, None)
-    depth_used = head + (m + 1) * period
-    if depth_used > max_depth:
-        (l1, d1), (l2, d2) = history[-2:] if m else (history[0], history[0])
-        rate = (d2 / d1) ** (1 / (l1 - l2)) if min(d1, d2) > 0 else 0.0  # 0: an exact rung
-        raise NoConvergenceAtDepth(max_depth, history, rate, depth_used)
-
     # omega_K at the first tail period boundary below the window, the noise above it
     blocks = max(0, -((p - 1 + k_min) // period))
     base = -(p + blocks * period)
@@ -339,13 +356,11 @@ def compute_limit(
     for _ in range(blocks):  # lambda at the top tail level is B^blocks omega_K delta_anchor
         top = int(group.mul[b, top])
 
-    residuals = {"shape_stabilization": float(dist[m]), "conv_eq": float(conv_eq),
-                 "haar_check": float(haar_check)}
     return LimitResult(
-        group=group, lambdas=lambdas, subgroup=H, case=_case_of(group, H),
-        depth_used=depth_used, deepest_depth=2 * depth_used, k_min=k_min,
-        residuals=residuals, shape_history=history, anchor=anchor,
-        prefix_len=p, picks=picks, top=top,
+        group=group, lambdas=lambdas, subgroup=H, case=_case_of(group, H), k_min=k_min,
+        anchor=anchor, prefix_len=p, picks=picks, top=top, block=block, omega=omega,
+        eps_shape=eps_shape, max_depth=max_depth,
+        rounding_residuals={"conv_eq": float(conv_eq), "haar_check": float(haar_check)},
     )
 
 
@@ -390,23 +405,18 @@ class ConjugacyCheck:
     subgroups_match: bool
 
 
-def verify_conjugacy_uniqueness(
-    noise: NoiseLaw,
-    result: LimitResult,
-    *,
-    eps_shape: float = DEFAULT_EPS_SHAPE,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-) -> ConjugacyCheck:
+def verify_conjugacy_uniqueness(noise: NoiseLaw, result: LimitResult) -> ConjugacyCheck:
     """Check that two independent gauge conventions agree up to conjugation.
 
     ``result`` is the max-weight anchor run of :func:`compute_limit`; the
-    min-support anchor is run here. Finds g with
-    tv(lambda~_0, lambda_0 * delta_g) <= 10 eps_shape and g^{-1} H g = H~.
+    min-support anchor is run here, with the result's ``eps_shape`` and
+    ``max_depth``. Finds g with tv(lambda~_0, lambda_0 * delta_g) <= 10
+    eps_shape and g^{-1} H g = H~. No ladder runs.
     """
-    res2 = compute_limit(noise, eps_shape=eps_shape, max_depth=max_depth,
+    res2 = compute_limit(noise, eps_shape=result.eps_shape, max_depth=result.max_depth,
                          gauge=GAUGE_MIN_SUPPORT)
     gap, witness = shape_distance(result.lambda0, res2.lambda0)
     conj = conjugate_subgroup(result.subgroup, witness)
     match = conj.members == res2.subgroup.members
-    ok = gap <= 10 * eps_shape and match
+    ok = gap <= 10 * result.eps_shape and match
     return ConjugacyCheck(ok=ok, witness=witness, shape_gap=gap, subgroups_match=match)

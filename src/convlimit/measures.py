@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import GroupMismatch, InvalidSpec, NotASubgroup, NotClosedAtTolerance
+from .errors import GroupMismatch, InvalidSpec, NotClosedAtTolerance
 from .groups import FiniteGroup, Subgroup, closure_break, is_integer, is_number, same_group, subgroup
 
 WEIGHT_SUM_TOL = 1e-12
@@ -115,12 +115,6 @@ def translate_right(mu: Measure, g: int) -> Measure:
     return Measure(grp, mu.weights[grp.mul[:, grp.inv[g]]])
 
 
-def translate_left(g: int, mu: Measure) -> Measure:
-    """delta_g * mu; a permutation of the weights."""
-    grp = mu.group
-    return Measure(grp, mu.weights[grp.mul[grp.inv[g], :]])
-
-
 def tv_distance(mu: Measure, nu: Measure) -> float:
     """Total variation distance, in [0, 1]."""
     _require_same_group(mu, nu)
@@ -151,21 +145,6 @@ def right_stabilizer(mu: Measure, tol: float = STABILIZER_TOL) -> Subgroup:
     if broken is not None:
         raise NotClosedAtTolerance(broken, int(grp.mul[broken]), tol)
     return subgroup(grp, members)
-
-
-def is_haar_idempotent(mu: Measure, tol: float = STABILIZER_TOL) -> Optional[Subgroup]:
-    """The subgroup H with mu = omega_H if mu is a Haar idempotent, else None."""
-    grp = mu.group
-    support = [g for g in range(grp.order) if mu.weights[g] > tol]
-    try:
-        H = subgroup(grp, support)
-    except NotASubgroup:
-        return None
-    if tv_distance(mu, haar_subgroup(grp, H)) > tol:
-        return None
-    if tv_distance(convolve(mu, mu), mu) > tol:
-        return None
-    return H
 
 
 def inverse_cdf(mu: Measure, u: np.ndarray) -> np.ndarray:

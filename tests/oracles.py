@@ -11,8 +11,23 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from convlimit.errors import CosetNotStabilized, GridMismatch, InvalidSpec, NoConvergenceAtDepth
-from convlimit.groups import full_subgroup, generated_subgroup, left_cosets, trivial_subgroup
+from convlimit.errors import (
+    BadRange,
+    CosetNotStabilized,
+    GridMismatch,
+    InvalidSpec,
+    NoConvergenceAtDepth,
+    NotASubgroup,
+)
+from convlimit.groups import (
+    Section,
+    conjugate_subgroup,
+    full_subgroup,
+    generated_subgroup,
+    left_cosets,
+    subgroup,
+    trivial_subgroup,
+)
 from convlimit.limits import (
     GAUGE_MAX_WEIGHT,
     GAUGE_MIN_SUPPORT,
@@ -21,7 +36,15 @@ from convlimit.limits import (
     extend_centerings,
     shape_distance,
 )
-from convlimit.measures import all_right_translates, convolve, right_stabilizer, translate_right
+from convlimit.measures import (
+    Measure,
+    all_right_translates,
+    convolve,
+    haar_subgroup,
+    right_stabilizer,
+    translate_right,
+    tv_distance,
+)
 from convlimit.solutions import _PURPOSE_XI, _stream, centered_window, recursion_break, sample_noise
 from convlimit.stats import DepthRecord
 from convlimit.torus import (
@@ -107,6 +130,56 @@ def enumerate_subgroups(group):
             if add(joined):
                 changed = True
     return sorted(found.values(), key=lambda h: (h.order, h.members))
+
+
+def are_conjugate(H1, H2):
+    """Smallest g with g^-1 H1 g = H2, or None: one conjugation per group element."""
+    for g in range(H1.group.order):
+        if conjugate_subgroup(H1, g).members == H2.members:
+            return g
+    return None
+
+
+def is_normal(group, H):
+    """Whether g^-1 H g = H for every group element g."""
+    return all(conjugate_subgroup(H, g).members == H.members for g in range(group.order))
+
+
+def section_from_representatives(space, reps):
+    """A section of the coset space with the given representatives, one per coset in order."""
+    if len(reps) != space.n_cosets:
+        raise InvalidSpec(f"expected {space.n_cosets} representatives, got {len(reps)}")
+    for cid, r in enumerate(reps):
+        if int(space.coset_of[int(r)]) != cid:
+            raise InvalidSpec(f"representative {r} does not lie in coset {cid}")
+    return Section(space=space, representative=tuple(int(r) for r in reps))
+
+
+def h_part(g, space, section):
+    """The h with s(gH) h = g, which lies in H."""
+    group = space.group
+    return int(group.mul[group.inv[section.of(g)], g])
+
+
+def translate_left(g, mu):
+    """delta_g * mu: the weight of x moves to g x."""
+    grp = mu.group
+    weights = np.zeros(grp.order)
+    for x in range(grp.order):
+        weights[grp.mul[g, x]] = mu.weights[x]
+    return Measure(grp, weights)
+
+
+def is_haar_idempotent(mu, tol=1e-9):
+    """The subgroup H with mu = omega_H (up to tol) if mu is a Haar idempotent, else None."""
+    grp = mu.group
+    try:
+        H = subgroup(grp, [g for g in range(grp.order) if mu.weights[g] > tol])
+    except NotASubgroup:
+        return None
+    if tv_distance(mu, haar_subgroup(grp, H)) > tol or tv_distance(convolve(mu, mu), mu) > tol:
+        return None
+    return H
 
 
 def recursion_holds(group, xi, eta, depth, k_min):
@@ -228,6 +301,16 @@ def ensemble_records(ens):
         rec["V"] = int(ens.V[i]) if ens.V is not None else None
         out.append(rec)
     return out
+
+
+def partial_product(noise, k, l):
+    """The backward product mu_k * mu_{k-1} * ... * mu_l."""
+    if k > 0 or l > 0 or k < l:
+        raise BadRange(f"need l <= k <= 0, got k={k}, l={l}")
+    acc = noise.measure_at(k)
+    for j in range(k - 1, l - 1, -1):
+        acc = convolve(acc, noise.measure_at(j))
+    return acc
 
 
 def all_centerings(noise, result, depth):

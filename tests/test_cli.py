@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_golden_records import write_simulated
+from test_golden_records import _digest, write_simulated
 from test_solutions import Q8_CASE_B_PREFIX_SPEC, S3_NEAR_SYMMETRY_SPEC
 
-from convlimit import cli, stats
+from convlimit import cli, limits, stats
 from convlimit.cli import main
 from convlimit.groups import builtin_group
 from convlimit.limits import compute_limit, noise_from_spec
@@ -196,10 +196,8 @@ class TestSimulate:
     def test_file_stops_at_the_cut_however_deep_the_certified_depth(self, tmp_path):
         # the lazy walk on Z100 certifies at depth 41 081; no row below the
         # cut 9 is drawn, though 2 x 41 081 rows were written before
-        spec = write_spec(tmp_path, {
-            "group": {"kind": "builtin", "name": "Zn:100"},
-            "tail": {"kind": "constant", "mu": {"kind": "weights", "w": [0.5, 0.5] + [0] * 98}}})
-        common = ["--input", str(spec), "--seed", "1", "--max-depth", "100000"]
+        spec = write_spec(tmp_path, _lazy_walk(100))
+        common = ["--input", str(spec), "--seed", "1"]
         assert main(["simulate", *common, "--out", str(tmp_path / "sim"), "--paths", "100"]) == 0
         payload = json.loads((tmp_path / "sim" / "ensemble.json").read_text())
         assert (payload["depth"], payload["k_min"]) == (9, -8)
@@ -324,6 +322,93 @@ class TestDecompose:
         rc = main(["decompose", "--input", str(spec), "--out", str(tmp_path),
                    "--seed", "5", "--ensemble", str(tmp_path / "nope.json")])
         assert rc == 2
+
+
+def _lazy_walk(n):
+    """The spec of 1/2 delta_0 + 1/2 delta_1 on Z_n, case A."""
+    mu = {"kind": "weights", "w": [0.5, 0.5] + [0] * (n - 2)}
+    return {"group": {"kind": "builtin", "name": f"Zn:{n}"}, "tail": {"kind": "constant", "mu": mu}}
+
+
+def _refuse_ladder(*args):
+    raise AssertionError("the squaring ladder ran")
+
+
+# SHA-256 of each file that the sampling commands of the test below write on the Z4
+# case-C spec, generated_at removed, as written when every command still ran the ladder
+Z4_SAMPLING_GOLDEN = {
+    "simulate-extremal/ensemble.json":
+        "0c0e225d2cb6e6f1fc639819b0aaf6d7c97a7c90ac10021a971b1f4b473537f9",
+    "simulate-mixture/ensemble.json":
+        "45ffe56465916a99e025352a0b768e2ff862d5915ebb4560b659a7648c371150",
+    "simulate-uniform/ensemble.json":
+        "c235a46f3e3603abe66646e064ed782c6a3d903bdc08941622552033f6e5b3da",
+    "decompose-fresh/decomposition.json":
+        "20f75263df0f3b4ab32fea1698976407a909580687e13feaa73c612ce2163888",
+    "decompose-file/decomposition.json":
+        "20f75263df0f3b4ab32fea1698976407a909580687e13feaa73c612ce2163888",
+    "verify/report.json": "c46c3dc46ac4057afcdb89f79ccb526e1e62c3788960d33713ee3fbacc0d9bd9",
+    "verify/report_curves.csv": "5c0bdf4019e011498981265803d20231c72a421a7ab7415d8ad1cb27377ead26",
+}
+
+
+class TestNoDepthWithoutACertificate:
+    """Only classify and limit read the certified depth, so only they run the squaring ladder."""
+
+    def test_sampling_commands_run_no_ladder(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(limits, "_ladder", _refuse_ladder)
+        spec = write_spec(tmp_path, Z4_CASE_C_SPEC)
+        seeded = ["--seed", "7", "--paths", "200"]
+        runs = {**{f"simulate-{kind}": ["simulate", *seeded, "--kind", kind]
+                   for kind in cli.ENSEMBLE_KINDS},
+                "decompose-fresh": ["decompose", *seeded],
+                "decompose-file": ["decompose", "--seed", "7", "--ensemble",
+                                   str(tmp_path / "simulate-mixture" / "ensemble.json")],
+                "verify": ["verify", "--seed", "21", "--paths", "2000"]}
+        digests = {}
+        for name, (command, *rest) in runs.items():
+            out = tmp_path / name
+            assert main([command, "--input", str(spec), "--out", str(out), *rest]) == 0
+            digests.update({f"{name}/{f.name}": _digest(f) for f in out.iterdir()})
+        assert digests == Z4_SAMPLING_GOLDEN
+
+    def test_limit_runs_one_ladder(self, tmp_path, monkeypatch):
+        calls = []
+        ladder = limits._ladder
+        monkeypatch.setattr(limits, "_ladder", lambda *a: calls.append(1) or ladder(*a))
+        spec = write_spec(tmp_path, Z4_CASE_C_SPEC)
+        assert main(["limit", "--input", str(spec), "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("command", ["classify", "limit"])
+    def test_exit_3_writes_nothing(self, tmp_path, command):
+        spec = write_spec(tmp_path, Z4_CASE_C_SPEC)
+        out = tmp_path / "out"
+        assert main([command, "--input", str(spec), "--out", str(out), "--max-depth", "5"]) == 3
+        assert list(out.iterdir()) == []
+
+    def test_z500_lazy_walk_samples_at_the_default_flags(self, tmp_path):
+        # certified only at depth 1 026 979, past the default --max-depth 4096, which
+        # once refused these commands; the files are those written at --max-depth 2 000 000
+        spec = write_spec(tmp_path, _lazy_walk(500))
+        common = ["--input", str(spec), "--seed", "3", "--paths", "200"]
+        assert main(["simulate", *common, "--out", str(tmp_path / "sim")]) == 0
+        assert main(["decompose", *common, "--out", str(tmp_path / "dec")]) == 0
+        assert _digest(tmp_path / "sim" / "ensemble.json") == (
+            "cd61e7ce6ada3c1ce4503b760142660d74d28296e57f4c5eca2a27312a1cd3c5")
+        assert _digest(tmp_path / "dec" / "decomposition.json") == (
+            "2bf610389e1a8074da30ff559fac4c71f8355532baafffb581180a16d2d3917d")
+
+    def test_z100_lazy_walk_verifies_at_the_default_flags(self, tmp_path):
+        # certified at depth 41 081; the report is the one written at --max-depth 100 000
+        spec = write_spec(tmp_path, _lazy_walk(100))
+        out = tmp_path / "out"
+        assert main(["verify", "--input", str(spec), "--out", str(out),
+                     "--seed", "1", "--paths", "10000"]) == 0
+        assert {f: _digest(out / f) for f in ("report.json", "report_curves.csv")} == {
+            "report.json": "8933dfa2d8fc43c28dc714c726f72507525ea8e5e3ba2de5879287430db51406",
+            "report_curves.csv": "cbc9ba9dd268d251dfcba3cdddaa5ad7c48e35161bc1c49f2af6ac9d180727cc",
+        }
 
 
 class TestVerify:
@@ -705,6 +790,15 @@ MALFORMED_INPUTS = {
     "v-law-decompose-ensemble-file": (lambda t, p: [
         *_decompose_file(t, p), "--v-law", '{"kind": "haar"}'],
         "--v-law sets a fresh mixture's V law; an --ensemble file takes none"),
+    "kind-decompose-ensemble-file": (lambda t, p: [*_decompose_file(t, p), "--kind", "mixture"],
+                                     "--kind sets a fresh ensemble's kind; "
+                                     "an --ensemble file names its own"),
+    # only classify and limit read the certified depth, so only they take its flags
+    **{f"{flag[2:]}-{command}": (
+        lambda t, p, command=command, flag=flag: _command(
+            t, command, Z4_CASE_C_SPEC, "--seed", "1", "--paths", "5", flag, "3"),
+        f"unrecognized arguments: {flag}")
+       for command in ("simulate", "decompose", "verify") for flag in ("--eps", "--max-depth")},
     # each classify engine refuses a flag that only the other one reads
     "torus-classify-eps": (lambda t, p: _command(t, "classify", TORUS_HALF_ATOMS_SPEC, "--torus",
                                                  "--eps", "0.5"),

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import associativity_witness, brute_force_subgroups, enumerate_subgroups
+from oracles import (
+    are_conjugate,
+    associativity_witness,
+    brute_force_subgroups,
+    enumerate_subgroups,
+    h_part,
+    is_normal,
+    section_from_representatives,
+)
 
 from convlimit.errors import (
     InvalidSpec,
@@ -14,7 +22,6 @@ from convlimit.errors import (
     NotAssociative,
 )
 from convlimit.groups import (
-    are_conjugate,
     builtin_group,
     conjugate_subgroup,
     cyclic_group,
@@ -24,12 +31,9 @@ from convlimit.groups import (
     full_subgroup,
     generated_subgroup,
     group_from_spec,
-    h_part,
-    is_normal,
     left_cosets,
     normal_closure,
     quaternion_group,
-    section_from_representatives,
     subgroup,
     symmetric_group,
     trivial_subgroup,

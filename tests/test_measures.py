@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import enumerate_subgroups
+from oracles import enumerate_subgroups, is_haar_idempotent, translate_left
 
 from convlimit.errors import GroupMismatch, InvalidSpec, NotClosedAtTolerance
 from convlimit.groups import (
@@ -21,12 +21,10 @@ from convlimit.measures import (
     delta,
     haar,
     haar_subgroup,
-    is_haar_idempotent,
     inverse_cdf,
     measure_from_spec,
     right_stabilizer,
     sample,
-    translate_left,
     translate_right,
     tv_distance,
 )

@@ -10,6 +10,7 @@ from oracles import (
     extremal_from_xi,
     recursion_holds,
     sample_noise_per_level,
+    section_from_representatives,
     torus_decompose,
 )
 from test_golden_records import SPECS as GOLDEN_SPECS
@@ -21,7 +22,6 @@ from convlimit.groups import (
     cyclic_group,
     default_section,
     left_cosets,
-    section_from_representatives,
     subgroup,
     symmetric_group,
 )
