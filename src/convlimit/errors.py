@@ -18,18 +18,18 @@ class NoIdentity(ConvLimitError):
 class NoInverse(ConvLimitError):
     """Some element has no right inverse; carries the element index."""
 
-    def __init__(self, element: int, message: str | None = None):
+    def __init__(self, element: int):
         self.element = element
-        super().__init__(message or f"element {element} has no inverse")
+        super().__init__(f"element {element} has no inverse")
 
 
 class NotAssociative(ConvLimitError):
     """Associativity fails; carries a witnessing triple (a, b, c)."""
 
-    def __init__(self, triple: tuple[int, int, int], message: str | None = None):
+    def __init__(self, triple: tuple[int, int, int]):
         self.triple = triple
         a, b, c = triple
-        super().__init__(message or f"(a*b)*c != a*(b*c) for (a, b, c) = ({a}, {b}, {c})")
+        super().__init__(f"(a*b)*c != a*(b*c) for (a, b, c) = ({a}, {b}, {c})")
 
 
 class NotASubgroup(ConvLimitError):
@@ -93,12 +93,9 @@ class NotRepresentable(ConvLimitError):
 class Indeterminate(ConvLimitError):
     """Some torus frequencies could not be decided and the gcd depends on them."""
 
-    def __init__(self, undecided: tuple[int, ...], message: str | None = None):
+    def __init__(self, undecided: tuple[int, ...]):
         self.undecided = undecided
-        super().__init__(
-            message
-            or f"membership of p in {list(undecided)} is undecided and affects the gcd"
-        )
+        super().__init__(f"membership of p in {list(undecided)} is undecided and affects the gcd")
 
 
 class GridMismatch(ConvLimitError):

@@ -17,9 +17,8 @@ check read each level's law from NoiseLaw.law_runs. Uniforms are drawn only
 down to the last level whose law is not a point mass (NoiseLaw.random_levels);
 in case B, where every tail law is a point mass, that is the random prefix.
 
-Ensembles are generated in fixed-size chunks, each chunk on its own RNG
-stream keyed by (seed, purpose, chunk), so results are identical for any
-thread count; CONV_LIMIT_THREADS, a positive integer, caps the worker pool.
+Ensembles are generated in fixed-size chunks, in order on one thread, each
+chunk on its own RNG stream keyed by (seed, purpose, chunk).
 Every array is level-major, from the draw through the walk to the stored
 :class:`Ensemble`: one contiguous row of paths per level, in the group's
 narrow id dtype. Only the record text of :meth:`Ensemble.to_records` lays a
@@ -29,8 +28,6 @@ and those of the arrays recursion_break and centered_window take, are read off.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -65,29 +62,14 @@ def _stream(seed: int, purpose: int, chunk: int) -> np.random.Generator:
 
 
 def _max_workers() -> int:
-    raw = os.environ.get("CONV_LIMIT_THREADS", "1")
-    if not raw.strip().isdecimal() or int(raw) < 1:
-        raise InvalidSpec(f"CONV_LIMIT_THREADS must be a positive integer, got {raw!r}")
-    return int(raw)
+    """Always 1: the chunks run in order on one thread. Read only by the benchmark's host line."""
+    return 1
 
 
 def _chunks(n_paths: int) -> list[tuple[int, int, int]]:
-    """(chunk_index, start, size) triples; chunking is independent of threads."""
+    """(chunk_index, start, size) triples over n_paths, in path order."""
     return [(idx, start, min(CHUNK_SIZE, n_paths - start))
             for idx, start in enumerate(range(0, n_paths, CHUNK_SIZE))]
-
-
-def _run_chunks(n_paths: int, worker: Callable[[int, int, int], None]) -> None:
-    chunks = _chunks(n_paths)
-    workers = _max_workers()
-    if workers == 1 or len(chunks) == 1:
-        for idx, start, size in chunks:
-            worker(idx, start, size)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(worker, idx, start, size) for idx, start, size in chunks]
-        for f in futures:
-            f.result()
 
 
 def _level_row(k: int, bottom: int, name: str) -> int:
@@ -295,14 +277,11 @@ def uniform_ensemble(noise: NoiseLaw, depth: int, n_paths: int, seed: int) -> En
     omega = haar(group)
     xi = np.empty((depth + 1, n_paths), dtype=group.id_dtype)
     eta = np.empty((depth + 1, n_paths), dtype=group.id_dtype)
-
-    def worker(idx: int, start: int, size: int) -> None:
+    for idx, start, size in _chunks(n_paths):
         paths = slice(start, start + size)
         block_xi = xi[:, paths] = sample_noise(noise, depth, size, seed, idx)
         state = sample(omega, _stream(seed, _PURPOSE_INIT, idx), size=size)
         _walk(group, _flat_index(group, block_xi), state, out=eta[:, paths])
-
-    _run_chunks(n_paths, worker)
     return Ensemble(group=group, kind="uniform", seed=seed, xi=xi, eta=eta)
 
 
@@ -402,8 +381,7 @@ def extremal_ensemble(
     eta = np.empty((w, n_paths), dtype=dtype)
     phi = np.empty((w, n_paths), dtype=dtype)
     U = np.empty((w, n_paths), dtype=dtype)
-
-    def worker(idx: int, start: int, size: int) -> None:
+    for idx, start, size in _chunks(n_paths):
         paths = slice(start, start + size)
         block_xi = xi[:, paths] = sample_noise(noise, depth, size, seed, idx)
         if u0 is None:
@@ -416,8 +394,6 @@ def extremal_ensemble(
         be = eta[:, paths] = _product(group, full, h)
         phi[:, paths] = bp
         U[:, paths] = _product(group, inv[bp], be)
-
-    _run_chunks(n_paths, worker)
     return Ensemble(group=group, kind="extremal", seed=seed, xi=xi, eta=eta, phi=phi, U=U)
 
 
@@ -430,11 +406,8 @@ def general_ensemble(extremal: Ensemble, v_law: Measure, seed: int) -> Ensemble:
     group = extremal.group
     n_paths = extremal.n_paths
     V = np.empty(n_paths, dtype=group.id_dtype)
-
-    def worker(idx: int, start: int, size: int) -> None:
+    for idx, start, size in _chunks(n_paths):
         V[start:start + size] = sample(v_law, _stream(seed, _PURPOSE_V, idx), size=size)
-
-    _run_chunks(n_paths, worker)
     return Ensemble(group=group, kind="mixture", seed=seed, xi=extremal.xi,
                     eta=_product(group, extremal.eta, V), phi=extremal.phi, U=extremal.U, V=V)
 

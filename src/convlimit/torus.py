@@ -216,7 +216,6 @@ def pi_mu_bounds(
     noise: TorusNoiseLaw,
     p: int,
     depth: int = DEFAULT_DEPTH,
-    floor: float = DEFAULT_FLOOR,
 ) -> PiBounds:
     """Lower/upper bounds on the product of |char| factors over all k <= 0.
 
@@ -230,11 +229,11 @@ def pi_mu_bounds(
         _, levels, sd2 = window
         return PiBounds(p=0, lower=1.0, upper=1.0, decision="member",
                         depth=levels.size + sd2.size, curve=(1.0,), log_lower=0.0, log_upper=0.0)
-    return _pi_bounds(noise, p, *window, floor)
+    return _pi_bounds(noise, p, *window)
 
 
 def _pi_bounds(noise: TorusNoiseLaw, p: int, measures: list[TorusMeasureSpec],
-               levels: np.ndarray, sd2: np.ndarray, floor: float) -> PiBounds:
+               levels: np.ndarray, sd2: np.ndarray) -> PiBounds:
     """:func:`pi_mu_bounds` at p != 0, with one |char| per distinct explicit measure."""
     explicit = np.array([_log_abs_char(m, p) for m in measures], dtype=float)[levels]
     # formula levels: _log_abs_char's Gaussian rule, same order of operations, one array product
@@ -271,7 +270,7 @@ def _pi_bounds(noise: TorusNoiseLaw, p: int, measures: list[TorusMeasureSpec],
     if decision == "undetermined":
         if math.isfinite(log_lower):
             decision = "member"
-        elif upper < floor:
+        elif upper < DEFAULT_FLOOR:
             decision = "null"
 
     def value(level: int) -> float:
@@ -283,7 +282,8 @@ def _pi_bounds(noise: TorusNoiseLaw, p: int, measures: list[TorusMeasureSpec],
     levels = range(1, eff_depth + 1)
     cut = bisect.bisect_left(levels, True, key=lambda level: value(level) == upper)
     if decision != "member":
-        cut = min(cut, bisect.bisect_left(levels, True, key=lambda level: value(level) < floor))
+        cut = min(cut, bisect.bisect_left(levels, True,
+                                          key=lambda level: value(level) < DEFAULT_FLOOR))
     lower = math.exp(log_lower) if math.isfinite(log_lower) else 0.0
     return PiBounds(
         p=p, lower=lower, upper=upper, decision=decision,
@@ -332,7 +332,6 @@ def compute_p_mu(
     *,
     p_max: int = DEFAULT_P_MAX,
     depth: int = DEFAULT_DEPTH,
-    floor: float = DEFAULT_FLOOR,
 ) -> TorusClassification:
     """Detect the lattice of frequencies with a positive product and its generator.
 
@@ -342,7 +341,7 @@ def compute_p_mu(
     if p_max < 1:
         raise InvalidSpec(f"p_max must be >= 1, got {p_max}")
     window = _window(noise, depth)
-    bounds = {p: _pi_bounds(noise, p, *window, floor) for p in range(1, p_max + 1)}
+    bounds = {p: _pi_bounds(noise, p, *window) for p in range(1, p_max + 1)}
     members = [p for p, b in bounds.items() if b.decision == "member"]
     undecided = tuple(p for p, b in bounds.items() if b.decision == "undetermined")
 
@@ -463,8 +462,8 @@ def torus_measure_from_spec(obj: dict) -> TorusMeasureSpec:
             return DiracSpec(_number(obj["x"]))
         if kind == "atoms":
             pts = obj.get("points")
-            if not pts:
-                raise InvalidSpec("atoms spec requires a non-empty 'points' list")
+            if not isinstance(pts, list) or not pts:
+                raise InvalidSpec("atoms spec 'points' must be a non-empty list of [x, w] pairs")
             return AtomsSpec(tuple((_number(x), _number(w)) for x, w in pts))
         if kind == "uniform":
             return UniformIntervalSpec(_number(obj["a"]), _number(obj["b"]))
@@ -498,13 +497,20 @@ def torus_noise_from_spec(obj: dict) -> TorusNoiseLaw:
         if t["kind"] in ("constant", "periodic"):
             # a constant tail is the periodic tail of period 1
             mus = [t["mu"]] if t["kind"] == "constant" else t.get("mus")
-            if not mus:
+            if not isinstance(mus, list) or not mus:
                 raise InvalidSpec("periodic tail spec requires a non-empty 'mus' list")
             tail: TorusTail = PeriodicTail(tuple(torus_measure_from_spec(m) for m in mus))
         elif t["kind"] == "gauss_schedule":
-            head = tuple(_number(s) for s in t.get("head", []))
-            tail = GaussianSchedule(coeff=_number(t.get("c", 0.1)), ratio=_number(t.get("r", 1.0)))
-            prefix += tuple(WrappedGaussianSpec(0.0, s) for s in head)
+            head = t.get("head", [])
+            if not isinstance(head, list):
+                raise InvalidSpec(f"gauss_schedule tail 'head' must be a list of numbers, "
+                                  f"got {head!r}")
+            sds = tuple(_number(s) for s in head)
+            # only the keys the spec gives: GaussianSchedule holds the defaults
+            tail = GaussianSchedule(**{field: _number(t[key])
+                                       for key, field in (("c", "coeff"), ("r", "ratio"))
+                                       if key in t})
+            prefix += tuple(WrappedGaussianSpec(0.0, s) for s in sds)
         else:
             raise InvalidSpec(f"unknown torus tail kind {t['kind']!r}")
     except KeyError as exc:

@@ -522,7 +522,7 @@ def pi_curve_per_level(noise, p, depth=DEFAULT_DEPTH):
     return [1.0] * eff_depth if p == 0 else _products_per_level(noise, p, eff_depth)[2]
 
 
-def pi_mu_bounds_per_level(noise, p, depth=DEFAULT_DEPTH, floor=DEFAULT_FLOOR):
+def pi_mu_bounds_per_level(noise, p, depth=DEFAULT_DEPTH):
     """``torus.pi_mu_bounds`` with one scalar |char| evaluation per level of the window.
 
     The whole curve is cut by a linear scan: it ends at the first level from
@@ -561,14 +561,14 @@ def pi_mu_bounds_per_level(noise, p, depth=DEFAULT_DEPTH, floor=DEFAULT_FLOOR):
     if decision == "undetermined":
         if math.isfinite(log_lower):
             decision = "member"
-        elif upper < floor:
+        elif upper < DEFAULT_FLOOR:
             decision = "null"
 
     keep = len(curve)
     while keep > 1 and curve[keep - 2] == curve[-1]:
         keep -= 1
     if decision != "member":
-        keep = min(keep, next((i + 1 for i, v in enumerate(curve) if v < floor), keep))
+        keep = min(keep, next((i + 1 for i, v in enumerate(curve) if v < DEFAULT_FLOOR), keep))
 
     lower = math.exp(log_lower) if math.isfinite(log_lower) else 0.0
     return PiBounds(

@@ -211,15 +211,20 @@ class TestSimulate:
             main(["simulate", "--input", str(spec), "--out", str(tmp_path)])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("value", ["two", "0", "-3"])
-    def test_malformed_thread_count_exits_2(self, tmp_path, capsys, monkeypatch, value):
+    def test_thread_variable_is_not_read(self, tmp_path, monkeypatch):
+        """CONV_LIMIT_THREADS is no setting: any value leaves the output bytes as they are."""
+        monkeypatch.setattr(cli, "_timestamp", lambda: "fixed")
         spec = write_spec(tmp_path, Z4_CASE_C_SPEC)
-        monkeypatch.setenv("CONV_LIMIT_THREADS", value)
-        rc = main(["simulate", "--input", str(spec), "--out", str(tmp_path / "out"),
-                   "--seed", "7", "--paths", "50"])
-        assert rc == 2
-        message = f"CONV_LIMIT_THREADS must be a positive integer, got '{value}'"
-        assert message in capsys.readouterr().err
+        written = []
+        monkeypatch.delenv("CONV_LIMIT_THREADS", raising=False)
+        for value in (None, "two"):
+            if value is not None:
+                monkeypatch.setenv("CONV_LIMIT_THREADS", value)
+            out = tmp_path / f"out-{value}"
+            assert main(["simulate", "--input", str(spec), "--out", str(out),
+                         "--seed", "7", "--paths", "50"]) == 0
+            written.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        assert written[0] == written[1]
 
 
 class TestDecompose:
@@ -818,6 +823,16 @@ MALFORMED_INPUTS = {
         "--torus"), "atom weight"),
     "torus-constant-tail-without-mu": (lambda t, p: _command(
         t, "classify", {"prefix": [], "tail": {"kind": "constant"}}, "--torus"), "'mu'"),
+    # mus, points and head must be JSON lists, and each refusal names its field
+    "torus-periodic-mus-object": (lambda t, p: _command(
+        t, "classify", {"tail": {"kind": "periodic", "mus": {"kind": "dirac", "x": 0.5}}},
+        "--torus"), "periodic tail spec requires a non-empty 'mus' list"),
+    "torus-atoms-points-object": (lambda t, p: _command(
+        t, "classify", _torus_spec({"kind": "atoms", "points": {"a": 1}}), "--torus"),
+        "atoms spec 'points' must be a non-empty list of [x, w] pairs"),
+    "torus-schedule-head-number": (lambda t, p: _command(
+        t, "classify", {"tail": {"kind": "gauss_schedule", "head": 0.3}}, "--torus"),
+        "gauss_schedule tail 'head' must be a list of numbers, got 0.3"),
     "ensemble-without-eta": (lambda t, p: _decompose_file(t, _drop(p, "eta", per_record=True)),
                              "'eta'"),
     "ensemble-without-xi": (lambda t, p: _decompose_file(t, _drop(p, "xi", per_record=True)),

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -266,14 +267,6 @@ class TestUniformSolution:
         b = uniform_ensemble(noise, depth=5, n_paths=5000, seed=9)
         assert np.array_equal(a.eta, b.eta)
         assert np.array_equal(a.xi, b.xi)
-
-    @pytest.mark.parametrize("value", ["two", "0", "-3"])
-    def test_malformed_thread_count_refused(self, case_c, monkeypatch, value):
-        noise, _ = case_c
-        monkeypatch.setenv("CONV_LIMIT_THREADS", value)
-        with pytest.raises(InvalidSpec,
-                           match=f"CONV_LIMIT_THREADS must be a positive integer, got '{value}'"):
-            uniform_ensemble(noise, depth=5, n_paths=10, seed=11)
 
 
 class TestExtremalSolution:
@@ -791,18 +784,30 @@ def _ensembles_of_every_kind(name, n_paths):
             "mixture": mix, "decomposed": dec, "decomposed-shallow": shallow}
 
 
-@pytest.mark.parametrize("kind", ["uniform", "extremal", "mixture", "decomposed",
-                                  "decomposed-shallow"])
-def test_thread_count_does_not_change_output(kind, monkeypatch):
-    """Every array, over three chunks, is the same at 1 and at 3 worker threads."""
-    built = []
-    for threads in ("1", "3"):
-        monkeypatch.setenv("CONV_LIMIT_THREADS", threads)
-        built.append(_ensembles_of_every_kind("Z4", 2 * CHUNK_SIZE + 3)[kind])
-    one, three = built
-    for field in ("xi", "eta", "phi", "U", "V"):
-        a, b = getattr(one, field), getattr(three, field)
-        assert (a is None) == (b is None) and (a is None or np.array_equal(a, b)), field
+def test_builders_run_every_chunk_on_the_calling_thread(monkeypatch):
+    """With CONV_LIMIT_THREADS=3 set, no builder starts a thread over three chunks, and
+    every array is the one a run with the variable unset returns."""
+    monkeypatch.delenv("CONV_LIMIT_THREADS", raising=False)
+    unset = _ensembles_of_every_kind("Z4", 2 * CHUNK_SIZE + 3)
+    monkeypatch.setenv("CONV_LIMIT_THREADS", "3")
+    before, seen = threading.active_count(), []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            seen.append(threading.active_count())
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # every chunk draws from _stream, and the extremal and decomposing kernels walk
+    # centered_window: each call sees the thread count the builder was called with
+    for name in ("_stream", "centered_window"):
+        monkeypatch.setattr(solutions, name, counted(getattr(solutions, name)))
+    built = _ensembles_of_every_kind("Z4", 2 * CHUNK_SIZE + 3)
+    assert seen and set(seen) == {before} and threading.active_count() == before
+    for kind, ens in built.items():
+        for field in ("xi", "eta", "phi", "U", "V"):
+            a, b = getattr(unset[kind], field), getattr(ens, field)
+            assert (a is None) == (b is None) and (a is None or np.array_equal(a, b)), (kind, field)
 
 
 @pytest.mark.parametrize("name, n_paths", [

@@ -125,6 +125,12 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpec):
             torus_noise_from_spec({"tail": {"kind": "gauss_schedule", "head": [float("nan")]}})
 
+    def test_schedule_spec_defaults_are_the_dataclass_defaults(self):
+        noise = torus_noise_from_spec({"tail": {"kind": "gauss_schedule"}})
+        assert noise.tail == GaussianSchedule() and noise.prefix == ()
+        assert torus_noise_from_spec({"tail": {"kind": "gauss_schedule", "r": 0.5}}).tail == \
+            GaussianSchedule(ratio=0.5)
+
 
 class TestNoiseIndexing:
     def test_prefix_then_tail(self):
