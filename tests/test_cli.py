@@ -215,16 +215,16 @@ class TestSimulate:
         """CONV_LIMIT_THREADS is no setting: any value leaves the output bytes as they are."""
         monkeypatch.setattr(cli, "_timestamp", lambda: "fixed")
         spec = write_spec(tmp_path, Z4_CASE_C_SPEC)
-        written = []
-        monkeypatch.delenv("CONV_LIMIT_THREADS", raising=False)
-        for value in (None, "two"):
-            if value is not None:
-                monkeypatch.setenv("CONV_LIMIT_THREADS", value)
-            out = tmp_path / f"out-{value}"
+
+        def simulate(out):
             assert main(["simulate", "--input", str(spec), "--out", str(out),
                          "--seed", "7", "--paths", "50"]) == 0
-            written.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
-        assert written[0] == written[1]
+            return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+        monkeypatch.delenv("CONV_LIMIT_THREADS", raising=False)
+        unset = simulate(tmp_path / "unset")
+        monkeypatch.setenv("CONV_LIMIT_THREADS", "two")
+        assert simulate(tmp_path / "two") == unset
 
 
 class TestDecompose:
