@@ -211,7 +211,8 @@ class TestSimulate:
             main(["simulate", "--input", str(spec), "--out", str(tmp_path)])
         assert exc.value.code == 2
 
-    def test_thread_variable_is_not_read(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("value", ["two", "0", "-3"])
+    def test_thread_variable_is_not_read(self, tmp_path, monkeypatch, value):
         """CONV_LIMIT_THREADS is no setting: any value leaves the output bytes as they are."""
         monkeypatch.setattr(cli, "_timestamp", lambda: "fixed")
         spec = write_spec(tmp_path, Z4_CASE_C_SPEC)
@@ -223,8 +224,8 @@ class TestSimulate:
 
         monkeypatch.delenv("CONV_LIMIT_THREADS", raising=False)
         unset = simulate(tmp_path / "unset")
-        monkeypatch.setenv("CONV_LIMIT_THREADS", "two")
-        assert simulate(tmp_path / "two") == unset
+        monkeypatch.setenv("CONV_LIMIT_THREADS", value)
+        assert simulate(tmp_path / "set") == unset
 
 
 class TestDecompose:

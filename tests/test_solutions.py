@@ -268,6 +268,15 @@ class TestUniformSolution:
         assert np.array_equal(a.eta, b.eta)
         assert np.array_equal(a.xi, b.xi)
 
+    @pytest.mark.parametrize("value", ["two", "0", "-3"])
+    def test_thread_variable_is_ignored(self, case_c, monkeypatch, value):
+        noise, _ = case_c
+        monkeypatch.delenv("CONV_LIMIT_THREADS", raising=False)
+        unset = uniform_ensemble(noise, depth=5, n_paths=10, seed=11)
+        monkeypatch.setenv("CONV_LIMIT_THREADS", value)
+        ens = uniform_ensemble(noise, depth=5, n_paths=10, seed=11)
+        assert np.array_equal(ens.eta, unset.eta) and np.array_equal(ens.xi, unset.xi)
+
 
 class TestExtremalSolution:
     def test_case_b_deterministic_and_trivial_u(self, case_b):
@@ -784,11 +793,13 @@ def _ensembles_of_every_kind(name, n_paths):
             "mixture": mix, "decomposed": dec, "decomposed-shallow": shallow}
 
 
-def test_builders_run_every_chunk_on_the_calling_thread(monkeypatch):
+@pytest.mark.parametrize("kind", ["uniform", "extremal", "mixture", "decomposed",
+                                  "decomposed-shallow"])
+def test_builders_run_every_chunk_on_the_calling_thread(kind, monkeypatch):
     """With CONV_LIMIT_THREADS=3 set, no builder starts a thread over three chunks, and
-    every array is the one a run with the variable unset returns."""
+    every array of the kind is the one a run with the variable unset returns."""
     monkeypatch.delenv("CONV_LIMIT_THREADS", raising=False)
-    unset = _ensembles_of_every_kind("Z4", 2 * CHUNK_SIZE + 3)
+    unset = _ensembles_of_every_kind("Z4", 2 * CHUNK_SIZE + 3)[kind]
     monkeypatch.setenv("CONV_LIMIT_THREADS", "3")
     before, seen = threading.active_count(), []
 
@@ -802,12 +813,11 @@ def test_builders_run_every_chunk_on_the_calling_thread(monkeypatch):
     # centered_window: each call sees the thread count the builder was called with
     for name in ("_stream", "centered_window"):
         monkeypatch.setattr(solutions, name, counted(getattr(solutions, name)))
-    built = _ensembles_of_every_kind("Z4", 2 * CHUNK_SIZE + 3)
+    ens = _ensembles_of_every_kind("Z4", 2 * CHUNK_SIZE + 3)[kind]
     assert seen and set(seen) == {before} and threading.active_count() == before
-    for kind, ens in built.items():
-        for field in ("xi", "eta", "phi", "U", "V"):
-            a, b = getattr(unset[kind], field), getattr(ens, field)
-            assert (a is None) == (b is None) and (a is None or np.array_equal(a, b)), (kind, field)
+    for field in ("xi", "eta", "phi", "U", "V"):
+        a, b = getattr(unset, field), getattr(ens, field)
+        assert (a is None) == (b is None) and (a is None or np.array_equal(a, b)), field
 
 
 @pytest.mark.parametrize("name, n_paths", [
