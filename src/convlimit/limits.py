@@ -110,32 +110,47 @@ def constant_noise(mu: Measure) -> NoiseLaw:
     return NoiseLaw(group=mu.group, prefix=(), tail=(mu,))
 
 
+def read_noise_spec(obj: dict, *fields: str,
+                    tails: tuple[str, ...] = ()) -> tuple[list, dict, Optional[list]]:
+    """The prefix list, tail object and tail measure specs of a noise spec, for both engines.
+
+    The spec must hold ``fields`` and 'tail'. A constant tail is the periodic
+    tail of period 1; a tail whose kind is in ``tails`` has None for its
+    measure specs, and the caller reads it.
+    """
+    keys = (*fields, "tail")
+    if not isinstance(obj, dict) or any(key not in obj for key in keys):
+        need = " and ".join(f"'{key}'" for key in keys) + " fields" if fields else "a 'tail' field"
+        raise InvalidSpec(f"noise spec must be an object with {need}")
+    prefix = obj.get("prefix", [])
+    if not isinstance(prefix, list):
+        raise InvalidSpec(f"noise prefix must be a list of measure specs, got {prefix!r}")
+    tail = obj["tail"]
+    if not isinstance(tail, dict) or "kind" not in tail:
+        raise InvalidSpec("noise tail spec must be an object with a 'kind' field")
+    kind = tail["kind"]
+    if kind in tails:
+        return prefix, tail, None
+    if kind not in ("constant", "periodic"):
+        raise InvalidSpec(f"unknown tail kind {kind!r}")
+    if kind == "constant" and "mu" not in tail:
+        raise InvalidSpec("constant tail spec requires a 'mu' field")
+    mus = [tail["mu"]] if kind == "constant" else tail.get("mus")
+    if not isinstance(mus, list) or not mus:
+        raise InvalidSpec("periodic tail spec requires a non-empty 'mus' list")
+    return prefix, tail, mus
+
+
 def noise_from_spec(obj: dict) -> NoiseLaw:
     """Build a noise law from its JSON spec.
 
     Shape: {"group": <group spec>, "prefix": [<measure spec>...],
     "tail": {"kind": "constant", "mu": ...} | {"kind": "periodic", "mus": [...]}}.
     """
-    if not isinstance(obj, dict) or "group" not in obj or "tail" not in obj:
-        raise InvalidSpec("noise spec must be an object with 'group' and 'tail' fields")
+    prefix, _, mus = read_noise_spec(obj, "group")
     group = group_from_spec(obj["group"])
-    prefix = obj.get("prefix", [])
-    if not isinstance(prefix, list):
-        raise InvalidSpec(f"noise prefix must be a list of measure specs, got {prefix!r}")
-    prefix = tuple(measure_from_spec(group, m) for m in prefix)
-    tail_obj = obj["tail"]
-    if not isinstance(tail_obj, dict) or "kind" not in tail_obj:
-        raise InvalidSpec("noise tail spec must be an object with a 'kind' field")
-    kind = tail_obj["kind"]
-    if kind not in ("constant", "periodic"):
-        raise InvalidSpec(f"unknown tail kind {kind!r}")
-    if kind == "constant" and "mu" not in tail_obj:
-        raise InvalidSpec("constant tail spec requires a 'mu' field")
-    # a constant tail is the periodic tail of period 1
-    mus = [tail_obj["mu"]] if kind == "constant" else tail_obj.get("mus")
-    if not isinstance(mus, list) or not mus:
-        raise InvalidSpec("periodic tail spec requires a non-empty 'mus' list")
-    return NoiseLaw(group, prefix, tuple(measure_from_spec(group, m) for m in mus))
+    return NoiseLaw(group, tuple(measure_from_spec(group, m) for m in prefix),
+                    tuple(measure_from_spec(group, m) for m in mus))
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,12 @@
 
 Membership of a frequency p in the detected lattice is decided from the
 infinite product of characteristic-function moduli. A noise law is a
-prefix followed by a periodic tail (a constant tail has period 1) or by the
-Gaussian formula sd_k = c * r^|k|. Partial products give an upper bound;
-both tails admit exact analytic tail bounds, computed in log space so
-nothing underflows. The nonnegative generator of the detected lattice
-drives the same A/B/C classification as the finite-group engine, and
-rational-atom noises can be pushed onto a cyclic grid to cross-validate
-the two.
+prefix followed by a periodic tail or by the Gaussian formula
+sd_k = c * r^|k|. Partial products give an upper bound; both tails admit
+exact analytic tail bounds, computed in log space so nothing underflows.
+The nonnegative generator of the detected lattice drives the same A/B/C
+classification as the finite-group engine, and rational-atom noises can be
+pushed onto a cyclic grid to cross-validate the two.
 """
 
 from __future__ import annotations
@@ -22,28 +21,20 @@ import numpy as np
 
 from .errors import GridMismatch, Indeterminate, InvalidSpec, NotRepresentable
 from .groups import cyclic_group, is_number
+from .limits import read_noise_spec
 from .measures import Measure
 
 DEFAULT_P_MAX = 64
 DEFAULT_DEPTH = 256
 DEFAULT_FLOOR = 1e-12
 
-# A constant-tail factor this close to 1 is treated as exactly 1; a factor
-# below ONE_MINUS_DECAY repeated forever is a certain zero. In between we
-# refuse to guess.
+# An atoms tail factor this close to 1 is treated as exactly 1; one below
+# ONE_MINUS_DECAY repeated forever is a certain zero, and so is any continuous
+# one, whose |char| is below 1 at every p != 0. In between we refuse to guess.
 ONE_MINUS_EXACT = 1e-12
 ONE_MINUS_DECAY = 1e-9
 
 GAUSS_TRUNCATION_SIGMAS = 8.0
-
-
-@dataclass(frozen=True)
-class DiracSpec:
-    x: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.x < 1.0:
-            raise InvalidSpec(f"Dirac position must lie in [0, 1), got {self.x}")
 
 
 @dataclass(frozen=True)
@@ -62,6 +53,11 @@ class AtomsSpec:
         if abs(sum(w for _, w in pts) - 1.0) > 1e-12:
             raise InvalidSpec("atom weights must sum to 1")
         object.__setattr__(self, "points", pts)
+
+
+def DiracSpec(x: float) -> AtomsSpec:
+    """The point mass at x, which is the one-point atoms measure."""
+    return AtomsSpec(((x, 1.0),))
 
 
 @dataclass(frozen=True)
@@ -86,7 +82,7 @@ class WrappedGaussianSpec:
             raise InvalidSpec(f"sd must be positive, got {self.sd}")
 
 
-TorusMeasureSpec = Union[DiracSpec, AtomsSpec, UniformIntervalSpec, WrappedGaussianSpec]
+TorusMeasureSpec = Union[AtomsSpec, UniformIntervalSpec, WrappedGaussianSpec]
 
 
 def char_fn(spec: TorusMeasureSpec, p: int) -> complex:
@@ -94,8 +90,6 @@ def char_fn(spec: TorusMeasureSpec, p: int) -> complex:
     if p == 0:
         return complex(1.0)
     two_pi_p = 2.0 * math.pi * p
-    if isinstance(spec, DiracSpec):
-        return complex(math.cos(two_pi_p * spec.x), math.sin(two_pi_p * spec.x))
     if isinstance(spec, AtomsSpec):
         z = 0.0 + 0.0j
         for x, w in spec.points:
@@ -221,7 +215,7 @@ def pi_mu_bounds(
 
     The partial products are nonincreasing in depth since every factor is
     at most 1. Deciding 'null' requires an exact zero factor, a repeating
-    factor bounded away from 1, or an upper bound below the floor; deciding
+    factor that decays, or an upper bound below the floor; deciding
     'member' requires a finite log-domain lower bound.
     """
     window = _window(noise, depth)
@@ -251,7 +245,9 @@ def _pi_bounds(noise: TorusNoiseLaw, p: int, measures: list[TorusMeasureSpec],
     log_lower = -math.inf
 
     if isinstance(noise.tail, PeriodicTail):
-        fs = [min(abs(char_fn(m, p)), 1.0) for m in noise.tail.mus]
+        # a continuous factor decays, so it stands in as 0.0
+        fs = [min(abs(char_fn(m, p)), 1.0) if isinstance(m, AtomsSpec) else 0.0
+              for m in noise.tail.mus]
         if all(f >= 1.0 - ONE_MINUS_EXACT for f in fs):
             log_lower = -math.inf if hit_zero else log_upper
         elif any(f <= 1.0 - ONE_MINUS_DECAY for f in fs):
@@ -414,9 +410,7 @@ def discretize_to_cyclic(spec: TorusMeasureSpec, n: int, *, approx: bool = False
         raise InvalidSpec(f"grid size must be positive, got {n}")
     group = cyclic_group(n)
     w = np.zeros(n)
-    if isinstance(spec, DiracSpec):
-        w[_atom_index(spec.x, n, approx)] = 1.0
-    elif isinstance(spec, AtomsSpec):
+    if isinstance(spec, AtomsSpec):
         for x, weight in spec.points:
             w[_atom_index(x, n, approx)] += weight
     elif isinstance(spec, UniformIntervalSpec):
@@ -477,44 +471,23 @@ def torus_measure_from_spec(obj: dict) -> TorusMeasureSpec:
 
 
 def torus_noise_from_spec(obj: dict) -> TorusNoiseLaw:
-    """Build a torus noise law from its JSON spec.
+    """Build a torus noise law from its JSON spec, read as the finite engine reads one.
 
-    Tail kinds: {"kind":"constant","mu":...} | {"kind":"periodic","mus":[...]} |
-    {"kind":"gauss_schedule","head":[...],"c":...,"r":...}. A constant tail is
-    a periodic one of period 1; the head's sds are zero-mean Gaussians
-    appended to the prefix.
+    The tail may also be {"kind":"gauss_schedule","head":[...],"c":...,"r":...},
+    whose head's sds are zero-mean Gaussians appended to the prefix.
     """
-    if not isinstance(obj, dict) or "tail" not in obj:
-        raise InvalidSpec("torus noise spec must be an object with a 'tail' field")
-    prefix = obj.get("prefix", [])
-    if not isinstance(prefix, list):
-        raise InvalidSpec(f"torus noise prefix must be a list of measure specs, got {prefix!r}")
+    prefix, t, mus = read_noise_spec(obj, tails=("gauss_schedule",))
     prefix = tuple(torus_measure_from_spec(m) for m in prefix)
-    t = obj["tail"]
-    if not isinstance(t, dict) or "kind" not in t:
-        raise InvalidSpec("torus tail spec must be an object with a 'kind' field")
+    if mus is not None:
+        return TorusNoiseLaw(prefix, PeriodicTail(tuple(torus_measure_from_spec(m) for m in mus)))
+    head = t.get("head", [])
+    if not isinstance(head, list):
+        raise InvalidSpec(f"gauss_schedule tail 'head' must be a list of numbers, got {head!r}")
     try:
-        if t["kind"] in ("constant", "periodic"):
-            # a constant tail is the periodic tail of period 1
-            mus = [t["mu"]] if t["kind"] == "constant" else t.get("mus")
-            if not isinstance(mus, list) or not mus:
-                raise InvalidSpec("periodic tail spec requires a non-empty 'mus' list")
-            tail: TorusTail = PeriodicTail(tuple(torus_measure_from_spec(m) for m in mus))
-        elif t["kind"] == "gauss_schedule":
-            head = t.get("head", [])
-            if not isinstance(head, list):
-                raise InvalidSpec(f"gauss_schedule tail 'head' must be a list of numbers, "
-                                  f"got {head!r}")
-            sds = tuple(_number(s) for s in head)
-            # only the keys the spec gives: GaussianSchedule holds the defaults
-            tail = GaussianSchedule(**{field: _number(t[key])
-                                       for key, field in (("c", "coeff"), ("r", "ratio"))
-                                       if key in t})
-            prefix += tuple(WrappedGaussianSpec(0.0, s) for s in sds)
-        else:
-            raise InvalidSpec(f"unknown torus tail kind {t['kind']!r}")
-    except KeyError as exc:
-        raise InvalidSpec(f"torus {t['kind']} tail spec requires the field {exc}") from None
+        sds = tuple(_number(s) for s in head)
+        # only the keys the spec gives: GaussianSchedule holds the defaults
+        tail = GaussianSchedule(**{field: _number(t[key])
+                                   for key, field in (("c", "coeff"), ("r", "ratio")) if key in t})
     except (TypeError, ValueError) as exc:
-        raise InvalidSpec(f"malformed torus {t['kind']} tail spec: {exc}") from None
-    return TorusNoiseLaw(prefix=prefix, tail=tail)
+        raise InvalidSpec(f"malformed torus gauss_schedule tail spec: {exc}") from None
+    return TorusNoiseLaw(prefix + tuple(WrappedGaussianSpec(0.0, s) for s in sds), tail)

@@ -52,6 +52,7 @@ from convlimit.torus import (
     DEFAULT_FLOOR,
     ONE_MINUS_DECAY,
     ONE_MINUS_EXACT,
+    AtomsSpec,
     PeriodicTail,
     PiBounds,
     _log_abs_char,
@@ -543,8 +544,12 @@ def pi_mu_bounds_per_level(noise, p, depth=DEFAULT_DEPTH):
     log_lower = -math.inf
 
     if isinstance(noise.tail, PeriodicTail):
-        fs = [min(abs(char_fn(m, p)), 1.0) for m in noise.tail.mus]
-        if all(f >= 1.0 - ONE_MINUS_EXACT for f in fs):
+        atoms = [m for m in noise.tail.mus if isinstance(m, AtomsSpec)]
+        fs = [min(abs(char_fn(m, p)), 1.0) for m in atoms]
+        if len(atoms) < len(noise.tail.mus):
+            # a wrapped Gaussian or a uniform interval repeats with |char| < 1
+            decision = "null"
+        elif all(f >= 1.0 - ONE_MINUS_EXACT for f in fs):
             log_lower = -math.inf if hit_zero else log_upper
         elif any(f <= 1.0 - ONE_MINUS_DECAY for f in fs):
             decision = "null"

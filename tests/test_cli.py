@@ -678,6 +678,36 @@ class TestOneNoiseModel:
         assert want[0] == 0
         assert self._run(tmp_path, capsys, head, ["classify", "--torus"]) == want
 
+    @pytest.mark.parametrize("spec", [
+        {"tail": {"kind": "constant"}},
+        {"tail": {"kind": "periodic", "mus": {"kind": "dirac", "x": 0.5}}},
+        {"tail": {"kind": "periodic", "mus": []}},
+        {"tail": [{"kind": "constant"}]},
+        {"prefix": 5, "tail": {"kind": "constant", "mu": {"kind": "dirac", "x": 0.5}}},
+    ], ids=["no-mu", "mus-object", "mus-empty", "tail-not-object", "prefix-not-list"])
+    def test_both_engines_refuse_a_spec_fault_alike(self, tmp_path, capsys, spec):
+        """The prefix and the constant or periodic tail are read once, for both engines."""
+        finite = {"group": {"kind": "builtin", "name": "Z4"}, **spec}
+        assert main(_command(tmp_path, "classify", finite)) == 2
+        want = capsys.readouterr()
+        assert want.err.startswith("error: ")
+        assert main(_command(tmp_path, "classify", spec, "--torus")) == 2
+        assert capsys.readouterr() == want
+
+    @pytest.mark.parametrize("mu", [
+        {"kind": "gauss", "m": 0.0, "sd": 1e-7},
+        {"kind": "gauss", "m": 0.0, "sd": 1e-6},
+        {"kind": "uniform", "a": 0.0, "b": 1e-7},
+    ], ids=["gauss-sd-1e-7", "gauss-sd-1e-6", "uniform-width-1e-7"])
+    def test_a_repeating_continuous_factor_is_null_at_every_frequency(self, tmp_path, mu):
+        """However close to 1 its |char| rounds, a continuous tail factor drives the product to 0."""
+        out = tmp_path / "out"
+        spec = write_spec(tmp_path, _torus_spec(mu))
+        assert main(["classify", "--torus", "--input", str(spec), "--out", str(out)]) == 0
+        payload = json.loads((out / "classification.json").read_text())
+        assert (payload["case"], payload["p_mu"], payload["undetermined"]) == ("A", 0, [])
+        assert {b["decision"] for b in payload["pi"].values()} == {"null"}
+
 
 Z4_TABLE = [[(a + b) % 4 for b in range(4)] for a in range(4)]
 

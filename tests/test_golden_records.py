@@ -109,6 +109,13 @@ TORUS_SPECS = {
     "half-atoms": {"prefix": [], "tail": {"kind": "constant", "mu": {
         "kind": "atoms", "points": [[0.0, 0.5], [0.5, 0.5]]}}},
     "gauss-schedule": {"prefix": [], "tail": {"kind": "gauss_schedule", "c": 0.1, "r": 0.5}},
+    # shaped like the benchmark's torus-gauss: a dirac, a Gaussian, a head and a schedule
+    "dirac-prefix": {"prefix": [{"kind": "dirac", "x": 0.37}, {"kind": "gauss", "m": 0.6, "sd": 0.05}],
+                     "tail": {"kind": "gauss_schedule", "head": [0.03], "c": 0.1, "r": 0.5}},
+    "dirac-atoms-periodic": {"prefix": [{"kind": "dirac", "x": 0.5}],
+                             "tail": {"kind": "periodic", "mus": [
+                                 {"kind": "dirac", "x": 0.125},
+                                 {"kind": "atoms", "points": [[0.0, 0.5], [0.25, 0.5]]}]}},
 }
 
 # (spec, paths): every spec at a few paths, and one run that spans two chunks.
@@ -274,6 +281,16 @@ GOLDEN_TORUS = {
         "classification.json": "f588d0c605d53876ebedfca1e3c88887140f7bc39febc2a49c31562d476c117c",
         "pi_table.csv": "dd4f8f1c01289612c7a940a45f0f813ac90e032e31754ee62c0e742847a5595c",
         "pi_curves.csv": "2507e044e0c3ae868b65c53ffb3fe576d7885fee4ea9b1421ad430c3296e7655",
+    },
+    "dirac-prefix": {
+        "classification.json": "d1074932300908aa4359bf04da47b8b62107ec3b8348f15a2f4318d491470e4f",
+        "pi_table.csv": "1806f9bc1807bb90891a36763d305eb1121e882e5efd3d9b1e2003fb648e8a66",
+        "pi_curves.csv": "2416b8d44de30caa61f3a1cc10a6258e4cfab1b4aed61038cbeb0aeb68382865",
+    },
+    "dirac-atoms-periodic": {
+        "classification.json": "656170596e82a06df6fd538543248ffa47fdd9240f2117637846a8197ce9acec",
+        "pi_table.csv": "759f154bf7bb9c21ccbaf3c6995b4b726316b7cc57dbdd5b8e6559b1b7621abb",
+        "pi_curves.csv": "8eb0d6d203dcd2d196ce3ed0a184b08f302a7846b33b8fb29e38042d570a15a9",
     },
 }
 

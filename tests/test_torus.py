@@ -67,6 +67,13 @@ class TestCharFn:
         z = char_fn(DiracSpec(0.25), 1)
         assert z == pytest.approx(complex(0.0, 1.0), abs=1e-15)
 
+    @pytest.mark.parametrize("x", [0.0, 0.1, 0.25, 0.37, 0.999])
+    def test_dirac_is_the_one_point_atoms_measure(self, x):
+        assert DiracSpec(x) == AtomsSpec(((x, 1.0),))
+        for p in (1, 2, 3, 7, 64, 255):
+            z = char_fn(DiracSpec(x), p)
+            assert (z.real, z.imag) == (math.cos(2 * math.pi * p * x), math.sin(2 * math.pi * p * x))
+
     def test_uniform_interval_against_quadrature(self):
         spec = UniformIntervalSpec(0.2, 0.7)
         dens = lambda x: 1.0 / 0.5
@@ -343,6 +350,10 @@ ORACLE_NOISES = {
                                     tail=GaussianSchedule(coeff=0.1, ratio=0.5)), 64),
     # sd^2 underflows, so every log factor is -0.0
     "schedule-sd-1e-200": (TorusNoiseLaw(tail=GaussianSchedule(coeff=1e-200, ratio=0.5)), 64),
+    # continuous tail factors within 1e-9 of 1 at low p: they decay all the same
+    "gauss-sd-1e-7": (TorusNoiseLaw(tail=PeriodicTail((WrappedGaussianSpec(0.0, 1e-7),))), 64),
+    "gauss-sd-1e-6": (TorusNoiseLaw(tail=PeriodicTail((WrappedGaussianSpec(0.0, 1e-6),))), 64),
+    "uniform-width-1e-7": (TorusNoiseLaw(tail=PeriodicTail((UniformIntervalSpec(0.0, 1e-7),))), 64),
 }
 BENCH_NOISES = _benchmark_torus_noises(range(1, 4))
 
