@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import functools
 import json
 import math
 import os
@@ -598,8 +599,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser that :func:`main` reads, built once per process."""
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConvLimitError as exc:

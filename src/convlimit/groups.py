@@ -185,32 +185,51 @@ def _right_closure(mul: np.ndarray, reached: np.ndarray, generators: np.ndarray)
     return reached
 
 
-def _check_associativity(mul: np.ndarray, identity: int) -> None:
+def _product_closure(table: np.ndarray, reached: np.ndarray, new: np.ndarray) -> None:
+    """Grow the boolean mask ``reached`` in place until it is closed under products.
+
+    ``new`` lists the elements just added. Each round multiplies every pair
+    that holds an element found in the last round, both ways round, so the
+    longest product found at least doubles per round: logarithmically many
+    rounds, each two gathers from ``table``.
+    """
+    while new.size and not reached.all():
+        members = np.flatnonzero(reached)
+        fresh = np.zeros_like(reached)
+        fresh[table[new][:, members]] = True
+        fresh[table[members][:, new]] = True
+        fresh &= ~reached
+        reached |= fresh
+        new = np.flatnonzero(fresh)
+
+
+def _check_associativity(table: np.ndarray, identity: int) -> None:
     """Light's test over a greedy generating set: exact, O(n^2 log n) on any table.
 
     The next generator g is the smallest element not yet reached from the
-    identity e by right multiplication by the earlier ones; it must satisfy
+    identity e by products of the earlier ones; it must satisfy
     (x*g)*y = x*(g*y) for all x, y, else :class:`NotAssociative` gets (x, g, y).
     Exact: the passing elements are closed under products, as (x*(a*b))*y =
-    ((x*a)*b)*y = (x*a)*(b*y) = x*(a*(b*y)) = x*((a*b)*y), and every element
-    is a left-nested product of generators. Cheap: the caller has checked e
-    and right inverses. While all pass, the reached set R is closed, and
-    x -> x*a is injective for a passing a, as (x*a)*a' = x*(a*a') = x when
-    a*a' = e; so R is a group. A new g outside R gives |R*g| = |R| and R*g
-    disjoint from R (r*g = r' would put g = r^-1*r' in R), so R at least
-    doubles: at most floor(log2 n) + 1 generators are tested.
+    ((x*a)*b)*y = (x*a)*(b*y) = x*(a*(b*y)) = x*((a*b)*y), and every product
+    of them is a left-nested product, as p*(q*g) = (p*q)*g for a passing q.
+    Cheap: the caller has checked e and right inverses. While all pass, the
+    reached set R is closed, and x -> x*a is injective for a passing a, as
+    (x*a)*a' = x*(a*a') = x when a*a' = e; so R is a group. A new g outside R
+    gives |R*g| = |R| and R*g disjoint from R (r*g = r' would put
+    g = r^-1*r' in R), so R at least doubles: at most floor(log2 n) + 1
+    generators are tested. ``table`` is in the id dtype, and the test's row
+    and column gathers are ``take`` calls.
     """
-    reached = np.zeros(mul.shape[0], dtype=bool)
+    reached = np.zeros(table.shape[0], dtype=bool)
     reached[identity] = True
-    generators: list[int] = []
     while not reached.all():
         g = int(np.argmin(reached))
-        bad = mul[mul[:, g], :] != mul[:, mul[g, :]]
+        bad = table.take(table[:, g], axis=0) != table.take(table[g], axis=1)
         if bad.any():
             x, y = map(int, np.argwhere(bad)[0])
             raise NotAssociative((x, g, y))
-        generators.append(g)
-        reached = _right_closure(mul, reached, np.array(generators))
+        reached[g] = True
+        _product_closure(table, reached, np.array([g]))
 
 
 def validate_group(
@@ -245,21 +264,22 @@ def validate_group(
     if identity_hint is not None and not is_integer(identity_hint):
         raise InvalidSpec(f"identity hint must be an integer, got {identity_hint!r}")
 
-    idx = np.arange(n)
-    two_sided = (mul == idx).all(axis=1) & (mul == idx[:, None]).all(axis=0)
+    table = mul.astype(id_dtype(n))  # the checks below read this narrow copy
+    idx = np.arange(n, dtype=table.dtype)
+    two_sided = (table == idx).all(axis=1) & (table == idx[:, None]).all(axis=0)
     if not two_sided.any():
         raise NoIdentity("no two-sided identity element in table")
     identity = int(np.argmax(two_sided))
     if identity_hint is not None and identity_hint != identity:
         raise NoIdentity(f"identity hint {identity_hint} disagrees with derived identity {identity}")
 
-    hits = mul == identity
+    hits = table == identity
     has_inverse = hits.any(axis=1)
     if not has_inverse.all():
         raise NoInverse(int(np.argmin(has_inverse)))
     inv = hits.argmax(axis=1).astype(np.int64)
 
-    _check_associativity(mul, identity)
+    _check_associativity(table, identity)
 
     labels = tuple(str(s) for s in element_labels) if element_labels is not None else None
     if labels is not None and len(labels) != n:
@@ -394,7 +414,8 @@ def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise InvalidSpec(f"cyclic group order must be positive, got {n}")
     idx = np.arange(n)
-    mul = (idx[:, None] + idx[None, :]) % n
+    # row a is idx rotated left by a: the windows of idx followed by idx[:-1]
+    mul = np.lib.stride_tricks.sliding_window_view(np.concatenate([idx, idx[:-1]]), n)
     labels = tuple(str(i) for i in range(n))
     return validate_group(mul, element_labels=labels, name=f"Z{n}")
 
@@ -462,11 +483,8 @@ def quaternion_group() -> FiniteGroup:
 def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     """Componentwise product; element (a, b) has index a * |G2| + b."""
     n1, n2 = g1.order, g2.order
-    a = np.arange(n1 * n2)
-    a1, b1 = np.divmod(a, n2)
-    m1 = g1.mul[a1[:, None], a1[None, :]]
-    m2 = g2.mul[b1[:, None], b1[None, :]]
-    mul = m1 * n2 + m2
+    # cell (a1 * n2 + b1, a2 * n2 + b2) holds g1.mul[a1, a2] * n2 + g2.mul[b1, b2]
+    mul = (g1.mul[:, None, :, None] * n2 + g2.mul[None, :, None, :]).reshape(n1 * n2, n1 * n2)
     labels = tuple(
         f"({g1.label(x)},{g2.label(y)})" for x in range(n1) for y in range(n2)
     )

@@ -21,7 +21,7 @@ from .errors import EmptySample, InsufficientSamples, InvalidSpec, OutOfSupport
 from .groups import FiniteGroup, Subgroup, left_cosets
 from .limits import LimitResult, NoiseLaw, extend_centerings
 from .measures import Measure, haar, right_stabilizer, tv_distance, tv_to_right_translates
-from .solutions import (Ensemble, centered_window, extremal_ensemble, sample_noise,
+from .solutions import (Ensemble, _product, centered_window, extremal_ensemble, sample_noise,
                         uniform_ensemble, window_cut)
 
 MIN_EXPECTED_CELL = 5.0
@@ -63,13 +63,39 @@ def chi2_sf(statistic: float, df: int) -> float:
     return min(1.0, head + tail)
 
 
+def _integer_samples(samples) -> np.ndarray:
+    """The samples as an array in their own dtype, so that narrow ids stay narrow.
+
+    An empty array comes back as it is; any other that is not of an integer
+    dtype is refused with :class:`InvalidSpec`. Only uint64, which numpy
+    will not index or count with, comes back as intp.
+    """
+    xs = np.asarray(samples)
+    if xs.size and xs.dtype.kind not in "iu":
+        raise InvalidSpec(f"samples must be integer element ids, got dtype {xs.dtype}")
+    return xs if np.can_cast(xs.dtype, np.intp) else xs.astype(np.intp)
+
+
+def _first_outside(xs: np.ndarray, inside: np.ndarray) -> int:
+    """The first sample that is not the index of a True cell of the mask ``inside``."""
+    ok = (xs >= 0) & (xs < inside.size)
+    ok[ok] = inside[xs[ok]]
+    return int(xs[~ok][0])
+
+
 def empirical_law(group: FiniteGroup, samples: Sequence[int] | np.ndarray) -> Measure:
-    """Normalized counts of the samples as a measure on the group."""
-    xs = np.asarray(samples, dtype=np.int64)
+    """Normalized counts of the samples as a measure on the group.
+
+    Samples must be integer element ids; any other dtype, and any id outside
+    [0, order), is refused with :class:`InvalidSpec`.
+    """
+    xs = _integer_samples(samples)
     if xs.size == 0:
         raise EmptySample("cannot build an empirical law from zero samples")
-    counts = np.bincount(xs, minlength=group.order)
-    return Measure(group, counts / xs.size)
+    if xs.min() < 0 or xs.max() >= group.order:
+        bad = _first_outside(xs, np.ones(group.order, dtype=bool))
+        raise InvalidSpec(f"sample {bad} is not an element id of {group!r}")
+    return Measure(group, np.bincount(xs, minlength=group.order) / xs.size)
 
 
 @dataclass(frozen=True)
@@ -84,22 +110,26 @@ class ChiSquareResult:
 def chi_square_uniformity(samples: Sequence[int] | np.ndarray, support: Subgroup) -> ChiSquareResult:
     """Pearson test of uniformity over the support's cells.
 
-    Raises :class:`OutOfSupport` when a sample lies outside the support,
-    which is itself a failure signal for the hypothesis being checked.
+    Raises :class:`OutOfSupport` when a sample lies outside the support, an
+    id outside [0, order) included, which is itself a failure signal for the
+    hypothesis being checked; samples that are not integers are refused with
+    :class:`InvalidSpec`.
     """
-    xs = np.asarray(samples, dtype=np.int64)
+    xs = _integer_samples(samples)
     if xs.size == 0:
         raise EmptySample("no samples")
-    members = np.array(support.members, dtype=np.int64)
-    lookup = -np.ones(support.group.order, dtype=np.int64)
-    lookup[members] = np.arange(members.size)
-    cells = lookup[xs]
-    if (cells < 0).any():
-        bad = int(xs[cells < 0][0])
+    group = support.group
+    members = np.array(support.members)
+    inside = np.zeros(group.order, dtype=bool)
+    inside[members] = True
+    in_range = xs.min() >= 0 and xs.max() < group.order
+    counts = np.bincount(xs, minlength=group.order) if in_range else None
+    if counts is None or counts[~inside].any():
+        bad = _first_outside(xs, inside)
         raise OutOfSupport(f"sample value {bad} lies outside the hypothesised support")
     if members.size == 1:
         return ChiSquareResult(statistic=0.0, df=0, p_value=1.0, degenerate=True)
-    counts = np.bincount(cells, minlength=members.size).astype(float)
+    counts = counts[members].astype(float)
     expected = xs.size / members.size
     stat = float(((counts - expected) ** 2 / expected).sum())
     df = members.size - 1
@@ -151,17 +181,21 @@ def chi_square_independence(pairs: Iterable[tuple[int, int]]) -> ChiSquareResult
 
     The categories are the integer values seen, in increasing order; the
     counts come from one ``bincount`` over the span of each coordinate, so
-    that span should stay small, as it does for element ids. A table with a
+    that span should stay small, as it does for element ids. Samples that
+    are not integers are refused with :class:`InvalidSpec`. A table with a
     constant coordinate is degenerate: there is no variation to test and the
     result carries p = 1 with the degenerate flag.
     """
-    arr = np.asarray(list(pairs) if not isinstance(pairs, np.ndarray) else pairs,
-                     dtype=np.int64)
+    arr = _integer_samples(list(pairs) if not isinstance(pairs, np.ndarray) else pairs)
     if arr.size == 0:
         raise EmptySample("no sample pairs")
-    xs, ys = arr[:, 0] - arr[:, 0].min(), arr[:, 1] - arr[:, 1].min()
-    n_y = int(ys.max()) + 1
-    counts = np.bincount(xs * n_y + ys, minlength=(int(xs.max()) + 1) * n_y).reshape(-1, n_y)
+    xs, ys = arr.T.copy()  # contiguous columns, each reduced on its own
+    x0, y0 = int(xs.min()), int(ys.min())
+    n_x, n_y = int(xs.max()) - x0 + 1, int(ys.max()) - y0 + 1
+    code = np.multiply(xs, n_y, dtype=np.intp)  # (x - x0) * n_y + (y - y0)
+    code += ys
+    code -= x0 * n_y + y0
+    counts = np.bincount(code, minlength=n_x * n_y).reshape(n_x, n_y)
     table = counts[counts.any(axis=1)][:, counts.any(axis=0)]
     if min(table.shape) < 2:
         return ChiSquareResult(statistic=0.0, df=0, p_value=1.0, degenerate=True)
@@ -296,11 +330,12 @@ def verify_theorems(
 
     failures: list[str] = []
     per_k: list[PerKChecks] = []
-    v_vals = ensemble.V if ensemble.V is not None else np.full(ensemble.n_paths, group.identity)
+    v_vals = (ensemble.V if ensemble.V is not None
+              else np.full(ensemble.n_paths, group.identity, dtype=group.id_dtype))
 
     # the marginal and invariance claims concern the extremal factor
     # phi_k U_k, which for a mixture path is eta_k with V stripped off
-    eta0 = group.mul[ensemble.phi, ensemble.U]
+    eta0 = _product(group, ensemble.phi, ensemble.U)
 
     for k in ks:
         lam = limitres.lambdas.get(k)

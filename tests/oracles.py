@@ -75,6 +75,45 @@ def associativity_witness(mul):
     return None
 
 
+def light_witness_by_frontiers(mul, identity):
+    """The (x, g, y) that Light's test over a greedy generating set reports, or None.
+
+    The reference form of the test on int64 gathers: the next generator g is
+    the smallest element not yet reached from the identity, and the reached
+    set grows by right multiplication by the generators, one frontier of
+    newly reached elements at a time, until it stops growing.
+    """
+    mul = np.asarray(mul, dtype=np.int64)
+    reached = np.zeros(len(mul), dtype=bool)
+    reached[identity] = True
+    generators = []
+    while not reached.all():
+        g = int(np.argmin(reached))
+        bad = mul[mul[:, g], :] != mul[:, mul[g, :]]
+        if bad.any():
+            x, y = map(int, np.argwhere(bad)[0])
+            return x, g, y
+        generators.append(g)
+        frontier = np.flatnonzero(reached)
+        while frontier.size:
+            products = mul[np.ix_(frontier, generators)].ravel()
+            frontier = np.unique(products[~reached[products]])
+            reached[frontier] = True
+    return None
+
+
+def cyclic_table(n):
+    """The table (a + b) mod n of Z_n."""
+    idx = np.arange(n)
+    return (idx[:, None] + idx[None, :]) % n
+
+
+def direct_product_table(g1, g2):
+    """The table of G1 x G2 with (a, b) at index a * |G2| + b, by 2-D gathers."""
+    a1, b1 = np.divmod(np.arange(g1.order * g2.order), g2.order)
+    return g1.mul[a1[:, None], a1[None, :]] * g2.order + g2.mul[b1[:, None], b1[None, :]]
+
+
 def brute_force_subgroups(group):
     """Check every subset of the element set for the subgroup axioms."""
     n = group.order

@@ -211,6 +211,26 @@ class TestSimulate:
             main(["simulate", "--input", str(spec), "--out", str(tmp_path)])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv, text", [
+        (["simulate", "--input", "x.json", "--out", "o"], "the following arguments are required: --seed"),
+        (["simulate", "--input", "x.json", "--seed", "-1"], "argument --seed: expected"),
+        (["classify", "--input", "x.json", "--bogus"], "unrecognized arguments: --bogus"),
+        ([], "the following arguments are required: command"),
+    ])
+    def test_usage_errors_are_the_fresh_parsers(self, capsys, argv, text):
+        """main reads one parser per process; its usage errors are those of a fresh one."""
+        with pytest.raises(SystemExit) as fresh:
+            cli.build_parser().parse_args(argv)
+        want = capsys.readouterr()
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == fresh.value.code == 2
+            assert capsys.readouterr() == want
+        assert text in want.err
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
+
     @pytest.mark.parametrize("value", ["two", "0", "-3"])
     def test_thread_variable_is_not_read(self, tmp_path, monkeypatch, value):
         """CONV_LIMIT_THREADS is no setting: any value leaves the output bytes as they are."""

@@ -8,9 +8,12 @@ from oracles import (
     are_conjugate,
     associativity_witness,
     brute_force_subgroups,
+    cyclic_table,
+    direct_product_table,
     enumerate_subgroups,
     h_part,
     is_normal,
+    light_witness_by_frontiers,
     section_from_representatives,
 )
 
@@ -22,6 +25,7 @@ from convlimit.errors import (
     NotAssociative,
 )
 from convlimit.groups import (
+    _product_closure,
     builtin_group,
     conjugate_subgroup,
     cyclic_group,
@@ -468,3 +472,82 @@ def test_validate_group_refuses_exactly_the_non_associative_tables(mul):
             validate_group(mul)
         a, b, c = exc.value.triple
         assert mul[mul[a, b], c] != mul[a, mul[b, c]]
+
+
+def _refusal(mul):
+    """The triple validate_group refuses the table with, or None when it accepts the table."""
+    try:
+        validate_group(mul)
+    except NotAssociative as exc:
+        return exc.triple
+    return None
+
+
+@given(tables_with_at_most_one_swap())
+@settings(max_examples=100)
+def test_witness_is_the_frontier_oracles(mul):
+    assert _refusal(mul) == light_witness_by_frontiers(mul, 0)
+
+
+@pytest.mark.parametrize("name", ["product:S4xZn:5", "product:D4xZn:16", "Zn:300"])
+def test_one_swap_witness_is_the_frontier_oracles_on_larger_groups(name):
+    # a swap in a non-identity row leaves that row a permutation but puts a
+    # repeat in a column, so the table is no group and must be refused
+    g = builtin_group(name)
+    rng = np.random.default_rng(g.order)
+    for _ in range(4):
+        mul = np.array(g.mul)
+        row, c1, c2 = rng.choice(np.arange(1, g.order), size=3, replace=False)
+        mul[row, [c1, c2]] = mul[row, [c2, c1]]
+        want = light_witness_by_frontiers(mul, 0)
+        assert want is not None
+        assert _refusal(mul) == want
+
+
+# A non-associative loop of order 5: each row and column is a permutation.
+LOOP5 = np.array([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+                  [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]])
+
+
+@pytest.mark.parametrize("name", ["Zn:7", "S4", "product:D4xZn:3", "Zn:300"])
+def test_witness_past_many_passing_generators_is_the_frontier_oracles(name):
+    # loop x G with index a * |G| + b: the elements (e, b) pass, so the
+    # test grows the whole of G before it reaches a failing generator
+    g = builtin_group(name)
+    a, b = np.divmod(np.arange(5 * g.order), g.order)
+    mul = LOOP5[a[:, None], a[None, :]] * g.order + g.mul[b[:, None], b[None, :]]
+    want = light_witness_by_frontiers(mul, 0)
+    assert want is not None and want[1] >= g.order
+    assert _refusal(mul) == want
+
+
+@pytest.mark.parametrize("name", ["S4", "product:S3xS3", "product:Q8xS3", "Zn:60"])
+def test_product_closure_reaches_the_generated_subgroup(name):
+    g = builtin_group(name)
+    table = np.array(g.mul).astype(g.id_dtype)
+    rng = np.random.default_rng(7)
+    for _ in range(30):
+        gens = [int(x) for x in rng.integers(0, g.order, size=int(rng.integers(1, 4)))]
+        reached = np.zeros(g.order, dtype=bool)
+        reached[list(generated_subgroup(g, gens[:-1]).members)] = True
+        new = gens[-1]
+        reached[new] = True
+        _product_closure(table, reached, np.array([new]))
+        assert tuple(np.flatnonzero(reached)) == generated_subgroup(g, gens).members
+
+
+def test_cyclic_tables_are_the_sums_mod_n():
+    for n in [*range(1, 65), 500]:
+        assert np.array_equal(cyclic_group(n).mul, cyclic_table(n)), n
+
+
+PRODUCT_FACTORS = ["Zn:1", "Zn:2", "Zn:3", "Z4", "Zn:5", "S3", "Zn:7", "D4", "Q8", "S4"]
+
+
+def test_direct_product_tables_are_the_componentwise_products():
+    pairs = [(a, b) for a in PRODUCT_FACTORS for b in PRODUCT_FACTORS
+             if builtin_group(a).order * builtin_group(b).order <= 64]
+    pairs += [("S4", "Zn:20"), ("D4", "Zn:64")]
+    for a, b in pairs:
+        g1, g2 = builtin_group(a), builtin_group(b)
+        assert np.array_equal(direct_product(g1, g2).mul, direct_product_table(g1, g2)), (a, b)

@@ -55,6 +55,15 @@ class TestEmpiricalLaw:
         with pytest.raises(EmptySample):
             empirical_law(Z4, [])
 
+    def test_non_integer_samples_are_refused_naming_the_dtype(self):
+        with pytest.raises(InvalidSpec, match="got dtype float64"):
+            empirical_law(Z4, [1.7, 2.2, 0.9])
+
+    @pytest.mark.parametrize("samples, bad", [([-1], -1), ([0, 3, 7, 1], 7), ([2, 4, -1], 4)])
+    def test_ids_outside_the_group_are_refused_naming_the_id(self, samples, bad):
+        with pytest.raises(InvalidSpec, match=f"sample {bad} is not an element id"):
+            empirical_law(Z4, samples)
+
 
 class TestChiSquareTail:
     def test_against_quadrature_oracle(self):
@@ -114,6 +123,20 @@ class TestUniformity:
         h = subgroup(Z4, [0, 2])
         with pytest.raises(OutOfSupport):
             chi_square_uniformity([0, 1, 2], h)
+
+    @pytest.mark.parametrize("members, samples, bad", [
+        ([0, 1, 2, 3], [-1, -2, -3, -4] * 25, -1),
+        ([0, 1, 2, 3], [0, 2, 7, 2], 7),
+        ([0, 2], [0, 2, 1, 7], 1),  # the first sample outside the support is named
+        ([0, 2], [0, 2, 7, 1], 7),
+    ])
+    def test_ids_outside_the_group_are_out_of_support(self, members, samples, bad):
+        with pytest.raises(OutOfSupport, match=f"sample value {bad} lies outside"):
+            chi_square_uniformity(samples, subgroup(Z4, members))
+
+    def test_non_integer_samples_are_refused(self):
+        with pytest.raises(InvalidSpec, match="got dtype float64"):
+            chi_square_uniformity([0.0, 2.0] * 50, subgroup(Z4, [0, 2]))
 
     def test_trivial_support_degenerate(self):
         r = chi_square_uniformity([0] * 100, trivial_subgroup(Z4))
@@ -177,6 +200,10 @@ class TestIndependence:
             y = np.where(copy_mask, x, rng.integers(0, 2, size=n))
             assert chi_square_independence(np.stack([x, y], axis=1)).p_value < 0.01
 
+    def test_non_integer_samples_are_refused(self):
+        with pytest.raises(InvalidSpec, match="got dtype float64"):
+            chi_square_independence([(0.5, 1), (1, 2)])
+
     def test_pooling_deterministic(self):
         # a rare category forces pooling; two identical runs agree exactly
         rng = np.random.default_rng(5)
@@ -190,6 +217,61 @@ class TestIndependence:
         # below y = 9 changes nothing, pooling included
         r3 = chi_square_independence(np.stack([x - 7, np.where(y == 9, 2, y)], axis=1))
         assert r3 == r1
+
+
+def _as_dtypes(a):
+    """The same samples as int8, int16 and int64 arrays and as nested Python lists."""
+    a = np.asarray(a)
+    return [a.astype(np.int8), a.astype(np.int16), a.astype(np.int64), a.tolist()]
+
+
+def _pooling_pairs():
+    """The plain, shifted and pooled pair arrays of test_pooling_deterministic."""
+    rng = np.random.default_rng(5)
+    x = rng.integers(0, 3, size=500)
+    y = np.where(rng.random(500) < 0.004, 9, rng.integers(0, 2, size=500))
+    return [np.stack([x, y], axis=1), np.stack([x - 7, np.where(y == 9, 2, y)], axis=1)]
+
+
+class TestIdDtypes:
+    """The battery counts ids in the dtype they come in; every dtype gives the same result."""
+
+    @pytest.mark.parametrize("pairs", [*_pooling_pairs(),
+                                       np.stack([np.arange(400) % 4, np.arange(400) % 3], 1)])
+    def test_independence(self, pairs):
+        results = [chi_square_independence(p) for p in _as_dtypes(pairs)]
+        assert all(r == results[0] for r in results)
+
+    def test_independence_of_pooled_pairs_pools(self):
+        assert chi_square_independence(_pooling_pairs()[0].astype(np.int8)).pooled_cells >= 1
+
+    @pytest.mark.parametrize("members", [[0, 2], [0, 1, 2, 3], [0]])
+    def test_uniformity(self, members):
+        h = subgroup(Z4, members)
+        samples = np.random.default_rng(3).choice(members, size=600)
+        results = [chi_square_uniformity(s, h) for s in _as_dtypes(samples)]
+        assert all(r == results[0] for r in results)
+
+    def test_empirical_law(self):
+        samples = np.random.default_rng(4).integers(0, 4, size=600)
+        laws = [empirical_law(Z4, s).weights for s in _as_dtypes(samples)]
+        assert all(np.array_equal(w, laws[0]) for w in laws)
+
+    @pytest.mark.parametrize("mixture", [False, True])
+    def test_verify_theorems(self, case_c, mixture):
+        from convlimit.solutions import decompose_ensemble
+
+        noise, res = case_c
+        ens = extremal_ensemble(noise, res, 2 * res.depth_used, 2000, seed=20)
+        if mixture:
+            ens, _ = decompose_ensemble(general_ensemble(ens, haar(Z4), seed=21), res, noise=noise)
+        assert ens.phi.dtype == np.int8
+        wide = dataclasses.replace(
+            ens, **{f: getattr(ens, f).astype(np.int64) for f in ("xi", "eta", "phi", "U", "V")
+                    if getattr(ens, f) is not None})
+        assert wide.phi.dtype == np.int64
+        assert verify_theorems(noise, res, wide).to_json_dict() == \
+            verify_theorems(noise, res, ens).to_json_dict()
 
 
 class TestCaseBDiagnostic:
