@@ -612,6 +612,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ConvLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
+    except MemoryError:  # a backstop: an allocation the host cannot give is a domain error
+        print(f"error: {args.command} ran out of memory", file=sys.stderr)
+        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

@@ -334,11 +334,12 @@ def _centered_phi(
                           f"a {len(noise.prefix)}-level prefix; it needs depth >= {cut}")
     group = noise.group
     c = extend_centerings(limitres, (-cut,))[-cut]
-    reps, coset_of = np.array(section.representative, dtype=group.id_dtype), section.space.coset_of
+    # g -> the representative of gH, so that phi costs one take
+    phi_of = np.array(section.representative, dtype=group.id_dtype).take(section.space.coset_of)
 
     def kernel(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         full = centered_window(group, xi[-(cut + 1):], k_min, c)
-        return full, reps[coset_of[full]]
+        return full, phi_of.take(full)
 
     return kernel
 
@@ -374,7 +375,7 @@ def extremal_ensemble(
         raise InvalidSpec(f"u0={u0} is not a member of H")
     dtype = group.id_dtype
     members = np.array(H.members, dtype=dtype)
-    mul, inv = group.mul, group.inv
+    inv = group.inv.astype(dtype)
 
     w = -k_min + 1
     xi = np.empty((depth + 1, n_paths), dtype=dtype)
@@ -390,10 +391,10 @@ def extremal_ensemble(
         else:
             block_u0 = np.full(size, int(u0), dtype=dtype)
         full, bp = centered_phi(block_xi)
-        h = mul[mul[inv[full[-1]], bp[-1]], block_u0]
+        h = _product(group, _product(group, inv.take(full[-1]), bp[-1]), block_u0)
         be = eta[:, paths] = _product(group, full, h)
         phi[:, paths] = bp
-        U[:, paths] = _product(group, inv[bp], be)
+        U[:, paths] = _product(group, inv.take(bp), be)
     return Ensemble(group=group, kind="extremal", seed=seed, xi=xi, eta=eta, phi=phi, U=U)
 
 
@@ -464,11 +465,13 @@ def decompose_ensemble(
             "only noise the law can draw factors"
         )
     full, phi = centered_phi(ens.xi)
-    mul, inv = group.mul, group.inv
-    reps = np.array(section.representative, dtype=np.int64)
-    Z = mul[inv[full[-1]], eta[-1]]
-    V = inv[reps[section.space.coset_of[inv[Z]]]].astype(group.id_dtype)
-    U = _product(group, _product(group, inv[phi], eta), inv[V])
+    inv = group.inv.astype(group.id_dtype)
+    # Z -> rep(Z^{-1} H)^{-1}, so that V costs one take
+    v_of = inv.take(np.array(section.representative, dtype=group.id_dtype)
+                    .take(section.space.coset_of.take(inv)))
+    Z = _product(group, inv.take(full[-1]), eta[-1])
+    V = v_of.take(Z)
+    U = _product(group, _product(group, inv.take(phi), eta), inv.take(V))
     out = Ensemble(group=group, kind=ens.kind, seed=ens.seed, xi=ens.xi, eta=eta,
                    phi=phi, U=U, V=V)
     audit = {

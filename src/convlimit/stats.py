@@ -63,6 +63,16 @@ def chi2_sf(statistic: float, df: int) -> float:
     return min(1.0, head + tail)
 
 
+def _count_dtype(dtype: np.dtype) -> np.dtype:
+    """The dtype ids of ``dtype`` are counted in: itself, or intp for uint64.
+
+    A dtype that is not an integer dtype is refused with :class:`InvalidSpec`.
+    """
+    if dtype.kind not in "iu":
+        raise InvalidSpec(f"samples must be integer element ids, got dtype {dtype}")
+    return dtype if np.can_cast(dtype, np.intp) else np.dtype(np.intp)
+
+
 def _integer_samples(samples) -> np.ndarray:
     """The samples as an array in their own dtype, so that narrow ids stay narrow.
 
@@ -71,9 +81,7 @@ def _integer_samples(samples) -> np.ndarray:
     will not index or count with, comes back as intp.
     """
     xs = np.asarray(samples)
-    if xs.size and xs.dtype.kind not in "iu":
-        raise InvalidSpec(f"samples must be integer element ids, got dtype {xs.dtype}")
-    return xs if np.can_cast(xs.dtype, np.intp) else xs.astype(np.intp)
+    return xs.astype(_count_dtype(xs.dtype), copy=False) if xs.size else xs
 
 
 def _first_outside(xs: np.ndarray, inside: np.ndarray) -> int:
@@ -107,6 +115,10 @@ class ChiSquareResult:
     pooled_cells: int = 0
 
 
+# The result of a test with no variation to test: a constant coordinate, or one support cell.
+_DEGENERATE = ChiSquareResult(statistic=0.0, df=0, p_value=1.0, degenerate=True)
+
+
 def chi_square_uniformity(samples: Sequence[int] | np.ndarray, support: Subgroup) -> ChiSquareResult:
     """Pearson test of uniformity over the support's cells.
 
@@ -128,7 +140,7 @@ def chi_square_uniformity(samples: Sequence[int] | np.ndarray, support: Subgroup
         bad = _first_outside(xs, inside)
         raise OutOfSupport(f"sample value {bad} lies outside the hypothesised support")
     if members.size == 1:
-        return ChiSquareResult(statistic=0.0, df=0, p_value=1.0, degenerate=True)
+        return _DEGENERATE
     counts = counts[members].astype(float)
     expected = xs.size / members.size
     stat = float(((counts - expected) ** 2 / expected).sum())
@@ -176,6 +188,56 @@ def _pool_small_cells(table: np.ndarray) -> tuple[np.ndarray, int]:
     return t, pooled
 
 
+def _contingency_result(counts: np.ndarray) -> ChiSquareResult:
+    """Pearson's independence test on one table of counts.
+
+    Empty lines are dropped and small cells pooled first; a table left with
+    a single row or column is degenerate.
+    """
+    table = counts[counts.any(axis=1)][:, counts.any(axis=0)]
+    if min(table.shape) < 2:
+        return _DEGENERATE
+    table, pooled = _pool_small_cells(table)
+    n = table.sum()
+    expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / n
+    stat = float(((table - expected) ** 2 / expected).sum())
+    df = (table.shape[0] - 1) * (table.shape[1] - 1)
+    return ChiSquareResult(statistic=stat, df=df, p_value=chi2_sf(stat, df),
+                           pooled_cells=pooled)
+
+
+def _independence_tests(xs: np.ndarray, ys: np.ndarray) -> list[ChiSquareResult]:
+    """Independence of the integer samples ``xs`` from each row of ``ys``, paired by position.
+
+    The categories of each coordinate are the values seen, in increasing
+    order. A constant coordinate gives the degenerate result without being
+    counted; the table would have one line. The tables of the other rows sit
+    side by side in one (x span, sum of y spans) table, counted with one
+    ``bincount`` over the codes (x - x0) * width + offset_r + (y_r - y0_r).
+    So the spans should stay small, as they do for element ids.
+    """
+    out = [_DEGENERATE] * len(ys)
+    x0, x1 = int(xs.min()), int(xs.max())
+    if x0 == x1:
+        return out
+    spans = [(r, int(lo), int(hi)) for r, (lo, hi) in enumerate(zip(ys.min(axis=1), ys.max(axis=1)))
+             if lo < hi]
+    if not spans:
+        return out
+    offsets = np.cumsum([0] + [hi - lo + 1 for _, lo, hi in spans]).tolist()
+    width = offsets[-1]
+    x_code = np.multiply(xs, width, dtype=np.intp)
+    x_code -= x0 * width
+    codes = np.empty((len(spans), xs.size), dtype=np.intp)
+    for code, (r, lo, _), offset in zip(codes, spans, offsets):
+        np.add(x_code, ys[r], out=code)
+        code += offset - lo
+    counts = np.bincount(codes.ravel(), minlength=(x1 - x0 + 1) * width).reshape(-1, width)
+    for (r, _, _), start, stop in zip(spans, offsets, offsets[1:]):
+        out[r] = _contingency_result(counts[:, start:stop])
+    return out
+
+
 def chi_square_independence(pairs: Iterable[tuple[int, int]]) -> ChiSquareResult:
     """Contingency-table independence test for paired categorical samples.
 
@@ -190,22 +252,7 @@ def chi_square_independence(pairs: Iterable[tuple[int, int]]) -> ChiSquareResult
     if arr.size == 0:
         raise EmptySample("no sample pairs")
     xs, ys = arr.T.copy()  # contiguous columns, each reduced on its own
-    x0, y0 = int(xs.min()), int(ys.min())
-    n_x, n_y = int(xs.max()) - x0 + 1, int(ys.max()) - y0 + 1
-    code = np.multiply(xs, n_y, dtype=np.intp)  # (x - x0) * n_y + (y - y0)
-    code += ys
-    code -= x0 * n_y + y0
-    counts = np.bincount(code, minlength=n_x * n_y).reshape(n_x, n_y)
-    table = counts[counts.any(axis=1)][:, counts.any(axis=0)]
-    if min(table.shape) < 2:
-        return ChiSquareResult(statistic=0.0, df=0, p_value=1.0, degenerate=True)
-    table, pooled = _pool_small_cells(table)
-    n = table.sum()
-    expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / n
-    stat = float(((table - expected) ** 2 / expected).sum())
-    df = (table.shape[0] - 1) * (table.shape[1] - 1)
-    return ChiSquareResult(statistic=stat, df=df, p_value=chi2_sf(stat, df),
-                           pooled_cells=pooled)
+    return _independence_tests(xs, ys[None])[0]
 
 
 @dataclass(frozen=True)
@@ -334,14 +381,25 @@ def verify_theorems(
               else np.full(ensemble.n_paths, group.identity, dtype=group.id_dtype))
 
     # the marginal and invariance claims concern the extremal factor
-    # phi_k U_k, which for a mixture path is eta_k with V stripped off
+    # phi_k U_k, which for a mixture path is eta_k with V stripped off; its
+    # ids are products read from flat_mul, so each level counts as it is
     eta0 = _product(group, ensemble.phi, ensemble.U)
+    marginals = [Measure(group, np.bincount(row, minlength=group.order) / ensemble.n_paths)
+                 for row in eta0]
 
-    for k in ks:
+    # U_k's partners, one row each: V, then xi_j for j in noise_js; each
+    # pair (U_k, partner) must hold integer ids, as chi_square_independence
+    # requires of its pairs
+    partners = [v_vals] + [ensemble.xi_col(j) for j in noise_js]
+    for row in partners:
+        _count_dtype(np.result_type(ensemble.U, row))
+    partners = _integer_samples(np.stack(partners))
+
+    for k, emp in zip(ks, marginals):
         lam = limitres.lambdas.get(k)
         tv_k = math.nan
         if lam is not None:
-            tv_k = tv_distance(empirical_law(group, eta0[k - ensemble.k_min]), lam)
+            tv_k = tv_distance(emp, lam)
             if tv_k >= MARGINAL_TV_THRESHOLD:
                 failures.append(f"marginal at k={k} is {tv_k:.3f} from the limit law")
         u_k = ensemble.u_col(k)
@@ -354,12 +412,11 @@ def verify_theorems(
             p_unif = 0.0
         if out_of_support or p_unif < threshold:
             failures.append(f"uniformity of U at k={k} fails (p={p_unif:.2e})")
-        indep_v = chi_square_independence(np.stack([u_k, v_vals], axis=1))
+        indep_v, *indep_noise = _independence_tests(u_k, partners)
         if indep_v.p_value < threshold:
             failures.append(f"independence of (U_{k}, V) fails (p={indep_v.p_value:.2e})")
         p_noise: dict[int, float] = {}
-        for j in noise_js:
-            r = chi_square_independence(np.stack([u_k, ensemble.xi_col(j)], axis=1))
+        for j, r in zip(noise_js, indep_noise):
             p_noise[j] = r.p_value
             if r.p_value < threshold:
                 failures.append(f"independence of (U_{k}, xi_{j}) fails (p={r.p_value:.2e})")
@@ -369,7 +426,7 @@ def verify_theorems(
                                 uniformity_out_of_support=out_of_support))
 
     # invariance discrimination on the time-0 extremal marginal: lambda_0's symmetries
-    emp = empirical_law(group, eta0[-ensemble.k_min])
+    emp = marginals[-1]
     tvs = tv_to_right_translates(emp, emp)
     hiso = {h: float(tvs[h]) for h in range(group.order)}
     detected = tuple(h for h in range(group.order) if tvs[h] < HISO_TV_THRESHOLD)

@@ -15,13 +15,16 @@ from convlimit.errors import (
     BadRange,
     CosetNotStabilized,
     GridMismatch,
+    InsufficientSamples,
     InvalidSpec,
     NoConvergenceAtDepth,
     NotASubgroup,
+    OutOfSupport,
 )
 from convlimit.groups import (
     Section,
     conjugate_subgroup,
+    default_section,
     full_subgroup,
     generated_subgroup,
     left_cosets,
@@ -40,13 +43,40 @@ from convlimit.measures import (
     Measure,
     all_right_translates,
     convolve,
+    haar,
     haar_subgroup,
     right_stabilizer,
+    sample,
     translate_right,
     tv_distance,
+    tv_to_right_translates,
 )
-from convlimit.solutions import _PURPOSE_XI, _stream, centered_window, recursion_break, sample_noise
-from convlimit.stats import DepthRecord
+from convlimit.solutions import (
+    _PURPOSE_INIT,
+    _PURPOSE_U0,
+    _PURPOSE_V,
+    _PURPOSE_XI,
+    CHUNK_SIZE,
+    _product,
+    _stream,
+    centered_window,
+    extremal_ensemble,
+    recursion_break,
+    sample_noise,
+    uniform_ensemble,
+    window_cut,
+)
+from convlimit.stats import (
+    HISO_TV_THRESHOLD,
+    MARGINAL_TV_THRESHOLD,
+    MIN_PATHS_FOR_BATTERY,
+    DepthRecord,
+    EnsembleReport,
+    PerKChecks,
+    chi_square_independence,
+    chi_square_uniformity,
+    empirical_law,
+)
 from convlimit.torus import (
     DEFAULT_DEPTH,
     DEFAULT_FLOOR,
@@ -511,6 +541,176 @@ def decompose_core(group, space, section, alphas, xi, depth, eta, k_min):
     if not (space.coset_of[U] == id_coset).all():
         raise CosetNotStabilized("recovered subgroup factor left H")
     return phi, U, V
+
+
+def _chunk_sizes(n_paths):
+    """(chunk index, size) of the library's chunks over n_paths, in path order."""
+    return [(idx, min(CHUNK_SIZE, n_paths - start))
+            for idx, start in enumerate(range(0, n_paths, CHUNK_SIZE))]
+
+
+def _window_kernel(noise, limitres, k_min):
+    """xi -> (full, phi) of one window: the centred products from the cut and their
+    coset representatives, read through int64 ``reps[coset_of[full]]``."""
+    group = noise.group
+    space = left_cosets(group, limitres.subgroup)
+    reps = np.array(default_section(space).representative, dtype=np.int64)
+    cut = window_cut(noise, k_min)
+    c = extend_centerings(limitres, (-cut,))[-cut]
+
+    def kernel(xi):
+        full = centered_window(group, xi[-(cut + 1):], k_min, c)
+        return full, reps[space.coset_of[full]]
+
+    return kernel
+
+
+def extremal_by_fancy_index(noise, limitres, depth, n_paths, seed):
+    """The arrays of ``extremal_ensemble``, from 2-D fancy indexes into the int64 ``mul``.
+
+    Chunk by chunk on the library's streams: h = full_0^-1 phi_0 u0,
+    eta_k = full_k h and U_k = phi_k^-1 eta_k, each product one ``mul[a, b]``.
+    """
+    group = noise.group
+    mul, inv = group.mul, group.inv
+    members = np.array(limitres.subgroup.members, dtype=np.int64)
+    kernel = _window_kernel(noise, limitres, limitres.k_min)
+    parts = []
+    for idx, size in _chunk_sizes(n_paths):
+        xi = sample_noise(noise, depth, size, seed, idx)
+        u0 = members[_stream(seed, _PURPOSE_U0, idx).integers(0, members.size, size=size)]
+        full, phi = kernel(xi)
+        eta = mul[full, mul[mul[inv[full[-1]], phi[-1]], u0]]
+        parts.append({"xi": xi, "eta": eta, "phi": phi, "U": mul[inv[phi], eta]})
+    return {name: np.concatenate([p[name] for p in parts], axis=1) for name in parts[0]}
+
+
+def mixture_by_fancy_index(group, extremal, v_law, seed):
+    """The arrays of ``general_ensemble`` on an extremal ensemble's arrays: eta_k V by ``mul``."""
+    n_paths = extremal["xi"].shape[1]
+    V = np.concatenate([sample(v_law, _stream(seed, _PURPOSE_V, idx), size=size)
+                        for idx, size in _chunk_sizes(n_paths)])
+    return {**extremal, "eta": group.mul[extremal["eta"], V], "V": V}
+
+
+def uniform_by_fancy_index(noise, depth, n_paths, seed):
+    """The arrays of ``uniform_ensemble``: a Haar state walked up by ``mul[xi_k, state]``."""
+    group = noise.group
+    xis, etas = [], []
+    for idx, size in _chunk_sizes(n_paths):
+        xi = sample_noise(noise, depth, size, seed, idx)
+        state = sample(haar(group), _stream(seed, _PURPOSE_INIT, idx), size=size)
+        eta = np.empty(xi.shape, dtype=np.int64)
+        for i, row in enumerate(xi):
+            state = eta[i] = group.mul[row, state]
+        xis.append(xi)
+        etas.append(eta)
+    return {"xi": np.concatenate(xis, axis=1), "eta": np.concatenate(etas, axis=1)}
+
+
+def decompose_by_fancy_index(noise, limitres, xi, eta, k_min):
+    """The arrays of ``decompose_ensemble`` over the window k_min..0, by fancy indexes.
+
+    Z = full_0^-1 eta_0, V = rep(Z^-1 H)^-1 and U_k = phi_k^-1 eta_k V^-1.
+    """
+    group = noise.group
+    mul, inv = group.mul, group.inv
+    space = left_cosets(group, limitres.subgroup)
+    reps = np.array(default_section(space).representative, dtype=np.int64)
+    full, phi = _window_kernel(noise, limitres, k_min)(xi)
+    window = eta[len(eta) - 1 + k_min:]
+    Z = mul[inv[full[-1]], window[-1]]
+    V = inv[reps[space.coset_of[inv[Z]]]]
+    return {"xi": xi, "eta": window, "phi": phi, "U": mul[mul[inv[phi], window], inv[V]], "V": V}
+
+
+def battery_per_call(noise, limitres, ensemble, significance=0.01):
+    """The report of ``verify_theorems``, with one library call per test.
+
+    Each marginal is one ``empirical_law`` call and each independence test
+    one ``chi_square_independence`` call on its pairs stacked as (N, 2).
+    """
+    if ensemble.n_paths < MIN_PATHS_FOR_BATTERY:
+        raise InsufficientSamples(
+            f"battery calibrated for >= {MIN_PATHS_FOR_BATTERY} paths, got {ensemble.n_paths}"
+        )
+    if ensemble.phi is None or ensemble.U is None:
+        raise InsufficientSamples("battery needs an extremal or mixture ensemble")
+    noise_js = [0, -1, -2]
+    if ensemble.depth < -min(noise_js):
+        raise InvalidSpec(f"battery needs xi_-2; the ensemble's xi stops at k={-ensemble.depth}")
+    group = noise.group
+    ks = list(range(ensemble.k_min, 1))
+    n_tests = len(ks) * (1 + 1 + len(noise_js)) + 1
+    threshold = significance / n_tests
+    failures, per_k = [], []
+    v_vals = (ensemble.V if ensemble.V is not None
+              else np.full(ensemble.n_paths, group.identity, dtype=group.id_dtype))
+    eta0 = _product(group, ensemble.phi, ensemble.U)
+    for k in ks:
+        lam = limitres.lambdas.get(k)
+        tv_k = math.nan
+        if lam is not None:
+            tv_k = tv_distance(empirical_law(group, eta0[k - ensemble.k_min]), lam)
+            if tv_k >= MARGINAL_TV_THRESHOLD:
+                failures.append(f"marginal at k={k} is {tv_k:.3f} from the limit law")
+        u_k = ensemble.u_col(k)
+        out_of_support = False
+        try:
+            p_unif = chi_square_uniformity(u_k, limitres.subgroup).p_value
+        except OutOfSupport:
+            out_of_support, p_unif = True, 0.0
+        if out_of_support or p_unif < threshold:
+            failures.append(f"uniformity of U at k={k} fails (p={p_unif:.2e})")
+        p_v = chi_square_independence(np.stack([u_k, v_vals], axis=1)).p_value
+        if p_v < threshold:
+            failures.append(f"independence of (U_{k}, V) fails (p={p_v:.2e})")
+        p_noise = {}
+        for j in noise_js:
+            p_noise[j] = chi_square_independence(np.stack([u_k, ensemble.xi_col(j)], axis=1)).p_value
+            if p_noise[j] < threshold:
+                failures.append(f"independence of (U_{k}, xi_{j}) fails (p={p_noise[j]:.2e})")
+        per_k.append(PerKChecks(k=k, tv_to_lambda=tv_k, p_uniformity=p_unif, p_independence_v=p_v,
+                                p_independence_noise=p_noise,
+                                uniformity_out_of_support=out_of_support))
+
+    emp = empirical_law(group, eta0[-ensemble.k_min])
+    tvs = tv_to_right_translates(emp, emp)
+    detected = tuple(h for h in range(group.order) if tvs[h] < HISO_TV_THRESHOLD)
+    expected = right_stabilizer(limitres.lambda0).members
+    if detected != expected:
+        failures.append(
+            f"H-invariance discrimination found {list(detected)}, expected {list(expected)}"
+        )
+
+    uni = uniform_ensemble(noise, depth=max(8, -ensemble.k_min), n_paths=ensemble.n_paths,
+                           seed=ensemble.seed + 1)
+    tv_uni = tv_distance(empirical_law(group, uni.eta_col(0)), haar(group))
+    p_uni = chi_square_independence(np.stack([uni.eta_col(0), uni.xi_col(0)], axis=1)).p_value
+    if tv_uni >= MARGINAL_TV_THRESHOLD:
+        failures.append(f"uniform-solution marginal is {tv_uni:.3f} from Haar")
+    if p_uni < threshold:
+        failures.append(f"uniform-solution independence fails (p={p_uni:.2e})")
+
+    strong_det = None
+    if limitres.case == "B":
+        cut = window_cut(noise, ensemble.k_min)
+        depth = cut if ensemble.depth > cut else 2 * cut
+        rebuilt = extremal_ensemble(noise, limitres, depth, ensemble.n_paths, ensemble.seed,
+                                    k_min=ensemble.k_min, u0=group.identity)
+        strong_det = bool(np.array_equal(rebuilt.eta, ensemble.phi))
+        if not strong_det:
+            failures.append("strong-solution determinism check failed")
+
+    return EnsembleReport(
+        n_paths=ensemble.n_paths, significance=significance, bonferroni_tests=n_tests,
+        per_k=tuple(per_k), hiso_tv={h: float(tvs[h]) for h in range(group.order)},
+        hiso_detected=detected,
+        case_checks={"detected_case": limitres.case, "uniform_marginal_tv": tv_uni,
+                     "uniform_marginal_ok": tv_uni < MARGINAL_TV_THRESHOLD,
+                     "uniform_independence_p": p_uni, "strong_determinism": strong_det},
+        passed=not failures, failures=tuple(failures),
+    )
 
 
 def gauge_align_per_translate(nu, gauge):

@@ -1,6 +1,11 @@
 import json
+import os
 import re
+import resource
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1036,6 +1041,26 @@ def test_output_file_taken_by_a_directory_exits_2_naming_it(command, torus, name
     err = capsys.readouterr().err
     assert rc == 2, err
     assert err == f"error: output file {out / name} cannot be used: Is a directory\n"
+
+
+def test_an_allocation_that_does_not_fit_exits_5_naming_the_command(tmp_path):
+    # Zn:1000000's 10^12-cell table fits in no address space; the 2 GB cap
+    # keeps the child from reaching far if it tried. The child prints the
+    # seconds from its first import to its exit.
+    spec = write_spec(tmp_path, {"group": {"kind": "builtin", "name": "Zn:1000000"},
+                                 "tail": {"kind": "constant", "mu": {"kind": "haar"}}})
+    argv = ["classify", "--input", str(spec), "--out", str(tmp_path / "out")]
+    code = ("import sys, time\nstart = time.perf_counter()\n"
+            f"from convlimit.cli import main\nrc = main({argv!r})\n"
+            "print(time.perf_counter() - start)\nsys.exit(rc)\n")
+    cap = 2 << 30
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert done.returncode == 5, done.stderr
+    assert done.stderr == "error: classify ran out of memory\n"
+    assert float(done.stdout) < 1.0
 
 
 # Spec-grammar fuzzer: valid specs on small groups with one or two fields

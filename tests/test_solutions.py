@@ -6,13 +6,17 @@ import threading
 import numpy as np
 import pytest
 from oracles import (
+    decompose_by_fancy_index,
     decompose_core,
     ensemble_records,
+    extremal_by_fancy_index,
     extremal_from_xi,
+    mixture_by_fancy_index,
     recursion_holds,
     sample_noise_per_level,
     section_from_representatives,
     torus_decompose,
+    uniform_by_fancy_index,
 )
 from test_golden_records import SPECS as GOLDEN_SPECS
 
@@ -22,6 +26,7 @@ from convlimit.groups import (
     builtin_group,
     cyclic_group,
     default_section,
+    id_dtype,
     left_cosets,
     subgroup,
     symmetric_group,
@@ -776,14 +781,20 @@ def test_every_array_is_level_major(name, tmp_path):
     assert {f.name for f in dataclasses.fields(solutions.Ensemble)}.isdisjoint({"subgroup", "section"})
 
 
-def _ensembles_of_every_kind(name, n_paths):
-    """Uniform, extremal, mixture, decomposed and shallower-decomposed ensembles on a
-    builtin group, with a case C constant tail on {e, g} for the middle element g."""
+def _case_c_on(name):
+    """(noise, limit) of a case C constant tail on {e, g}, g the middle element of a builtin group."""
     group = builtin_group(name)
     w = np.zeros(group.order)
     w[[0, group.order // 2]] = 0.5
     noise = constant_noise(Measure(group, w))
-    res = compute_limit(noise)
+    return noise, compute_limit(noise)
+
+
+def _ensembles_of_every_kind(name, n_paths):
+    """Uniform, extremal, mixture, decomposed and shallower-decomposed ensembles on a
+    builtin group, with the case C tail of :func:`_case_c_on`."""
+    noise, res = _case_c_on(name)
+    group = noise.group
     depth = 2 * res.depth_used
     ext = extremal_ensemble(noise, res, depth, n_paths, seed=31)
     mix = general_ensemble(ext, haar(group), seed=32)
@@ -791,6 +802,33 @@ def _ensembles_of_every_kind(name, n_paths):
     shallow, _ = decompose_ensemble(mix, res, noise=noise, k_min=res.k_min // 2)
     return {"uniform": uniform_ensemble(noise, depth, n_paths, seed=33), "extremal": ext,
             "mixture": mix, "decomposed": dec, "decomposed-shallow": shallow}
+
+
+@pytest.mark.parametrize("n_paths", [1, CHUNK_SIZE, CHUNK_SIZE + 3])
+@pytest.mark.parametrize("name, ids, flat", [("D4", np.int8, np.int8),
+                                             ("product:D4xZn:64", np.int16, np.int32)])
+def test_kernels_match_the_fancy_index_products(name, ids, flat, n_paths):
+    """Every array of every kind equals the one built by 2-D fancy indexes into the
+    int64 mul, in the id dtype, one chunk, a full chunk and a chunk and a bit."""
+    noise, res = _case_c_on(name)
+    group, depth = noise.group, 2 * res.depth_used
+    assert (group.id_dtype, id_dtype(group.order ** 2)) == (ids, flat)
+    ext = extremal_by_fancy_index(noise, res, depth, n_paths, seed=31)
+    mix = mixture_by_fancy_index(group, ext, haar(group), seed=32)
+    expected = {
+        "uniform": uniform_by_fancy_index(noise, depth, n_paths, seed=33),
+        "extremal": ext,
+        "mixture": mix,
+        "decomposed": decompose_by_fancy_index(noise, res, mix["xi"], mix["eta"], res.k_min),
+        "decomposed-shallow": decompose_by_fancy_index(noise, res, mix["xi"], mix["eta"],
+                                                       res.k_min // 2),
+    }
+    for kind, ens in _ensembles_of_every_kind(name, n_paths).items():
+        fields = {f for f in ("xi", "eta", "phi", "U", "V") if getattr(ens, f) is not None}
+        assert fields == set(expected[kind]), kind
+        for field in fields:
+            got = getattr(ens, field)
+            assert got.dtype == ids and np.array_equal(got, expected[kind][field]), (kind, field)
 
 
 @pytest.mark.parametrize("kind", ["uniform", "extremal", "mixture", "decomposed",

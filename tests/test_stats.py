@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import battery_per_call
 from scipy.integrate import quad
 from scipy.special import gamma, gammaincc
 
@@ -10,7 +11,7 @@ from convlimit.errors import BadRange, EmptySample, InsufficientSamples, Invalid
 from convlimit.groups import cyclic_group, subgroup, trivial_subgroup
 from convlimit.limits import compute_limit, constant_noise, noise_from_spec
 from convlimit.measures import Measure, delta, haar, tv_distance
-from convlimit.solutions import extremal_ensemble, general_ensemble
+from convlimit.solutions import CHUNK_SIZE, decompose_ensemble, extremal_ensemble, general_ensemble
 from convlimit.stats import (
     case_b_convergence_diagnostic,
     chi2_sf,
@@ -272,6 +273,85 @@ class TestIdDtypes:
         assert wide.phi.dtype == np.int64
         assert verify_theorems(noise, res, wide).to_json_dict() == \
             verify_theorems(noise, res, ens).to_json_dict()
+
+
+@pytest.fixture(scope="module")
+def pooling():
+    """Case A on Z16: at 1000 paths the 16 x 16 tables of U_k against xi_j pool."""
+    noise = constant_noise(haar(cyclic_group(16)))
+    return noise, compute_limit(noise)
+
+
+def _battery_ensemble(case, n_paths, request):
+    noise, res = request.getfixturevalue("case_c" if case == "mixture" else case)
+    ens = extremal_ensemble(noise, res, 2 * res.depth_used, n_paths, seed=51)
+    if case == "mixture":
+        ens, _ = decompose_ensemble(general_ensemble(ens, haar(noise.group), seed=52), res, noise)
+    return noise, res, ens
+
+
+def _battery_outcome(battery, noise, res, ens):
+    """The report as a JSON dict, or the type and message of the exception raised."""
+    try:
+        return battery(noise, res, ens).to_json_dict()
+    except Exception as exc:  # the refusals are compared, not raised
+        return type(exc), str(exc)
+
+
+class TestBatteryOracle:
+    """verify_theorems counts each level's tables at once; one library call per test is the oracle."""
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int64])
+    @pytest.mark.parametrize("n_paths", [1000, CHUNK_SIZE + 3])
+    @pytest.mark.parametrize("case", ["case_a", "case_b", "case_c", "mixture", "pooling"])
+    def test_report_equals_the_per_call_battery(self, case, n_paths, dtype, request):
+        noise, res, ens = _battery_ensemble(case, n_paths, request)
+        assert ens.phi.dtype == np.int8
+        ens = dataclasses.replace(ens, **{f: getattr(ens, f).astype(dtype)
+                                          for f in ("xi", "eta", "phi", "U", "V")
+                                          if getattr(ens, f) is not None})
+        assert verify_theorems(noise, res, ens).to_json_dict() == \
+            battery_per_call(noise, res, ens).to_json_dict()
+
+    def test_the_pooling_case_pools(self, request):
+        _, _, ens = _battery_ensemble("pooling", 1000, request)
+        assert chi_square_independence(np.stack([ens.u_col(0), ens.xi_col(0)], 1)).pooled_cells > 0
+
+    @pytest.mark.parametrize("mutation, refusal", [
+        ("U outside H", None),
+        ("U below 0", None),
+        ("U past the table", IndexError),
+        ("xi outside the group", None),
+        ("float U", TypeError),
+        ("float xi", InvalidSpec),
+        ("float V", InvalidSpec),
+    ])
+    def test_mutated_ensembles_match_the_per_call_battery(self, mutation, refusal, request):
+        noise, res, ens = _battery_ensemble("mixture", 1000, request)
+        U, xi = ens.U.copy(), ens.xi.copy()
+        if mutation == "U outside H":
+            U[3, 5] = 1  # H = {0, 2}
+        elif mutation == "U below 0":
+            U[0, 0] = -1
+        elif mutation == "U past the table":
+            U[0, 0] = 100
+        elif mutation == "xi outside the group":
+            xi[-1, 0] = 9
+        mutated = {
+            "float U": dataclasses.replace(ens, U=ens.U.astype(float)),
+            "float xi": dataclasses.replace(ens, xi=ens.xi.astype(float)),
+            "float V": dataclasses.replace(ens, V=ens.V.astype(float)),
+        }.get(mutation, dataclasses.replace(ens, U=U, xi=xi))
+        outcome = _battery_outcome(verify_theorems, noise, res, mutated)
+        assert outcome == _battery_outcome(battery_per_call, noise, res, mutated)
+        if refusal is None:
+            assert isinstance(outcome, dict)
+        else:
+            assert issubclass(outcome[0], refusal), outcome
+        if mutation == "U outside H":
+            assert outcome["per_k"][3]["uniformity_out_of_support"]
+        if refusal is InvalidSpec:
+            assert outcome[1] == "samples must be integer element ids, got dtype float64"
 
 
 class TestCaseBDiagnostic:
