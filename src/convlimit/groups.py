@@ -11,7 +11,7 @@ import itertools
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -53,13 +53,6 @@ class FiniteGroup:
         return bool(np.array_equal(self.mul, self.mul.T))
 
     @cached_property
-    def left_div(self) -> np.ndarray:
-        """``left_div[a, x]`` is the index of a^-1 x; built once per group, read-only."""
-        table = self.mul[self.inv, :]
-        table.setflags(write=False)
-        return table
-
-    @cached_property
     def id_dtype(self) -> np.dtype:
         """The dtype of element-id arrays of this group; see :func:`id_dtype`."""
         return id_dtype(self.order)
@@ -72,13 +65,6 @@ class FiniteGroup:
         ``id_dtype(order * order)``.
         """
         table = self.mul.ravel().astype(self.id_dtype)
-        table.setflags(write=False)
-        return table
-
-    @cached_property
-    def right_div(self) -> np.ndarray:
-        """``right_div[x, g]`` is the index of x g^-1; built once per group, read-only."""
-        table = self.mul[:, self.inv]
         table.setflags(write=False)
         return table
 
@@ -203,6 +189,24 @@ def _product_closure(table: np.ndarray, reached: np.ndarray, new: np.ndarray) ->
         new = np.flatnonzero(fresh)
 
 
+def _greedy_generators(table: np.ndarray, identity: int, inside: np.ndarray) -> Iterator[int]:
+    """Generators of the elements that the boolean mask ``inside`` marks, picked greedily.
+
+    The next generator is the smallest marked element not yet reached from the
+    identity by products of the earlier ones. The reached set is grown to its
+    product closure only after the caller has seen a generator, so Light's test
+    checks each generator before any product with it is read. When the marked
+    elements form a subgroup, each generator at least doubles the reached one.
+    """
+    reached = np.zeros(table.shape[0], dtype=bool)
+    reached[identity] = True
+    while (left := inside & ~reached).any():
+        g = int(np.argmax(left))
+        yield g
+        reached[g] = True
+        _product_closure(table, reached, np.array([g]))
+
+
 def _check_associativity(table: np.ndarray, identity: int) -> None:
     """Light's test over a greedy generating set: exact, O(n^2 log n) on any table.
 
@@ -220,16 +224,11 @@ def _check_associativity(table: np.ndarray, identity: int) -> None:
     generators are tested. ``table`` is in the id dtype, and the test's row
     and column gathers are ``take`` calls.
     """
-    reached = np.zeros(table.shape[0], dtype=bool)
-    reached[identity] = True
-    while not reached.all():
-        g = int(np.argmin(reached))
+    for g in _greedy_generators(table, identity, np.ones(table.shape[0], dtype=bool)):
         bad = table.take(table[:, g], axis=0) != table.take(table[g], axis=1)
         if bad.any():
             x, y = map(int, np.argwhere(bad)[0])
             raise NotAssociative((x, g, y))
-        reached[g] = True
-        _product_closure(table, reached, np.array([g]))
 
 
 def validate_group(
@@ -398,12 +397,16 @@ def conjugate_subgroup(H: Subgroup, g: int) -> Subgroup:
 def normal_closure(group: FiniteGroup, H: Subgroup) -> Subgroup:
     """Smallest normal subgroup containing H.
 
-    Generated by all conjugates of the members of H; conjugation permutes
-    that generating set, so a single closure suffices.
+    Generated by H and the conjugates, by every element, of a generating set
+    of H picked as Light's test picks one: conjugation by g is an
+    automorphism, so the conjugates of the generators generate g^-1 H g.
+    O(n log |H|) conjugates; with H among the generators, the closure needs
+    few rounds.
     """
     _require_subgroup_of(group, H)
-    conj = _conjugates(group, H.members, np.arange(group.order))
-    return generated_subgroup(group, np.unique(conj))
+    gens = list(_greedy_generators(group.mul, group.identity, _member_mask(group, H.members)))
+    conj = _conjugates(group, np.array(gens, dtype=np.int64), np.arange(group.order))
+    return generated_subgroup(group, np.concatenate([H.members, conj.ravel()]))
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,15 @@ DEFAULT_MAX_DEPTH = 4096
 DEFAULT_K_MIN = -8
 SUPPORT_TOL = 1e-12
 
+# shape_distance screens every translate by its overlap sum min(mu delta_g, nu)
+# and sums |mu delta_g - nu| / 2 only where the overlap is within this of the
+# largest. 1 - overlap and that sum differ by at most WEIGHT_SUM_TOL + 3n 2^-53:
+# the weights of mu and nu each sum to 1 within WEIGHT_SUM_TOL and the rounding
+# of that sum, and each float sum of n terms of total at most 2 rounds by at
+# most n 2^-53 per unit of its total. For n up to 10^6 that is under 4e-10, so
+# a minimiser's overlap lies within twice it, under the slack, of the largest.
+SCREEN_SLACK = 1e-9
+
 GAUGE_MAX_WEIGHT = "max-weight"
 GAUGE_MIN_SUPPORT = "min-support"
 
@@ -249,10 +258,25 @@ class LimitResult:
 
 
 def shape_distance(mu: Measure, nu: Measure) -> tuple[float, int]:
-    """min_g tv(mu * delta_g, nu) and the smallest g achieving it."""
-    dists = tv_to_right_translates(mu, nu)
-    g = int(np.argmin(dists))
-    return float(dists[g]), g
+    """min_g tv(mu * delta_g, nu) and the smallest g achieving it.
+
+    Every g is first screened by its overlap sum_x min((mu delta_g)(x), nu(x)),
+    as tv = 1 - overlap for laws that sum to 1, summed over the smaller
+    support: O(n min(|supp mu|, |supp nu|)). The g within SCREEN_SLACK of the
+    largest overlap hold every minimiser, and only they are summed as
+    :func:`tv_to_right_translates` sums: the distance and g are those of the
+    sum over every translate, bit for bit.
+    """
+    grp, w, v = mu.group, mu.weights, nu.weights
+    a, b = w.nonzero()[0], v.nonzero()[0]
+    if a.size <= b.size:  # column g: min(mu(x), nu(x g)) for x in supp mu
+        overlap = np.minimum(w[a, None], v.take(grp.mul[a])).sum(axis=0)
+    else:  # column h: min(mu(y h), nu(y)) for y in supp nu, read at h = g^-1
+        overlap = np.minimum(w.take(grp.mul[b]), v[b, None]).sum(axis=0).take(grp.inv)
+    near = (overlap >= overlap.max() - SCREEN_SLACK).nonzero()[0]
+    dists = tv_to_right_translates(mu, nu, near)
+    i = dists.argmin()
+    return float(dists[i]), int(near[i])
 
 
 def _check_gauge(gauge: str) -> None:
@@ -266,15 +290,19 @@ def _gauge_align(nu: Measure, gauge: str) -> tuple[Measure, int]:
     max-weight: the (first) maximal-weight element goes to the smallest
     possible index. min-support: index 0 must carry positive weight.
     Ties break by lexicographic weight vector, then by the translation index:
-    one ``lexsort`` whose last key is the primary one.
+    one ``lexsort``, over the g that tie on the least primary key only.
     """
     _check_gauge(gauge)
-    translates = all_right_translates(nu)  # column g holds nu delta_g
+    grp, w = nu.group, nu.weights
     if gauge == GAUGE_MAX_WEIGHT:
-        primary = np.argmax(translates, axis=0)
+        # nu delta_g is largest at x = a g, a in the argmax set; the key is the least such x
+        primary = grp.mul[np.flatnonzero(w == w.max())].min(axis=0)
     else:
-        primary = np.where(translates[0] > SUPPORT_TOL, 0, 1)
-    g = int(np.lexsort((np.arange(nu.group.order), *translates[::-1], primary))[0])
+        # (nu delta_g)(0) = nu(0 g^-1); element 0 need not be the identity
+        primary = np.where(w.take(grp.mul[0, grp.inv]) > SUPPORT_TOL, 0, 1)
+    ties = np.flatnonzero(primary == primary.min())
+    translates = all_right_translates(nu, ties)  # column i holds nu delta_ties[i]
+    g = int(ties[np.lexsort((ties, *translates[::-1]))[0]])
     return translate_right(nu, g), g
 
 

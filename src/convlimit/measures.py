@@ -1,7 +1,9 @@
 """Probability measures on a finite group: convolution, Haar, stabilizers, sampling.
 
-Measures are dense double-precision weight vectors. Convolution is the
-plain O(n^2) sum, which doubles as its own brute-force oracle at desk scale.
+Measures are dense double-precision weight vectors. Convolution gathers one
+row per support point of its left factor, O(|supp mu| n), and its sums equal,
+bit for bit, those of the plain O(n^2) sum over every row. Right translates
+are gathered only for the elements asked for, each as one contiguous column.
 """
 
 from __future__ import annotations
@@ -95,13 +97,20 @@ def haar_subgroup(group: FiniteGroup, H: Subgroup) -> Measure:
 def convolve(mu: Measure, nu: Measure) -> Measure:
     """Law of X*Y for independent X ~ mu, Y ~ nu: out(g) = sum_a mu(a) nu(a^-1 g).
 
+    Row a of an n x n matrix holds nu(a^-1 x) for a in the support of mu and
+    zeros elsewhere, and one matrix-vector product with mu's weights sums
+    the rows: O(|supp mu| n) gathered. The sums are those over every row,
+    bit for bit: a row where mu(a) = 0 adds +0 to each total whatever it
+    holds, and the product sums the same n rows in the same order.
+
     Renormalizes when floating-point drift exceeds the weight-sum tolerance,
     so long chains stay on the simplex.
     """
     _require_same_group(mu, nu)
     g = mu.group
-    # rows[a, x] = nu(a^-1 x)
-    rows = nu.weights[g.left_div]
+    support = mu.weights.nonzero()[0]
+    rows = np.zeros((g.order, g.order))
+    rows[support] = nu.weights.take(g.mul.take(g.inv.take(support), axis=0))
     out = mu.weights @ rows
     total = out.sum()
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
@@ -121,15 +130,25 @@ def tv_distance(mu: Measure, nu: Measure) -> float:
     return 0.5 * float(np.abs(mu.weights - nu.weights).sum())
 
 
-def all_right_translates(mu: Measure) -> np.ndarray:
-    """Matrix whose column g is the weight vector of mu * delta_g."""
+def all_right_translates(mu: Measure, at: Optional[np.ndarray] = None) -> np.ndarray:
+    """Matrix whose column i is the weight vector of mu * delta_g for g = at[i], every g by default.
+
+    The matrix is F-ordered: each translate is one contiguous column.
+    """
     grp = mu.group
-    return mu.weights[grp.right_div]
+    at = np.arange(grp.order) if at is None else at
+    # row inv[g] of mul.T maps x to x g^-1
+    return mu.weights.take(grp.mul.T[grp.inv[at]]).T
 
 
-def tv_to_right_translates(mu: Measure, nu: Measure) -> np.ndarray:
-    """Vector whose entry g is tv(mu * delta_g, nu)."""
-    return 0.5 * np.abs(all_right_translates(mu) - nu.weights[:, None]).sum(axis=0)
+def tv_to_right_translates(mu: Measure, nu: Measure, at: Optional[np.ndarray] = None) -> np.ndarray:
+    """Vector whose entry i is tv(mu * delta_g, nu) for g = at[i], every g by default.
+
+    Each translate's absolute differences are summed pairwise (numpy's sum
+    along one contiguous column), so an entry's bits do not depend on which
+    other g are asked for.
+    """
+    return 0.5 * np.abs(all_right_translates(mu, at) - nu.weights[:, None]).sum(axis=0)
 
 
 def right_stabilizer(mu: Measure, tol: float = STABILIZER_TOL) -> Subgroup:

@@ -91,6 +91,15 @@ def _first_outside(xs: np.ndarray, inside: np.ndarray) -> int:
     return int(xs[~ok][0])
 
 
+def _require_element_ids(group: FiniteGroup, name: str, ids: np.ndarray) -> None:
+    """Refuse, with :class:`InvalidSpec`, an id array that is not integer or holds an id
+    outside [0, order); the message names the array and its first such id."""
+    _count_dtype(ids.dtype)
+    if ids.size and (ids.min() < 0 or ids.max() >= group.order):
+        bad = _first_outside(ids.ravel(), np.ones(group.order, dtype=bool))
+        raise InvalidSpec(f"{name} holds {bad}, which is not an element id of {group!r}")
+
+
 def empirical_law(group: FiniteGroup, samples: Sequence[int] | np.ndarray) -> Measure:
     """Normalized counts of the samples as a measure on the group.
 
@@ -382,7 +391,10 @@ def verify_theorems(
 
     # the marginal and invariance claims concern the extremal factor
     # phi_k U_k, which for a mixture path is eta_k with V stripped off; its
-    # ids are products read from flat_mul, so each level counts as it is
+    # ids are products read from flat_mul, so each level counts as it is,
+    # and phi and U must hold element ids for the product to read the table
+    for name, ids in (("phi", ensemble.phi), ("U", ensemble.U)):
+        _require_element_ids(group, name, ids)
     eta0 = _product(group, ensemble.phi, ensemble.U)
     marginals = [Measure(group, np.bincount(row, minlength=group.order) / ensemble.n_paths)
                  for row in eta0]

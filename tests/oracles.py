@@ -40,6 +40,7 @@ from convlimit.limits import (
     shape_distance,
 )
 from convlimit.measures import (
+    WEIGHT_SUM_TOL,
     Measure,
     all_right_translates,
     convolve,
@@ -629,6 +630,7 @@ def battery_per_call(noise, limitres, ensemble, significance=0.01):
 
     Each marginal is one ``empirical_law`` call and each independence test
     one ``chi_square_independence`` call on its pairs stacked as (N, 2).
+    phi and U must hold integer ids in [0, order).
     """
     if ensemble.n_paths < MIN_PATHS_FOR_BATTERY:
         raise InsufficientSamples(
@@ -646,6 +648,12 @@ def battery_per_call(noise, limitres, ensemble, significance=0.01):
     failures, per_k = [], []
     v_vals = (ensemble.V if ensemble.V is not None
               else np.full(ensemble.n_paths, group.identity, dtype=group.id_dtype))
+    for name, ids in (("phi", ensemble.phi), ("U", ensemble.U)):
+        if ids.dtype.kind not in "iu":
+            raise InvalidSpec(f"samples must be integer element ids, got dtype {ids.dtype}")
+        outside = ids[(ids < 0) | (ids >= group.order)]
+        if outside.size:
+            raise InvalidSpec(f"{name} holds {outside[0]}, which is not an element id of {group!r}")
     eta0 = _product(group, ensemble.phi, ensemble.U)
     for k in ks:
         lam = limitres.lambdas.get(k)
@@ -711,6 +719,35 @@ def battery_per_call(noise, limitres, ensemble, significance=0.01):
                      "uniform_independence_p": p_uni, "strong_determinism": strong_det},
         passed=not failures, failures=tuple(failures),
     )
+
+
+def convolve_dense(mu, nu):
+    """``measures.convolve`` summed over every a, zero weights included: row a of the
+    n x n matrix ``nu.weights[mul[inv, :]]`` holds nu(a^-1 x), and one matrix-vector
+    product with mu's weights sums the rows."""
+    group = mu.group
+    out = mu.weights @ nu.weights[group.mul[group.inv, :]]
+    total = out.sum()
+    if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        out = out / total
+    return Measure(group, out)
+
+
+def shape_distance_all_translates(mu, nu):
+    """``limits.shape_distance`` with every translate summed: column g of the F-ordered
+    matrix ``mu.weights[mul[:, inv]]`` holds mu delta_g, and each column is summed
+    pairwise. The first minimum wins."""
+    group = mu.group
+    dists = 0.5 * np.abs(mu.weights[group.mul[:, group.inv]] - nu.weights[:, None]).sum(axis=0)
+    g = int(np.argmin(dists))
+    return float(dists[g]), g
+
+
+def normal_closure_all_members(group, H):
+    """``groups.normal_closure`` from the conjugates of every member of H by every element."""
+    g = np.arange(group.order)[:, None]
+    conj = group.mul[group.mul[group.inv[g], np.array(H.members)], g]
+    return generated_subgroup(group, np.unique(conj))
 
 
 def gauge_align_per_translate(nu, gauge):

@@ -625,8 +625,10 @@ def test_one_coset_at_every_depth_from_the_last_prefix_level():
 
 def _gauge_corpus():
     """Laws to align: each golden spec's noise measures, limit laws and a few products,
-    Haar measures (every translate ties) and Haar on subgroups."""
+    Haar measures (every translate ties) and Haar on subgroups, and on the three wide
+    groups, coset-uniform laws and sparse and dense random ones."""
     from test_golden_records import SPECS
+    from test_support_kernels import WIDE, random_laws
 
     laws = []
     for spec in SPECS.values():
@@ -635,9 +637,11 @@ def _gauge_corpus():
         laws += [*noise.prefix, *noise.tail, *res.lambdas.values(),
                  *(partial_product(noise, 0, -i)
                    for i in (0, 1, res.depth_used, res.deepest_depth))]
-    for name in ("Z4", "S3", "D4", "Q8", "S4", "Zn:500"):
+    for name in ("Z4", "S3", "D4", "Q8", "S4", *WIDE):
         group = builtin_group(name)
         laws += [haar(group), haar_subgroup(group, generated_subgroup(group, (1,)))]
+    for seed, name in enumerate(WIDE):
+        laws += random_laws(builtin_group(name), seed)
     return laws
 
 

@@ -313,16 +313,30 @@ class TestBatteryOracle:
         assert verify_theorems(noise, res, ens).to_json_dict() == \
             battery_per_call(noise, res, ens).to_json_dict()
 
+    @pytest.mark.parametrize("bad, message", [
+        (-1, "phi holds -1, which is not an element id of FiniteGroup(Z4)"),
+        (4, "phi holds 4, which is not an element id of FiniteGroup(Z4)"),
+        (2.0, "samples must be integer element ids, got dtype float64"),
+    ])
+    def test_phi_without_element_ids_is_refused(self, bad, message, request):
+        noise, res, ens = _battery_ensemble("mixture", 1000, request)
+        phi = ens.phi.astype(type(bad))
+        phi[2, 7] = bad
+        mutated = dataclasses.replace(ens, phi=phi)
+        outcome = _battery_outcome(verify_theorems, noise, res, mutated)
+        assert outcome == (InvalidSpec, message)
+        assert outcome == _battery_outcome(battery_per_call, noise, res, mutated)
+
     def test_the_pooling_case_pools(self, request):
         _, _, ens = _battery_ensemble("pooling", 1000, request)
         assert chi_square_independence(np.stack([ens.u_col(0), ens.xi_col(0)], 1)).pooled_cells > 0
 
     @pytest.mark.parametrize("mutation, refusal", [
         ("U outside H", None),
-        ("U below 0", None),
-        ("U past the table", IndexError),
+        ("U below 0", InvalidSpec),
+        ("U past the table", InvalidSpec),
         ("xi outside the group", None),
-        ("float U", TypeError),
+        ("float U", InvalidSpec),
         ("float xi", InvalidSpec),
         ("float V", InvalidSpec),
     ])
@@ -350,8 +364,10 @@ class TestBatteryOracle:
             assert issubclass(outcome[0], refusal), outcome
         if mutation == "U outside H":
             assert outcome["per_k"][3]["uniformity_out_of_support"]
-        if refusal is InvalidSpec:
+        if mutation.startswith("float"):
             assert outcome[1] == "samples must be integer element ids, got dtype float64"
+        elif refusal is InvalidSpec:
+            assert outcome[1] == f"U holds {U[0, 0]}, which is not an element id of {noise.group!r}"
 
 
 class TestCaseBDiagnostic:
