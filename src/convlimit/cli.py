@@ -49,7 +49,7 @@ from .solutions import (
     uniform_ensemble,
     window_cut,
 )
-from .stats import verify_theorems
+from .stats import battery_ensemble, verify_theorems
 from .torus import DEFAULT_P_MAX, compute_p_mu, torus_noise_from_spec
 
 EXIT_OK = 0
@@ -491,10 +491,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_verify(args) -> int:
     out, noise, result = _enter(args)
-    # built at the cut, as every fresh ensemble is (the battery reads no row below
-    # xi_-2); a shallower --depth meets the cut's refusal
-    cut = window_cut(noise, result.k_min)
-    ens = extremal_ensemble(noise, result, min(args.depth or cut, cut), args.paths, args.seed)
+    ens = battery_ensemble(noise, result, args.depth, args.paths, args.seed)
     report = verify_theorems(noise, result, ens, significance=args.significance)
     payload = {"command": "verify", "case": result.case, **report.to_json_dict()}
     _write_json(out / "report.json", payload)

@@ -40,17 +40,10 @@ class FiniteGroup:
     element_labels: Optional[tuple[str, ...]] = None
     name: Optional[str] = None
 
-    def elements(self) -> range:
-        return range(self.order)
-
     def label(self, g: int) -> str:
         if self.element_labels is not None:
             return self.element_labels[g]
         return str(g)
-
-    @cached_property
-    def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.mul, self.mul.T))
 
     @cached_property
     def id_dtype(self) -> np.dtype:
@@ -131,10 +124,6 @@ class CosetSpace:
     subgroup: Subgroup
     coset_of: np.ndarray  # element index -> coset id
     cosets: tuple[tuple[int, ...], ...]
-
-    @property
-    def n_cosets(self) -> int:
-        return len(self.cosets)
 
 
 @dataclass(frozen=True, eq=False)
@@ -332,14 +321,6 @@ def subgroup(group: FiniteGroup, members: Iterable[int]) -> Subgroup:
     # Lagrange holds automatically for a closed set; keep as a sanity assert.
     assert group.order % len(ms) == 0
     return Subgroup(group=group, members=tuple(ms))
-
-
-def trivial_subgroup(group: FiniteGroup) -> Subgroup:
-    return Subgroup(group=group, members=(group.identity,))
-
-
-def full_subgroup(group: FiniteGroup) -> Subgroup:
-    return Subgroup(group=group, members=tuple(range(group.order)))
 
 
 def generated_subgroup(group: FiniteGroup, generators: Iterable[int]) -> Subgroup:

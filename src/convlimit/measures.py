@@ -190,14 +190,11 @@ def inverse_cdf(mu: Measure, u: np.ndarray) -> np.ndarray:
     return ids
 
 
-def sample(mu: Measure, rng: np.random.Generator, size: Optional[int] = None):
+def sample(mu: Measure, rng: np.random.Generator, size: int) -> np.ndarray:
     """Inverse-CDF sampling over element index order; deterministic given rng state.
 
-    Draws ``rng.random(size)`` and maps it through :func:`inverse_cdf`; with
-    ``size=None`` one draw comes back as an ``int``.
+    Draws ``rng.random(size)`` and maps it through :func:`inverse_cdf`.
     """
-    if size is None:
-        return int(inverse_cdf(mu, np.array([rng.random()]))[0])
     return inverse_cdf(mu, rng.random(size))
 
 

@@ -348,6 +348,17 @@ class EnsembleReport:
         }
 
 
+def battery_ensemble(noise: NoiseLaw, limitres: LimitResult, depth: Optional[int], n_paths: int,
+                     seed: int) -> Ensemble:
+    """The extremal ensemble that :func:`verify_theorems` checks, built at the window's cut.
+
+    The battery reads no noise row below the cut, so a deeper ``depth`` (or
+    none) builds at the cut; a shallower one meets the builder's refusal.
+    """
+    cut = window_cut(noise, limitres.k_min)
+    return extremal_ensemble(noise, limitres, min(depth or cut, cut), n_paths, seed)
+
+
 def verify_theorems(
     noise: NoiseLaw,
     limitres: LimitResult,
@@ -361,11 +372,13 @@ def verify_theorems(
     the invariance discrimination of the marginal law against the symmetries
     of lambda_0 (a prefix can make them more than H), the uniform solution's
     marginal and independence, and strong-solution determinism in the
-    trivial-subgroup case. All p-valued checks share a Bonferroni budget at
+    trivial-subgroup case: paths with equal noise from the cut up must have
+    equal eta0. All p-valued checks share a Bonferroni budget at
     the given significance.
 
-    Of the ensemble it reads phi, U and V on the window and, of ``xi``, only
-    the rows xi_0, xi_-1 and xi_-2.
+    Of the ensemble it reads phi, U and V on the window and, of ``xi``, the
+    rows xi_0, xi_-1 and xi_-2 and, in case B, the rows from the window's cut
+    up, which are the same in any deeper build.
     """
     if ensemble.n_paths < MIN_PATHS_FOR_BATTERY:
         raise InsufficientSamples(
@@ -461,16 +474,17 @@ def verify_theorems(
     if p_uni_indep < threshold:
         failures.append(f"uniform-solution independence fails (p={p_uni_indep:.2e})")
 
-    # strong-solution determinism in the trivial-subgroup case: the path is a
-    # function of the noise above the window's cut alone, so a rebuild that
-    # draws the same stream down to another depth must give the same paths
+    # strong-solution determinism in the trivial-subgroup case: paths whose noise
+    # agrees from the window's cut up must agree on eta0 (= phi, as H is trivial);
+    # a row that holds one value on every path splits none and leaves the key
     strong_det: Optional[bool] = None
     if limitres.case == "B":
-        cut = window_cut(noise, ensemble.k_min)
-        depth = cut if ensemble.depth > cut else 2 * cut
-        rebuilt = extremal_ensemble(noise, limitres, depth, ensemble.n_paths, ensemble.seed,
-                                    k_min=ensemble.k_min, u0=group.identity)
-        strong_det = bool(np.array_equal(rebuilt.eta, ensemble.phi))  # H trivial: eta0 = phi
+        key = ensemble.xi[-(window_cut(noise, ensemble.k_min) + 1):]
+        key = key[(key != key[:, :1]).any(axis=1)]
+        paths = np.lexsort(key) if len(key) else slice(None)
+        key, sorted_eta0 = key[:, paths], eta0[:, paths]
+        same = (key[:, 1:] == key[:, :-1]).all(axis=0)  # neighbours in one group
+        strong_det = bool(np.array_equal(sorted_eta0[:, 1:][:, same], sorted_eta0[:, :-1][:, same]))
         if not strong_det:
             failures.append("strong-solution determinism check failed")
 

@@ -34,8 +34,6 @@ DEFAULT_FLOOR = 1e-12
 ONE_MINUS_EXACT = 1e-12
 ONE_MINUS_DECAY = 1e-9
 
-GAUSS_TRUNCATION_SIGMAS = 8.0
-
 
 @dataclass(frozen=True)
 class AtomsSpec:
@@ -358,72 +356,25 @@ def compute_p_mu(
     )
 
 
-def _wrapped_gaussian_bin_masses(mean: float, sd: float, n: int) -> np.ndarray:
-    """Mass of each centered grid bin [j/n - 1/2n, j/n + 1/2n) under the wrapped normal.
+def discretize_to_cyclic(spec: TorusMeasureSpec, n: int) -> Measure:
+    """Push a torus atoms measure onto the cyclic group Z_n (grid point j <-> j/n).
 
-    Wrap copies are truncated at GAUSS_TRUNCATION_SIGMAS standard deviations;
-    the missed mass is at most 2*Phi(-8) ~ 1.2e-15, then renormalized away.
-    The normal CDF is Phi(z) = erfc(-z / sqrt 2) / 2, which keeps full
-    relative precision in the lower tail.
-    """
-    edges = (np.arange(n + 1) - 0.5) / n
-    lo = math.floor(mean - GAUSS_TRUNCATION_SIGMAS * sd - 1.0)
-    hi = math.ceil(mean + GAUSS_TRUNCATION_SIGMAS * sd + 1.0)
-    masses = np.zeros(n)
-    for m in range(lo, hi + 1):
-        z = (edges + m - mean) / sd
-        cdf = np.array([0.5 * math.erfc(-x / math.sqrt(2.0)) for x in z.tolist()])
-        masses += np.diff(cdf)
-    return masses / masses.sum()
-
-
-def _uniform_interval_bin_masses(a: float, b: float, n: int) -> np.ndarray:
-    """Exact masses of centered grid bins under the uniform law on [a, b)."""
-    edges = (np.arange(n + 1) - 0.5) / n
-    masses = np.zeros(n)
-    for shift in (-1.0, 0.0, 1.0):
-        lo = np.maximum(edges[:-1], a + shift)
-        hi = np.minimum(edges[1:], b + shift)
-        masses += np.maximum(hi - lo, 0.0)
-    return masses / (b - a)
-
-
-def _atom_index(x: float, n: int, approx: bool) -> int:
-    scaled = x * n
-    nearest = round(scaled)
-    if abs(scaled - nearest) <= 1e-9:
-        return int(nearest) % n
-    if approx:
-        return int(nearest) % n
-    raise NotRepresentable(
-        f"atom at {x} is not a multiple of 1/{n}; pass approx=True to bin it"
-    )
-
-
-def discretize_to_cyclic(spec: TorusMeasureSpec, n: int, *, approx: bool = False) -> Measure:
-    """Push a torus measure onto the cyclic group Z_n (grid point j <-> j/n).
-
-    Atoms on the grid map exactly. Continuous specs require ``approx=True``
-    and are binned into centered cells [j/n - 1/2n, j/n + 1/2n).
+    Only atoms on the 1/n grid are representable, and they map exactly.
     """
     if n < 1:
         raise InvalidSpec(f"grid size must be positive, got {n}")
-    group = cyclic_group(n)
-    w = np.zeros(n)
-    if isinstance(spec, AtomsSpec):
-        for x, weight in spec.points:
-            w[_atom_index(x, n, approx)] += weight
-    elif isinstance(spec, UniformIntervalSpec):
-        if not approx:
-            raise NotRepresentable("a uniform interval needs approx=True to be binned")
-        w = _uniform_interval_bin_masses(spec.a, spec.b, n)
-    elif isinstance(spec, WrappedGaussianSpec):
-        if not approx:
-            raise NotRepresentable("a wrapped Gaussian needs approx=True to be binned")
-        w = _wrapped_gaussian_bin_masses(spec.mean, spec.sd, n)
-    else:
+    refusal = f"is not representable on Z_{n}: only atoms on the 1/{n} grid are"
+    if isinstance(spec, (UniformIntervalSpec, WrappedGaussianSpec)):
+        raise NotRepresentable(f"a continuous law {refusal}")
+    if not isinstance(spec, AtomsSpec):
         raise InvalidSpec(f"unknown torus measure spec {type(spec).__name__}")
-    return Measure(group, w)
+    w = np.zeros(n)
+    for x, weight in spec.points:
+        nearest = round(x * n)
+        if abs(x * n - nearest) > 1e-9:
+            raise NotRepresentable(f"atom at {x} {refusal}")
+        w[int(nearest) % n] += weight
+    return Measure(cyclic_group(n), w)
 
 
 def predicted_cyclic_subgroup(n: int, p_mu: int) -> tuple[int, ...]:

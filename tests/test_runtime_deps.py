@@ -70,8 +70,17 @@ def test_command_loads_no_scipy(name, workdir):
 
 
 def test_wrapped_gaussian_discretization_loads_no_scipy():
-    done = _run_fresh("from convlimit.torus import WrappedGaussianSpec, discretize_to_cyclic\n"
-                      "discretize_to_cyclic(WrappedGaussianSpec(0.25, 0.05), 64, approx=True)")
+    done = _run_fresh("from convlimit.errors import NotRepresentable\n"
+                      "from convlimit.torus import (WrappedGaussianSpec, char_fn,\n"
+                      "                             discretize_to_cyclic)\n"
+                      "spec = WrappedGaussianSpec(0.25, 0.05)\n"
+                      "assert abs(char_fn(spec, 3)) < 1\n"
+                      "try:\n"
+                      "    discretize_to_cyclic(spec, 64)\n"
+                      "except NotRepresentable:\n"
+                      "    pass\n"
+                      "else:\n"
+                      "    raise AssertionError('a wrapped Gaussian went onto the grid')")
     assert done.returncode == 0, done.stderr
 
 

@@ -3,15 +3,21 @@ import math
 
 import numpy as np
 import pytest
-from oracles import battery_per_call
+from oracles import battery_per_call, trivial_subgroup
 from scipy.integrate import quad
 from scipy.special import gamma, gammaincc
 
 from convlimit.errors import BadRange, EmptySample, InsufficientSamples, InvalidSpec, OutOfSupport
-from convlimit.groups import cyclic_group, subgroup, trivial_subgroup
+from convlimit.groups import cyclic_group, subgroup
 from convlimit.limits import compute_limit, constant_noise, noise_from_spec
 from convlimit.measures import Measure, delta, haar, tv_distance
-from convlimit.solutions import CHUNK_SIZE, decompose_ensemble, extremal_ensemble, general_ensemble
+from convlimit.solutions import (
+    CHUNK_SIZE,
+    decompose_ensemble,
+    extremal_ensemble,
+    general_ensemble,
+    window_cut,
+)
 from convlimit.stats import (
     case_b_convergence_diagnostic,
     chi2_sf,
@@ -327,6 +333,18 @@ class TestBatteryOracle:
         assert outcome == (InvalidSpec, message)
         assert outcome == _battery_outcome(battery_per_call, noise, res, mutated)
 
+    @pytest.mark.parametrize("translate", [0, 4])
+    def test_case_b_determinism_matches_the_per_call_battery(self, translate):
+        noise = noise_from_spec(CASE_B_SPECS["q8-periodic-delta"])
+        res = compute_limit(noise)
+        ens = extremal_ensemble(noise, res, 200, 1000, seed=53)
+        phi = ens.phi.copy()
+        phi[:, 7] = noise.group.mul[phi[:, 7], translate]
+        mutated = dataclasses.replace(ens, phi=phi)
+        report = verify_theorems(noise, res, mutated).to_json_dict()
+        assert report == battery_per_call(noise, res, mutated).to_json_dict()
+        assert report["case_checks"]["strong_determinism"] is (translate == 0)
+
     def test_the_pooling_case_pools(self, request):
         _, _, ens = _battery_ensemble("pooling", 1000, request)
         assert chi_square_independence(np.stack([ens.u_col(0), ens.xi_col(0)], 1)).pooled_cells > 0
@@ -518,30 +536,44 @@ def case_b_spec(request):
 
 
 class TestStrongDeterminism:
-    """verify rebuilds a case-B ensemble from its noise down to the certified cut only."""
+    """verify groups a case-B ensemble's paths by their noise from the cut up: each group
+    must share one eta0."""
 
-    @pytest.mark.parametrize("depth", ["2*depth_used", 200, 400])
+    @pytest.mark.parametrize("depth", ["cut", "2*depth_used", 200, 400])
     def test_paths_do_not_depend_on_the_noise_below_the_cut(self, case_b_spec, depth):
         noise, res = case_b_spec
-        depth = 2 * res.depth_used if depth == "2*depth_used" else depth
+        depth = {"cut": window_cut(noise, res.k_min),
+                 "2*depth_used": 2 * res.depth_used}.get(depth, depth)
         ens = extremal_ensemble(noise, res, depth, 1000, seed=31)
         report = verify_theorems(noise, res, ens)
         assert report.case_checks["strong_determinism"] is True
         assert "strong-solution determinism check failed" not in report.failures
 
-    @pytest.mark.parametrize("mutation", ["translated path", "one phi entry"])
+    @pytest.mark.parametrize("mutation", ["translated path", "one phi entry",
+                                          "row below the cut", "independent translates"])
     def test_a_path_that_is_not_the_strong_solution_fails(self, mutation):
         noise = noise_from_spec(CASE_B_SPECS["q8-periodic-delta"])
         res = compute_limit(noise)
         ens = extremal_ensemble(noise, res, 400, 1000, seed=32)
         group = noise.group
-        phi, eta = ens.phi.copy(), ens.eta.copy()
+        phi, eta, xi = ens.phi.copy(), ens.eta.copy(), ens.xi.copy()
+        rng = np.random.default_rng(33)
         if mutation == "translated path":
             # eta_k g still solves eta_k = xi_k eta_(k-1), but is not a function of the noise
             phi[:, 7] = eta[:, 7] = group.mul[eta[:, 7], 4]
-        else:
+        elif mutation == "one phi entry":
             phi[-1, 7] = group.mul[phi[-1, 7], 4]
-        report = verify_theorems(noise, res, dataclasses.replace(ens, phi=phi, eta=eta))
+        else:
+            if mutation == "row below the cut":
+                # in case B every level below the cut is a point mass, so this sampler
+                # also draws level -(cut + 1) at random, and then reads it into eta
+                row = ens.depth - window_cut(noise, ens.k_min) - 1
+                xi[row] = rng.integers(group.order, size=ens.n_paths)
+                g = xi[row]
+            else:
+                g = rng.integers(group.order, size=ens.n_paths)
+            phi = eta = group.mul[eta, g]
+        report = verify_theorems(noise, res, dataclasses.replace(ens, xi=xi, phi=phi, eta=eta))
         assert report.case_checks["strong_determinism"] is False
         assert report.passed is False
         assert "strong-solution determinism check failed" in report.failures

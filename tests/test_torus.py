@@ -24,7 +24,6 @@ from convlimit.torus import (
     char_fn,
     DEFAULT_DEPTH,
     DEFAULT_FLOOR,
-    GAUSS_TRUNCATION_SIGMAS,
     compute_p_mu,
     discretize_to_cyclic,
     pi_mu_bounds,
@@ -40,6 +39,24 @@ def quad_char(density, p, lo, hi):
     re = quad(lambda x: density(x) * math.cos(2 * math.pi * p * x), lo, hi, limit=200)[0]
     im = quad(lambda x: density(x) * math.sin(2 * math.pi * p * x), lo, hi, limit=200)[0]
     return complex(re, im)
+
+
+def bin_masses_from_char_fn(spec, n):
+    """Oracle: masses of the centered bins [j/n - 1/2n, j/n + 1/2n) read off char_fn.
+
+    By Poisson summation the bins' transform sum_j mass_j e^{2 pi i p j/n} is the sum
+    over l of char_fn(p + l n) sinc((p + l n) / n). The terms are summed out to
+    |p + l n| ~ 1.5 / sd, where a wrapped Gaussian's char_fn is below 1e-19.
+    """
+    reach = math.ceil(1.5 / spec.sd / n) + 1
+    transform = []
+    for p in range(n):
+        terms = [char_fn(spec, p + l * n) * (1.0 if p + l * n == 0 else
+                 (-1) ** l * math.sin(math.pi * p / n) / (math.pi * (p + l * n) / n))
+                 for l in range(-reach, reach + 1)]
+        transform.append(complex(math.fsum(z.real for z in terms),
+                                 math.fsum(z.imag for z in terms)))
+    return np.fft.fft(transform).real / n
 
 
 class TestCharFn:
@@ -397,28 +414,26 @@ class TestDiscretize:
         assert np.array_equal(mu.weights, [0.0, 1.0, 0.0, 0.0])
 
     def test_off_grid_atom_raises(self):
-        with pytest.raises(NotRepresentable):
+        with pytest.raises(NotRepresentable, match="only atoms on the 1/4 grid"):
             discretize_to_cyclic(DiracSpec(1 / 3), 4)
 
-    def test_off_grid_atom_approx_bins_to_nearest(self):
-        mu = discretize_to_cyclic(DiracSpec(1 / 3), 4, approx=True)
-        assert np.array_equal(mu.weights, [0.0, 1.0, 0.0, 0.0])
+    @pytest.mark.parametrize("spec", [UniformIntervalSpec(0.0, 0.5),
+                                      WrappedGaussianSpec(0.25, 0.05)],
+                             ids=["uniform-interval", "wrapped-gaussian"])
+    def test_only_grid_atoms_are_representable(self, spec):
+        with pytest.raises(NotRepresentable, match="only atoms on the 1/4 grid"):
+            discretize_to_cyclic(spec, 4)
 
     def test_wrap_around_atom(self):
-        mu = discretize_to_cyclic(DiracSpec(0.999999999999), 8, approx=False)
+        mu = discretize_to_cyclic(DiracSpec(0.999999999999), 8)
         assert mu.weights[0] == 1.0
 
-    def test_uniform_interval_needs_approx(self):
-        with pytest.raises(NotRepresentable):
-            discretize_to_cyclic(UniformIntervalSpec(0.0, 0.5), 4)
-
-    def test_uniform_interval_bins(self):
-        mu = discretize_to_cyclic(UniformIntervalSpec(0.0, 0.5), 4, approx=True)
-        assert np.allclose(mu.weights, [0.25, 0.5, 0.25, 0.0], atol=1e-12)
-
     def test_wrapped_gaussian_against_quadrature(self):
+        """A wrapped Gaussian stays off the grid, held by its char_fn: the grid bins that
+        char_fn fixes match the density integrated over each bin."""
         n, m, sd = 64, 0.0, 0.05
-        mu = discretize_to_cyclic(WrappedGaussianSpec(m, sd), n, approx=True)
+        with pytest.raises(NotRepresentable):
+            discretize_to_cyclic(WrappedGaussianSpec(m, sd), n)
         dens = lambda x: math.exp(-0.5 * ((x - m) / sd) ** 2) / (sd * math.sqrt(2 * math.pi))
         oracle = np.zeros(n)
         for j in range(n):
@@ -429,20 +444,26 @@ class TestDiscretize:
                 total += quad(dens, lo + shift, hi + shift, limit=200)[0]
             oracle[j] = total
         oracle /= oracle.sum()
-        assert 0.5 * np.abs(mu.weights - oracle).sum() < 1e-6
+        masses = bin_masses_from_char_fn(WrappedGaussianSpec(m, sd), n)
+        assert 0.5 * np.abs(masses - oracle).sum() < 1e-6
 
     @pytest.mark.parametrize("sd", [1e-4, 1e-3, 0.01, 0.05, 0.1, 0.25, 0.5])
     @pytest.mark.parametrize("m", [0.0, 1e-12, 1e-4, 0.5, 1 - 1e-4, 1 - 1e-12])
     def test_wrapped_gaussian_matches_ndtr_bins(self, m, sd):
-        # the same truncated sum of wrap copies, with scipy's normal CDF
+        # the oracle sums wrap copies out to 8 sd with scipy's normal CDF. char_fn rounds
+        # its phase 2 pi q m to about |q| 2^-50 at the aliases q up to 1.5 / sd, which
+        # bounds the agreement at 2e-13
+        spec = WrappedGaussianSpec(m, sd)
         for n in (1, 3, 64, 256, 1000):
+            with pytest.raises(NotRepresentable, match=f"only atoms on the 1/{n} grid"):
+                discretize_to_cyclic(spec, n)
             edges = (np.arange(n + 1) - 0.5) / n
             oracle = np.zeros(n)
-            reach = GAUSS_TRUNCATION_SIGMAS * sd + 1
+            reach = 8 * sd + 1
             for shift in range(math.floor(m - reach), math.ceil(m + reach) + 1):
                 oracle += np.diff(ndtr((edges + shift - m) / sd))
-            mu = discretize_to_cyclic(WrappedGaussianSpec(m, sd), n, approx=True)
-            assert np.abs(mu.weights - oracle / oracle.sum()).max() <= 1e-15
+            masses = bin_masses_from_char_fn(spec, n)
+            assert np.abs(masses - oracle / oracle.sum()).max() <= 2e-13
 
     def test_predicted_cyclic_subgroup(self):
         assert predicted_cyclic_subgroup(4, 2) == (0, 2)
